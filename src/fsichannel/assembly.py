@@ -330,12 +330,3 @@ def tagged_edge_elements(space: Space, tag):
                 })
     return out
 
-
-def edge_ref_points(space: Space, edge, t):
-    """Reference coordinates in ``edge['element']`` of points along the edge."""
-    e = edge["element"]
-    pu = space.mesh.nodes[edge["start"]]
-    pv = space.mesh.nodes[edge["end"]]
-    xs = pu[None, :] + t[:, None] * (pv - pu)[None, :]
-    rel = xs - space.origin[e][None, :]
-    return np.einsum("ij,kj->ki", space.inv_jac[e], rel)

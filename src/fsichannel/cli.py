@@ -31,12 +31,7 @@ from .mesh import (
     refine_uniform,
     validate_mesh,
 )
-from .sensitivity import (
-    SensitivitySolver,
-    contraction_probe,
-    solve_fsi_sensitivity,
-    taylor_test,
-)
+from .sensitivity import contraction_probe, solve_fsi_sensitivity, taylor_test
 from .verification import mms_convergence_study
 
 EXIT_CHECKS_FAILED = 1

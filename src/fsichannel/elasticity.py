@@ -14,7 +14,6 @@ with u = 0 on the clamped boundary.
 """
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     assemble_boundary_load,
@@ -22,7 +21,7 @@ from .assembly import (
     assemble_velocity_load,
 )
 from .geomap import interface_dofs
-from .linsolve import SingularSystemError
+from .linsolve import FrozenFactorization
 from .mesh import SOLID, TAG_CLAMPED, TAG_INTERFACE
 from .spaces import FEFunction, Space, make_space
 
@@ -48,13 +47,7 @@ class ElasticitySolver:
         self.matrix = assemble_elasticity(space, lam, mu).tocsc()
         self.clamped = space.boundary_dofs(TAG_CLAMPED)
         self.iface = interface_dofs(space)
-        mask = np.ones(space.ndof, dtype=bool)
-        mask[self.clamped] = False
-        self.free = np.flatnonzero(mask)
-        try:
-            self._lu = spla.splu(self.matrix[self.free][:, self.free])
-        except RuntimeError as exc:
-            raise SingularSystemError(f"elasticity factorization failed: {exc}") from exc
+        self._lu = FrozenFactorization(self.matrix, self.clamped)
 
     def solve(self, f1=None, traction=None) -> FEFunction:
         """Displacement for volume force f1 and interface traction values.
@@ -77,14 +70,7 @@ class ElasticitySolver:
             cm = v.component_matrix()
             cm[self.iface] = tr
             rhs += assemble_boundary_load(self.space, TAG_INTERFACE, v)
-        coef = np.zeros(self.space.ndof)
-        coef[self.free] = self._lu.solve(rhs[self.free])
-        res = self.matrix @ coef - rhs
-        res[self.clamped] = 0.0
-        scale = max(np.linalg.norm(rhs), 1.0)
-        if np.linalg.norm(res) > 1e-10 * scale:
-            raise SingularSystemError("elasticity residual exceeds tolerance")
-        return FEFunction(self.space, coef)
+        return FEFunction(self.space, self._lu.solve(rhs))
 
 
 def solid_space(mesh) -> Space:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly as asm
-from .geomap import identity_fields
-from .linsolve import FrozenFactorization, SaddleSystem, apply_dirichlet
+from .linsolve import FrozenFactorization, SaddleSystem, apply_dirichlet, solve_sparse
 from .mesh import FLUID, TAG_INFLOW, TAG_INTERFACE, TAG_WALL
 from .spaces import FEFunction, Space, make_space
 
@@ -101,6 +100,19 @@ def dirichlet_sets(vspace, g):
     return sets
 
 
+def dirichlet_dofs(vspace):
+    """Sorted velocity dofs constrained on the inflow, walls and interface."""
+    return np.unique(np.concatenate([d for d, _ in dirichlet_sets(vspace, None)]))
+
+
+def dirichlet_vector(vspace, pspace, g):
+    """Full-length [v; p] vector holding the inflow data g, zero elsewhere."""
+    by_dof = np.zeros(vspace.ndof + pspace.ndof)
+    gdofs, gvals = _inflow_values(vspace, g)
+    by_dof[gdofs] = gvals
+    return by_dof
+
+
 def _product_norm(norms_v, norms_p, vec, n_v):
     return float(np.hypot(norms_v.h1_norm(vec[:n_v]), norms_p.l2(vec[n_v:])))
 
@@ -126,18 +138,8 @@ class PicardSolver:
         self.nu = float(nu)
         self.norms_v = asm.NormSet(vspace)
         self.norms_p = asm.NormSet(pspace)
-        base = asm.transformed_oseen_system(vspace, pspace, None, nu)
-        constrained = apply_dirichlet(base, dirichlet_sets(vspace, None))
-        self._cdofs = constrained.constrained_dofs
-        self._M_I = base.full_matrix().tocsr()
-        self._lu = FrozenFactorization(constrained)
-
-    def _dirichlet_values(self, g):
-        """Constraint values in the solver's merged constrained-dof order."""
-        by_dof = np.zeros(self.vspace.ndof + self.pspace.ndof)
-        gdofs, gvals = _inflow_values(self.vspace, g)
-        by_dof[gdofs] = gvals
-        return by_dof[self._cdofs]
+        self._M_I = asm.transformed_oseen_system(vspace, pspace, None, nu).full_matrix()
+        self._lu = FrozenFactorization(self._M_I, dirichlet_dofs(vspace))
 
     def loads(self, f=None, f2=None, f3=None):
         return asm.assemble_rhs(self.vspace, self.pspace, f, f2, f3)
@@ -150,7 +152,7 @@ class PicardSolver:
             self.vspace, self.pspace, fields, self.nu, advector=w
         ).full_matrix()
         r = sysm @ x - F
-        r[self._cdofs] = 0.0
+        r[self._lu.cdofs] = 0.0
         return float(np.linalg.norm(r)) / max(float(np.linalg.norm(F)), 1.0)
 
     def solve(self, fields=None, g=None, f=None, f2=None, f3=None,
@@ -158,7 +160,7 @@ class PicardSolver:
         V, Q = self.vspace, self.pspace
         n_v = V.ndof
         F = self.loads(f, f2, f3)
-        cvals = self._dirichlet_values(g)
+        prescribed = dirichlet_vector(V, Q, g)
         if fields is None:
             D = None
             K = None
@@ -177,7 +179,7 @@ class PicardSolver:
             wbar = FEFunction(V, x[:n_v])
             C = asm.assemble_convection(V, wbar, K)
             rhs[:n_v] -= C @ x[:n_v]
-            x_new = self._lu.solve(rhs, constrained_values=cvals)
+            x_new = self._lu.solve(rhs, prescribed)
             inc = _product_norm(self.norms_v, self.norms_p, x_new - x, n_v)
             scale = max(_product_norm(self.norms_v, self.norms_p, x_new, n_v), 1e-30)
             if prev_inc is not None and prev_inc > 0:
@@ -193,7 +195,7 @@ class PicardSolver:
             if D is not None:
                 r += D @ x
             r[:n_v] += C @ x[:n_v]
-            r[self._cdofs] = 0.0
+            r[self._lu.cdofs] = 0.0
             report.residual_history.append(
                 float(np.linalg.norm(r)) / max(float(np.linalg.norm(F)), 1.0)
             )
@@ -242,32 +244,27 @@ def solve_linearized(vspace, pspace, fields, base_w, dg=None, f=None, f2=None,
     Dirichlet data of the linearized problem; ``rhs_extra`` is an optional
     preassembled load (used for coefficient-derivative right-hand sides).
     """
-    from .linsolve import solve_sparse
-
     n_v = vspace.ndof
     F = asm.assemble_rhs(vspace, pspace, f, f2, f3)
     if rhs_extra is not None:
         F = F + rhs_extra
-    sets = dirichlet_sets(vspace, dg)
 
     if mode == "direct":
         system = linearized_system(vspace, pspace, fields, base_w, nu)
         system.rhs_v[:] = F[:n_v]
         system.rhs_p[:] = F[n_v:]
-        x = solve_sparse(apply_dirichlet(system, sets))
+        x = solve_sparse(apply_dirichlet(system, dirichlet_sets(vspace, dg)))
         report = SolverReport(iterations=1, converged=True, mode="direct")
         return FEFunction(vspace, x[:n_v]), FEFunction(pspace, x[n_v:]), report
 
     if mode != "T-iteration":
         raise ValueError(f"unknown mode {mode!r}")
 
-    base_sys = linearized_system(vspace, pspace, None, base_w, nu)
-    constrained = apply_dirichlet(base_sys, sets)
-    lu = FrozenFactorization(constrained)
-    M_I = base_sys.full_matrix().tocsr()
+    M_I = linearized_system(vspace, pspace, None, base_w, nu).full_matrix()
+    lu = FrozenFactorization(M_I, dirichlet_dofs(vspace))
     M_full = linearized_system(vspace, pspace, fields, base_w, nu).full_matrix()
     D = (M_full - M_I).tocsr()
-    cvals = constrained.constrained_values
+    prescribed = dirichlet_vector(vspace, pspace, dg)
 
     norms_v = asm.NormSet(vspace)
     norms_p = asm.NormSet(pspace)
@@ -275,7 +272,7 @@ def solve_linearized(vspace, pspace, fields, base_w, dg=None, f=None, f2=None,
     x = np.zeros(n_v + pspace.ndof)
     prev_inc = None
     for it in range(1, max_iter + 1):
-        x_new = lu.solve(F - D @ x, constrained_values=cvals)
+        x_new = lu.solve(F - D @ x, prescribed)
         inc = _product_norm(norms_v, norms_p, x_new - x, n_v)
         scale = max(_product_norm(norms_v, norms_p, x_new, n_v), 1e-30)
         if prev_inc is not None and prev_inc > 0:
@@ -284,7 +281,7 @@ def solve_linearized(vspace, pspace, fields, base_w, dg=None, f=None, f2=None,
         x = x_new
         report.iterations = it
         r = M_full @ x - F
-        r[constrained.constrained_dofs] = 0.0
+        r[lu.cdofs] = 0.0
         report.residual_history.append(
             float(np.linalg.norm(r)) / max(float(np.linalg.norm(F)), 1.0)
         )

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import assembly as asm
 from .elasticity import ElasticitySolver, interface_trace, solid_space
-from .fluid import FluidState, PicardSolver, SolverReport, dirichlet_sets, fluid_spaces
+from .fluid import FluidState, PicardSolver, SolverReport, fluid_spaces
 from .geomap import (
     HarmonicExtender,
     TangledMeshError,
@@ -20,7 +20,6 @@ from .geomap import (
     interface_dofs,
     transform_fields,
 )
-from .linsolve import apply_dirichlet
 from .mesh import TAG_INTERFACE
 from .spaces import FEFunction, p2_grads
 
@@ -107,10 +106,14 @@ class TractionEvaluator:
             ]
             self.records.append((int(d), elems, normal, refs))
 
-    def _K_at(self, extension, elem, ref):
+    def _lift_grad(self, extension, elem, ref):
+        """Gradient of the lift at reference point ``ref`` of ``elem``."""
         cm = extension.component_matrix()[self.vspace.elem_dofs[elem]]  # (6, 2)
         gref = p2_grads(ref[None, :])[0]  # (6, 2) d/dxi
-        G = np.einsum("ai,ad,dk->ik", cm, gref, self.vspace.inv_jac[elem])
+        return np.einsum("ai,ad,dk->ik", cm, gref, self.vspace.inv_jac[elem])
+
+    def _K_at(self, extension, elem, ref):
+        G = self._lift_grad(extension, elem, ref)
         return cof2((G + np.eye(2))[None, None])[0, 0]
 
     def evaluate(self, extension, pressure, projected=False):
@@ -244,9 +247,3 @@ def fsi_residual(state: FSIState, g, lame, nu=1.0, solver: FSISolver | None = No
     solver = solver or FSISolver(state.u.space.mesh, lame, nu)
     return solver.residual(state, g)
 
-
-def write_outer_log(path, rows):
-    with open(path, "w") as fh:
-        fh.write("iter,increment,ratio,fluid_iters,min_J,min_eig_A\n")
-        for r in rows:
-            fh.write(",".join(str(c) for c in r) + "\n")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import NonPositiveJacobianError, assemble_scalar_stiffness
-from .linsolve import FrozenFactorization, SaddleSystem
-from .mesh import ALL_TAGS, TAG_INTERFACE
+from .linsolve import FrozenFactorization
+from .mesh import ALL_TAGS, MeshError
 from .quadrature import TRI_POINTS
 from .spaces import FEFunction, Space, interface_scalar_maps
 
@@ -95,16 +95,12 @@ class HarmonicExtender:
         for tag in ALL_TAGS:
             try:
                 bdofs |= set(vspace.boundary_scalar_dofs(tag))
-            except Exception:
+            except MeshError:  # the tag does not touch this subdomain
                 continue
         self.others = np.asarray(sorted(bdofs - set(self.iface)), dtype=np.int64)
-        n = vspace.n_scalar
-        system = SaddleSystem(S, None, None, None, np.zeros(n), None)
-        self._cdofs = np.sort(np.concatenate([self.iface, self.others]))
-        system.constrained_dofs = self._cdofs
-        system.constrained_values = np.zeros(len(self._cdofs))
-        self._fact = FrozenFactorization(system)
-        self._zero_rhs = np.zeros(n)
+        cdofs = np.sort(np.concatenate([self.iface, self.others]))
+        self._fact = FrozenFactorization(S, cdofs)
+        self._zero_rhs = np.zeros(vspace.n_scalar)
 
     def extend(self, trace_values):
         """Lift (n_int, 2) interface values; returns a vector FEFunction."""
@@ -112,22 +108,14 @@ class HarmonicExtender:
         coeffs = np.zeros((self.vspace.n_scalar, 2))
         by_dof = np.zeros(self.vspace.n_scalar)
         for c in range(2):
-            by_dof[:] = 0.0
             by_dof[self.iface] = trace_values[:, c]
-            coeffs[:, c] = self._fact.solve(self._zero_rhs, by_dof[self._cdofs])
+            coeffs[:, c] = self._fact.solve(self._zero_rhs, by_dof)
         return FEFunction(self.vspace, coeffs.reshape(-1))
 
 
 def harmonic_extension(vspace: Space, trace_values) -> FEFunction:
     """One-shot interface lift (see :class:`HarmonicExtender`)."""
     return HarmonicExtender(vspace).extend(trace_values)
-
-
-def flow_map(vspace: Space, extension: FEFunction) -> FEFunction:
-    """Identity coordinates plus the interface lift."""
-    phi = extension.coefficients
-    ident = vspace.dof_coords.reshape(-1)
-    return FEFunction(vspace, ident + phi)
 
 
 def transform_fields(vspace: Space, extension: FEFunction) -> TransformFields:
@@ -203,11 +191,3 @@ def piola_divergence(vspace: Space, extension: FEFunction):
     div[:, 1] = -H[:, 0, 0, 1] + H[:, 0, 1, 0]
     return div
 
-
-def quality_rows(vspace: Space, fields: TransformFields):
-    """(element id, min J, min eig A) per element, for CSV monitoring."""
-    emin = fields.min_eig_A()
-    return [
-        (int(vspace.tri_ids[e]), float(fields.J[e].min()), float(emin[e].min()))
-        for e in range(fields.J.shape[0])
-    ]

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from .mesh import FLUID, Mesh, ChannelGeometry
+from .mesh import Mesh, ChannelGeometry
 
 _SUBDOMAIN_NAMES = {0: "fluid", 1: "solid"}
 _SUBDOMAIN_IDS = {v: k for k, v in _SUBDOMAIN_NAMES.items()}

@@ -9,8 +9,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
+# bound on the free-row relative residual of every direct solve
+RESIDUAL_RTOL = 1e-10
+
+
 class SingularSystemError(RuntimeError):
-    """Factorization failed (structurally deficient or exactly singular)."""
+    """A direct solve failed: singular factorization, non-finite result or
+    residual above ``RESIDUAL_RTOL``."""
 
 
 class DirichletConflictError(ValueError):
@@ -105,94 +110,60 @@ def apply_dirichlet(system: SaddleSystem, assignments) -> SaddleSystem:
     return out
 
 
-def solve_sparse(system: SaddleSystem, pin_pressure=False, rtol=1e-10):
-    """Direct sparse solve after symmetric constraint elimination.
-
-    Returns the full coefficient vector over [v; p] with prescribed values
-    set bit-exactly.  ``pin_pressure`` additionally constrains the first
-    unconstrained pressure dof to zero (all-Dirichlet configurations).
-    """
-    A = system.full_matrix()
-    b = system.full_rhs()
-    n = A.shape[0]
-    cdofs = system.constrained_dofs
-    cvals = system.constrained_values
-    if pin_pressure and system.n_p > 0:
-        pdofs = np.arange(system.n_v, n)
-        free_p = np.setdiff1d(pdofs, cdofs)
-        if len(free_p):
-            cdofs = np.concatenate([cdofs, free_p[:1]])
-            cvals = np.concatenate([cvals, [0.0]])
-
-    mask = np.ones(n, dtype=bool)
-    mask[cdofs] = False
-    free = np.flatnonzero(mask)
-
-    x = np.zeros(n)
-    x[cdofs] = cvals
-    A = A.tocsc()
-    if len(free) == 0:
-        return x
-    A_ff = A[free][:, free]
-    rhs = b[free] - A[free][:, cdofs] @ cvals if len(cdofs) else b[free]
-
-    try:
-        lu = spla.splu(A_ff.tocsc())
-        xf = lu.solve(rhs)
-    except RuntimeError as exc:  # SuperLU reports exact singularity here
-        raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(xf)):
-        raise SingularSystemError("sparse solve produced non-finite values")
-
-    denom = np.linalg.norm(rhs)
-    res = np.linalg.norm(A_ff @ xf - rhs)
-    if denom > 0 and res / denom > rtol:
-        raise SingularSystemError(
-            f"sparse solve residual {res / denom:.3e} exceeds {rtol:.1e}"
-        )
-    x[free] = xf
-    return x
+def solve_sparse(system: SaddleSystem):
+    """Direct sparse solve of a constrained system; see :class:`FrozenFactorization`."""
+    return FrozenFactorization(
+        system.full_matrix(), system.constrained_dofs, system.constrained_values
+    ).solve(system.full_rhs())
 
 
 class FrozenFactorization:
-    """Reusable LU of a constrained system for many right-hand sides."""
+    """Reusable LU of a square system after symmetric Dirichlet elimination.
 
-    def __init__(self, system: SaddleSystem, pin_pressure=False):
-        A = system.full_matrix().tocsc()
-        n = A.shape[0]
-        self.n = n
-        cdofs = system.constrained_dofs
-        cvals = system.constrained_values
-        if pin_pressure and system.n_p > 0:
-            pdofs = np.arange(system.n_v, n)
-            free_p = np.setdiff1d(pdofs, cdofs)
-            if len(free_p):
-                cdofs = np.concatenate([cdofs, free_p[:1]])
-                cvals = np.concatenate([cvals, [0.0]])
-        self.cdofs = cdofs
-        self.cvals = cvals
-        mask = np.ones(n, dtype=bool)
-        mask[cdofs] = False
+    The rows and columns of the constrained dofs ``cdofs`` are removed and
+    the free block is factorized once.  ``cvals`` are the default prescribed
+    values (zeros if ``None``).  Every solve returns the full vector with the
+    prescribed values set bit-exactly.  A solve of finite data raises
+    :class:`SingularSystemError` if the free-row result is non-finite or its
+    relative residual exceeds ``RESIDUAL_RTOL``.
+    """
+
+    def __init__(self, A, cdofs, cvals=None):
+        A = A.tocsc()
+        self.n = A.shape[0]
+        self.cdofs = np.asarray(cdofs, dtype=np.int64)
+        if cvals is None:
+            cvals = np.zeros(len(self.cdofs))
+        self.cvals = np.asarray(cvals, dtype=float)
+        mask = np.ones(self.n, dtype=bool)
+        mask[self.cdofs] = False
         self.free = np.flatnonzero(mask)
-        self.A_fc = A[self.free][:, cdofs]
+        rows = A[self.free]
+        self.A_fc = rows[:, self.cdofs]
+        self.A_ff = rows[:, self.free]
         try:
-            self.lu = spla.splu(A[self.free][:, self.free])
-        except RuntimeError as exc:
+            self.lu = spla.splu(self.A_ff)
+        except RuntimeError as exc:  # SuperLU reports exact singularity here
             raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
 
-    def solve(self, full_rhs, constrained_values=None):
-        cvals = self.cvals if constrained_values is None else np.asarray(constrained_values)
+    def solve(self, rhs, prescribed=None):
+        """Solve with the full-length ``rhs``; ``prescribed`` is an optional
+        full-length vector whose entries at ``cdofs`` replace ``cvals``."""
+        cvals = self.cvals if prescribed is None else np.asarray(prescribed)[self.cdofs]
         x = np.zeros(self.n)
         x[self.cdofs] = cvals
-        rhs = full_rhs[self.free] - (self.A_fc @ cvals if len(self.cdofs) else 0.0)
-        x[self.free] = self.lu.solve(rhs)
+        b = rhs[self.free] - (self.A_fc @ cvals if len(self.cdofs) else 0.0)
+        xf = self.lu.solve(b)
+        # non-finite data comes from a diverging caller, whose own loop
+        # reports it; only the solve of finite data is checked
+        if np.all(np.isfinite(b)):
+            if not np.all(np.isfinite(xf)):
+                raise SingularSystemError("sparse solve produced non-finite values")
+            res = np.linalg.norm(self.A_ff @ xf - b)
+            bnorm = np.linalg.norm(b)
+            if res > RESIDUAL_RTOL * bnorm:
+                raise SingularSystemError(
+                    f"sparse solve residual {res / bnorm:.3e} exceeds {RESIDUAL_RTOL:.1e}"
+                )
+        x[self.free] = xf
         return x
-
-
-def write_coo(path, matrix):
-    """Coordinate triplet text export for debugging."""
-    m = sp.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        fh.write(f"{m.shape[0]} {m.shape[1]} {m.nnz}\n")
-        for i, j, v in zip(m.row, m.col, m.data):
-            fh.write(f"{i} {j} {v!r}\n")

@@ -18,16 +18,15 @@ from . import assembly as asm
 from .fluid import (
     ConvergenceError,
     SolverReport,
-    dirichlet_sets,
+    dirichlet_dofs,
+    dirichlet_vector,
     linearized_system,
-    _inflow_values,
-    _product_norm,
 )
-from .fsi import FSISolver, FSIState
-from .geomap import transform_derivatives
-from .linsolve import FrozenFactorization, apply_dirichlet
+from .fsi import FSISolver, FSIState, MeshTangledError, OuterDivergenceError
+from .geomap import TangledMeshError, cof2, transform_derivatives
+from .linsolve import FrozenFactorization
 from .quadrature import TRI_POINTS
-from .spaces import FEFunction, p2_grads
+from .spaces import FEFunction
 
 
 @dataclass
@@ -47,6 +46,7 @@ class TaylorReport:
     slope_u: float = float("nan")
     slope_w: float = float("nan")
     slope_p: float = float("nan")
+    dropped: list = field(default_factory=list)  # h whose solve failed
 
     def rows(self):
         return list(zip(self.hs, self.remainders_u, self.remainders_w,
@@ -85,20 +85,13 @@ class SensitivitySolver:
         V, Q = solver.vspace, solver.pspace
         self.nu = solver.nu
         system = linearized_system(V, Q, base.fields, base.fluid.w, solver.nu)
-        constrained = apply_dirichlet(system, dirichlet_sets(V, None))
-        self._cdofs = constrained.constrained_dofs
-        self._lu = FrozenFactorization(constrained)
+        self._lu = FrozenFactorization(system.full_matrix(), dirichlet_dofs(V))
 
     def _linearized(self, dg=None, rhs_extra=None):
         """(dw, dp) of the linearized fluid problem at the base state."""
         V, Q = self.solver.vspace, self.solver.pspace
-        n = V.ndof + Q.ndof
-        F = np.zeros(n) if rhs_extra is None else rhs_extra.copy()
-        by_dof = np.zeros(n)
-        if dg is not None:
-            gdofs, gvals = _inflow_values(V, dg)
-            by_dof[gdofs] = gvals
-        x = self._lu.solve(F, constrained_values=by_dof[self._cdofs])
+        F = np.zeros(V.ndof + Q.ndof) if rhs_extra is None else rhs_extra
+        x = self._lu.solve(F, dirichlet_vector(V, Q, dg))
         return FEFunction(V, x[:V.ndof]), FEFunction(Q, x[V.ndof:])
 
     def _derivs_of(self, du: FEFunction):
@@ -137,27 +130,17 @@ class SensitivitySolver:
         pcoef = p_hat.coefficients
         dpcoef = dp.coefficients
         ped = self.solver.pspace.elem_dofs
-        V = self.solver.vspace
         for k, (d, elems, normal, refs) in enumerate(tractor.records):
             acc = np.zeros(2)
             for elem, ref in zip(elems, refs):
                 K = tractor._K_at(base_ext, elem, ref)
-                dK = self._dK_at(dext, elem, ref)
+                dK = cof2(tractor._lift_grad(dext, elem, ref)[None, None])[0, 0]
                 lam = np.array([1.0 - ref[0] - ref[1], ref[0], ref[1]])
                 p_val = float(lam @ pcoef[ped[elem]])
                 dp_val = float(lam @ dpcoef[ped[elem]])
                 acc += dp_val * (K @ normal) + p_val * (dK @ normal)
             out[k] = acc / len(elems)
         return out
-
-    def _dK_at(self, dext, elem, ref):
-        from .geomap import cof2
-
-        V = self.solver.vspace
-        cm = dext.component_matrix()[V.elem_dofs[elem]]
-        gref = p2_grads(ref[None, :])[0]
-        G = np.einsum("ai,ad,dk->ik", cm, gref, V.inv_jac[elem])
-        return cof2(G[None, None])[0, 0]
 
     def solve(self, dg, tol=1e-10, max_iter=100) -> SensitivityState:
         """Derivative of the coupled map in direction dg via the
@@ -260,11 +243,13 @@ def taylor_test(solver: FSISolver, g_of, dg_of, h_list, opts=None,
     norms_w = solver.fluid.norms_v
     norms_p = solver.fluid.norms_p
     norms_u = solver.norms_u
-    hs, ru, rw, rp = [], [], [], []
+    hs, ru, rw, rp, dropped = [], [], [], [], []
     for h in h_list:
         try:
             state_h = solver.solve(g_of(h), opts)
-        except Exception:
+        except (ConvergenceError, OuterDivergenceError, MeshTangledError,
+                TangledMeshError):
+            dropped.append(h)
             continue
         hs.append(h)
         ru.append(norms_u.h1_norm(
@@ -279,7 +264,7 @@ def taylor_test(solver: FSISolver, g_of, dg_of, h_list, opts=None,
     if len(hs) < 3:
         raise ConvergenceError("fewer than 3 valid h values in taylor_test",
                                None)
-    report = TaylorReport(hs, ru, rw, rp)
+    report = TaylorReport(hs, ru, rw, rp, dropped=dropped)
     from .verification import fit_rate
 
     report.slope_u = fit_rate(hs, ru)
@@ -287,9 +272,3 @@ def taylor_test(solver: FSISolver, g_of, dg_of, h_list, opts=None,
     report.slope_p = fit_rate(hs, rp)
     return report
 
-
-def write_taylor_csv(path, report: TaylorReport):
-    with open(path, "w") as fh:
-        fh.write("h,R_u,R_w,R_p\n")
-        for row in report.rows():
-            fh.write(",".join(f"{c!r}" for c in row) + "\n")

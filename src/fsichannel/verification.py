@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sym
 
-from .assembly import NormSet
 from .fluid import PicardSolver, fluid_spaces
 from .mesh import build_channel_mesh, refine_uniform, straight_channel
 from .quadrature import TRI_POINTS, TRI_WEIGHTS
-from .spaces import FEFunction
 
 
 def _lambdify_pair(w1, w2, p, nu):

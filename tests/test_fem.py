@@ -12,7 +12,9 @@ from oracles import (
 from fsichannel import assembly as asm
 from fsichannel.linsolve import (
     DirichletConflictError,
+    FrozenFactorization,
     SaddleSystem,
+    SingularSystemError,
     apply_dirichlet,
     solve_sparse,
 )
@@ -170,16 +172,35 @@ def test_solve_sparse_matches_dense_oracle():
     x = solve_sparse(constrained)
     full = np.block([[A, B], [B.T, C]])
     cdofs = [2, 5]
-    cvals = [0.3, -0.1]
     free = np.setdiff1d(np.arange(n + m), cdofs)
-    dense = np.zeros(n + m)
-    dense[cdofs] = cvals
-    dense[free] = np.linalg.solve(
-        full[np.ix_(free, free)],
-        rhs[free] - full[np.ix_(free, cdofs)] @ cvals,
-    )
-    assert np.abs(x - dense).max() <= 1e-10
+
+    def dense_oracle(rhs, cvals):
+        dense = np.zeros(n + m)
+        dense[cdofs] = cvals
+        dense[free] = np.linalg.solve(
+            full[np.ix_(free, free)],
+            rhs[free] - full[np.ix_(free, cdofs)] @ cvals,
+        )
+        return dense
+
+    assert np.abs(x - dense_oracle(rhs, [0.3, -0.1])).max() <= 1e-10
     assert x[2] == 0.3 and x[5] == -0.1
+
+    # two solves on one factorization: the default values, then new data
+    # read from a full-length prescribed vector (the solvers' per-solve path)
+    lu = FrozenFactorization(constrained.full_matrix(), cdofs, [0.3, -0.1])
+    assert np.array_equal(lu.solve(rhs), x)
+    rhs2 = rng.standard_normal(n + m)
+    prescribed = rng.standard_normal(n + m)
+    x2 = lu.solve(rhs2, prescribed)
+    assert np.abs(x2 - dense_oracle(rhs2, prescribed[cdofs])).max() <= 1e-10
+    assert x2[2] == prescribed[2] and x2[5] == prescribed[5]
+
+
+def test_frozen_factorization_rejects_non_finite_result():
+    lu = FrozenFactorization(sp.diags([1e-300, 1.0], format="csc"), [])
+    with pytest.raises(SingularSystemError, match="non-finite"):
+        lu.solve(np.array([1e10, 1.0]))
 
 
 def test_boundary_load_partition_of_unity(default_mesh):

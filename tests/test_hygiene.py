@@ -1,0 +1,55 @@
+"""Static checks on the package source: no blanket ``except Exception``
+outside the CLI's top-level handler, and no unused module-level imports."""
+
+import ast
+from pathlib import Path
+
+import fsichannel
+
+SRC = Path(fsichannel.__file__).resolve().parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _catches_exception(handler):
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(n, ast.Name) and n.id == "Exception" for n in names)
+
+
+def test_no_blanket_except_outside_cli_main():
+    allowed = set()
+    cli_main = next(n for n in _parse(SRC / "cli.py").body
+                    if isinstance(n, ast.FunctionDef) and n.name == "main")
+    for node in cli_main.body:  # handlers of main's own top-level try
+        if isinstance(node, ast.Try):
+            allowed |= {("cli.py", h.lineno) for h in node.handlers}
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.ExceptHandler)
+                    and (node.type is None or _catches_exception(node))
+                    and (path.name, node.lineno) not in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"blanket except outside cli.main: {found}"
+
+
+def test_no_unused_module_level_imports():
+    found = []
+    for path in MODULES:
+        tree = _parse(path)
+        imported = {}  # bound name -> line
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for name, line in imported.items():
+            if name not in used:
+                found.append(f"{path.name}:{line} {name}")
+    assert not found, f"unused imports: {found}"

@@ -3,9 +3,14 @@ import pytest
 
 from oracles import fit_loglog
 
-from fsichannel.fluid import InflowProfile
-from fsichannel.fsi import CouplingOptions, FSISolver
-from fsichannel.geomap import interface_dofs, transform_fields
+from fsichannel.fluid import ConvergenceError, InflowProfile
+from fsichannel.fsi import (
+    CouplingOptions,
+    FSISolver,
+    MeshTangledError,
+    OuterDivergenceError,
+)
+from fsichannel.geomap import TangledMeshError, interface_dofs, transform_fields
 from fsichannel.elasticity import interface_trace
 from fsichannel.sensitivity import (
     SensitivitySolver,
@@ -183,6 +188,40 @@ def test_taylor_remainder_slopes(fsi_solver, fsi_base):
     assert report.slope_u >= 1.8
     assert report.slope_w >= 1.8
     assert report.slope_p >= 1.8
+
+
+def test_taylor_drops_only_typed_solver_errors(fsi_solver, fsi_base, monkeypatch):
+    """Typed solve failures skip their h and are listed in ``dropped``; any
+    other error propagates.  ``g_of`` returns h itself so the stubbed solve
+    can tell the steps apart; successful steps return the base state."""
+    H = fsi_solver.mesh.geometry.channel_height
+    typed = {
+        2e-3: ConvergenceError("stub", None),
+        3e-3: OuterDivergenceError("stub", None),
+        4e-3: MeshTangledError("stub", None),
+        5e-3: TangledMeshError(0, -1.0),
+    }
+
+    class Untyped(Exception):
+        pass
+
+    def run(failures):
+        def solve(h, opts=None):
+            if h in failures:
+                raise failures[h]
+            return fsi_base
+
+        monkeypatch.setattr(fsi_solver, "solve", solve)
+        return taylor_test(fsi_solver, g_of=lambda h: h,
+                           dg_of=InflowProfile(1.0, H),
+                           h_list=[1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3, 7e-3],
+                           base=fsi_base)
+
+    with pytest.raises(Untyped):
+        run({6e-3: Untyped("not a solver failure")})
+    report = run(typed)
+    assert report.dropped == [2e-3, 3e-3, 4e-3, 5e-3]
+    assert report.hs == [1e-3, 6e-3, 7e-3]
 
 
 def test_probe_zero_at_rest(fsi_solver):
