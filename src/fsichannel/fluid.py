@@ -39,15 +39,50 @@ class SolverReport:
     iterations: int = 0
     residual_history: list = field(default_factory=list)
     increment_ratios: list = field(default_factory=list)
+    increments: list = field(default_factory=list)
     converged: bool = False
     mode: str = "picard"
 
     def rows(self):
-        out = []
-        for k, r in enumerate(self.residual_history):
-            ratio = self.increment_ratios[k - 1] if 0 < k <= len(self.increment_ratios) else ""
-            out.append((k, r, ratio))
-        return out
+        """(step index from 0, residual, ratio to the previous increment)."""
+        ratios = [""] + self.increment_ratios
+        return [(k, r, ratios[k]) for k, r in enumerate(self.residual_history)]
+
+
+# consecutive increment ratios >= 1 after which a fixed point is abandoned
+DIVERGENCE_STREAK = 5
+
+
+def fixed_point(step, x0, norm, tol, max_iter, mode, error=ConvergenceError):
+    """Iterate ``x, dx, residual = step(x)`` until norm(dx) <= tol * norm(x).
+
+    The step owns its arithmetic (relaxation included).  The driver records
+    each increment, its ratio to the previous positive one, and ``residual``
+    (the relative increment if ``None``); it raises ``error(message, report)``
+    after DIVERGENCE_STREAK ratios >= 1 in a row, on a non-finite increment,
+    or after ``max_iter`` steps.  Returns ``(x, SolverReport)``.
+    """
+    report = SolverReport(mode=mode)
+    x, prev_inc, bad_streak = x0, None, 0
+    for it in range(1, max_iter + 1):
+        x, dx, residual = step(x)
+        inc, scale = norm(dx), max(norm(x), 1e-30)
+        if prev_inc is not None and prev_inc > 0:
+            report.increment_ratios.append(inc / prev_inc)
+            bad_streak = bad_streak + 1 if inc / prev_inc >= 1.0 else 0
+        prev_inc = inc
+        report.iterations = it
+        report.increments.append(inc)
+        report.residual_history.append(inc / scale if residual is None else residual)
+        if not np.isfinite(inc):
+            raise error(f"{mode}: non-finite increment at iteration {it}", report)
+        if inc / scale <= tol:
+            report.converged = True
+            return x, report
+        if bad_streak >= DIVERGENCE_STREAK:
+            raise error(f"{mode} is not contracting: last ratios "
+                        f"{report.increment_ratios[-DIVERGENCE_STREAK:]}", report)
+    raise error(f"{mode} did not converge in {max_iter} iterations", report)
 
 
 class InflowProfile:
@@ -113,8 +148,15 @@ def dirichlet_vector(vspace, pspace, g):
     return by_dof
 
 
-def _product_norm(norms_v, norms_p, vec, n_v):
-    return float(np.hypot(norms_v.h1_norm(vec[:n_v]), norms_p.l2(vec[n_v:])))
+def _product_norm(norms_v, norms_p, n_v):
+    """H1 x L2 norm of a stacked [v; p] vector."""
+    return lambda x: float(np.hypot(norms_v.h1_norm(x[:n_v]), norms_p.l2(x[n_v:])))
+
+
+def _weak_residual(r, cdofs, F):
+    """Free-dof norm of the weak residual ``r``, relative to the load ``F``."""
+    r[cdofs] = 0.0
+    return float(np.linalg.norm(r)) / max(float(np.linalg.norm(F)), 1.0)
 
 
 class PicardSolver:
@@ -151,9 +193,7 @@ class PicardSolver:
         sysm = asm.transformed_oseen_system(
             self.vspace, self.pspace, fields, self.nu, advector=w
         ).full_matrix()
-        r = sysm @ x - F
-        r[self._lu.cdofs] = 0.0
-        return float(np.linalg.norm(r)) / max(float(np.linalg.norm(F)), 1.0)
+        return _weak_residual(sysm @ x - F, self._lu.cdofs, F)
 
     def solve(self, fields=None, g=None, f=None, f2=None, f3=None,
               tol=1e-10, max_iter=50, initial=None):
@@ -169,46 +209,27 @@ class PicardSolver:
             D = (M_A - self._M_I).tocsr()
             K = fields.K
 
-        report = SolverReport(mode="picard")
-        x = np.zeros(V.ndof + Q.ndof) if initial is None else initial.copy()
-        prev_inc = None
-        for it in range(1, max_iter + 1):
+        x0 = np.zeros(V.ndof + Q.ndof) if initial is None else initial
+        # the operator at x is M_I + D + C(x); C(x) assembled for the residual
+        # of one step is the lagged convection of the next
+        C = asm.assemble_convection(V, FEFunction(V, x0[:n_v]), K)
+
+        def step(x):
+            nonlocal C
             rhs = F.copy()
             if D is not None:
                 rhs -= D @ x
-            wbar = FEFunction(V, x[:n_v])
-            C = asm.assemble_convection(V, wbar, K)
             rhs[:n_v] -= C @ x[:n_v]
             x_new = self._lu.solve(rhs, prescribed)
-            inc = _product_norm(self.norms_v, self.norms_p, x_new - x, n_v)
-            scale = max(_product_norm(self.norms_v, self.norms_p, x_new, n_v), 1e-30)
-            if prev_inc is not None and prev_inc > 0:
-                report.increment_ratios.append(inc / prev_inc)
-            prev_inc = inc
-            x = x_new
-            report.iterations = it
-            # nonlinear residual from the pieces already assembled: the
-            # operator at x is M_I + D + C(x), and C must be refreshed
-            # since the advector moved
-            C = asm.assemble_convection(V, FEFunction(V, x[:n_v]), K)
-            r = self._M_I @ x - F
+            C = asm.assemble_convection(V, FEFunction(V, x_new[:n_v]), K)
+            r = self._M_I @ x_new - F
             if D is not None:
-                r += D @ x
-            r[:n_v] += C @ x[:n_v]
-            r[self._lu.cdofs] = 0.0
-            report.residual_history.append(
-                float(np.linalg.norm(r)) / max(float(np.linalg.norm(F)), 1.0)
-            )
-            if inc / scale <= tol:
-                report.converged = True
-                break
-        if not report.converged:
-            raise ConvergenceError(
-                f"Picard did not converge in {max_iter} iterations "
-                f"(last ratio {report.increment_ratios[-1]:.3f})"
-                if report.increment_ratios else "Picard did not converge",
-                report,
-            )
+                r += D @ x_new
+            r[:n_v] += C @ x_new[:n_v]
+            return x_new, x_new - x, _weak_residual(r, self._lu.cdofs, F)
+
+        norm = _product_norm(self.norms_v, self.norms_p, n_v)
+        x, report = fixed_point(step, x0, norm, tol, max_iter, "picard")
         state = FluidState(FEFunction(V, x[:n_v]), FEFunction(Q, x[n_v:]))
         return state, report
 
@@ -266,28 +287,12 @@ def solve_linearized(vspace, pspace, fields, base_w, dg=None, f=None, f2=None,
     D = (M_full - M_I).tocsr()
     prescribed = dirichlet_vector(vspace, pspace, dg)
 
-    norms_v = asm.NormSet(vspace)
-    norms_p = asm.NormSet(pspace)
-    report = SolverReport(mode="T-iteration")
-    x = np.zeros(n_v + pspace.ndof)
-    prev_inc = None
-    for it in range(1, max_iter + 1):
+    norm = _product_norm(asm.NormSet(vspace), asm.NormSet(pspace), n_v)
+
+    def step(x):
         x_new = lu.solve(F - D @ x, prescribed)
-        inc = _product_norm(norms_v, norms_p, x_new - x, n_v)
-        scale = max(_product_norm(norms_v, norms_p, x_new, n_v), 1e-30)
-        if prev_inc is not None and prev_inc > 0:
-            report.increment_ratios.append(inc / prev_inc)
-        prev_inc = inc
-        x = x_new
-        report.iterations = it
-        r = M_full @ x - F
-        r[lu.cdofs] = 0.0
-        report.residual_history.append(
-            float(np.linalg.norm(r)) / max(float(np.linalg.norm(F)), 1.0)
-        )
-        if inc / scale <= tol:
-            report.converged = True
-            break
-    if not report.converged:
-        raise ConvergenceError("T-iteration did not converge", report)
+        return x_new, x_new - x, _weak_residual(M_full @ x_new - F, lu.cdofs, F)
+
+    x, report = fixed_point(step, np.zeros(n_v + pspace.ndof), norm, tol, max_iter,
+                            "T-iteration")
     return FEFunction(vspace, x[:n_v]), FEFunction(pspace, x[n_v:]), report

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import assembly as asm
 from .elasticity import ElasticitySolver, interface_trace, solid_space
-from .fluid import FluidState, PicardSolver, SolverReport, fluid_spaces
+from .fluid import FluidState, PicardSolver, SolverReport, fixed_point, fluid_spaces
 from .geomap import (
     HarmonicExtender,
     TangledMeshError,
@@ -162,19 +162,17 @@ class FSISolver:
         opts = opts or CouplingOptions()
         omega = opts.relaxation
         projected = opts.traction_interpretation == "normal-projected"
-        u = FEFunction.zeros(self.sspace)
-        report = SolverReport(mode="fsi-outer")
-        log_rows = []
         x_fluid = None
-        prev_inc = None
-        bad_streak = 0
-        state = ext = fields = None
-        for it in range(1, opts.max_outer_iter + 1):
-            ext = self.extension_of(u)
+        per_step = []  # (fluid_iters, min_J, min_eig_A) of each outer step
+
+        def step(u):
+            nonlocal x_fluid
+            u_fn = FEFunction(self.sspace, u)
+            ext = self.extension_of(u_fn)
             try:
                 fields = transform_fields(self.vspace, ext)
             except TangledMeshError as exc:
-                raise MeshTangledError(str(exc), u) from exc
+                raise MeshTangledError(str(exc), u_fn) from exc
             state, frep = self.fluid.solve(
                 fields, g,
                 tol=opts.fluid_tol, max_iter=opts.fluid_max_iter,
@@ -182,35 +180,18 @@ class FSISolver:
             )
             x_fluid = state.stacked()
             t = self.tractor.evaluate(ext, state.p, projected)
-            u_new = self.solid.solve(traction=t)
-            du = u_new.coefficients - u.coefficients
-            u = FEFunction(self.sspace, u.coefficients + omega * du)
-            inc = self.norms_u.h1_norm(omega * du)
-            scale = max(self.norms_u.h1_norm(u.coefficients), 1e-30)
-            ratio = inc / prev_inc if prev_inc else None
-            if ratio is not None:
-                report.increment_ratios.append(ratio)
-                bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
-            prev_inc = inc if inc > 0 else None
-            report.iterations = it
-            report.residual_history.append(inc / scale if scale > 0 else 0.0)
-            log_rows.append((
-                it, inc, ratio if ratio is not None else "",
-                frep.iterations, float(fields.J.min()),
-                float(fields.min_eig_A().min()),
-            ))
-            if inc / scale <= opts.tol or inc == 0.0:
-                report.converged = True
-                break
-            if bad_streak >= 5:
-                raise OuterDivergenceError(
-                    "outer iteration diverged (5 consecutive ratios >= 1): "
-                    f"{report.increment_ratios[-5:]}", report
-                )
-        if not report.converged:
-            raise OuterDivergenceError(
-                f"no convergence in {opts.max_outer_iter} outer iterations", report
-            )
+            du = self.solid.solve(traction=t).coefficients - u
+            per_step.append((frep.iterations, float(fields.J.min()),
+                             float(fields.min_eig_A().min())))
+            return u + omega * du, omega * du, None
+
+        u, report = fixed_point(
+            step, np.zeros(self.sspace.ndof), self.norms_u.h1_norm,
+            opts.tol, opts.max_outer_iter, "fsi-outer", OuterDivergenceError,
+        )
+        log_rows = [(k + 1, inc, ratio, *extra) for (k, _, ratio), inc, extra
+                    in zip(report.rows(), report.increments, per_step)]
+        u = FEFunction(self.sspace, u)
         # refresh the fluid state at the final relaxed displacement
         ext = self.extension_of(u)
         fields = transform_fields(self.vspace, ext)

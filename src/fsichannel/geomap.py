@@ -100,16 +100,14 @@ class HarmonicExtender:
         self.others = np.asarray(sorted(bdofs - set(self.iface)), dtype=np.int64)
         cdofs = np.sort(np.concatenate([self.iface, self.others]))
         self._fact = FrozenFactorization(S, cdofs)
-        self._zero_rhs = np.zeros(vspace.n_scalar)
+        self._zero_rhs = np.zeros((vspace.n_scalar, 2))
 
     def extend(self, trace_values):
-        """Lift (n_int, 2) interface values; returns a vector FEFunction."""
-        trace_values = np.asarray(trace_values, dtype=float)
-        coeffs = np.zeros((self.vspace.n_scalar, 2))
-        by_dof = np.zeros(self.vspace.n_scalar)
-        for c in range(2):
-            by_dof[self.iface] = trace_values[:, c]
-            coeffs[:, c] = self._fact.solve(self._zero_rhs, by_dof)
+        """Lift (n_int, 2) interface values; returns a vector FEFunction.
+        Both components are one block solve."""
+        by_dof = np.zeros((self.vspace.n_scalar, 2))
+        by_dof[self.iface] = trace_values
+        coeffs = self._fact.solve(self._zero_rhs, by_dof)
         return FEFunction(self.vspace, coeffs.reshape(-1))
 
 

@@ -148,22 +148,25 @@ class FrozenFactorization:
 
     def solve(self, rhs, prescribed=None):
         """Solve with the full-length ``rhs``; ``prescribed`` is an optional
-        full-length vector whose entries at ``cdofs`` replace ``cvals``."""
-        cvals = self.cvals if prescribed is None else np.asarray(prescribed)[self.cdofs]
-        x = np.zeros(self.n)
-        x[self.cdofs] = cvals
-        b = rhs[self.free] - (self.A_fc @ cvals if len(self.cdofs) else 0.0)
-        xf = self.lu.solve(b)
+        full-length vector whose entries at ``cdofs`` replace ``cvals``.  An
+        (n, k) ``rhs`` and ``prescribed`` solve k systems at once, and each
+        column is checked on its own."""
+        x = np.zeros(rhs.shape)
+        cols = x.reshape(self.n, -1)  # a view, one column per system
+        cols[self.cdofs] = (self.cvals[:, None] if prescribed is None
+                            else np.reshape(prescribed, cols.shape)[self.cdofs])
+        b = rhs.reshape(cols.shape)[self.free] - self.A_fc @ cols[self.cdofs]
+        cols[self.free] = xf = self.lu.solve(b)
         # non-finite data comes from a diverging caller, whose own loop
-        # reports it; only the solve of finite data is checked
-        if np.all(np.isfinite(b)):
-            if not np.all(np.isfinite(xf)):
-                raise SingularSystemError("sparse solve produced non-finite values")
-            res = np.linalg.norm(self.A_ff @ xf - b)
-            bnorm = np.linalg.norm(b)
-            if res > RESIDUAL_RTOL * bnorm:
-                raise SingularSystemError(
-                    f"sparse solve residual {res / bnorm:.3e} exceeds {RESIDUAL_RTOL:.1e}"
-                )
-        x[self.free] = xf
+        # reports it; only the columns of finite data are checked
+        finite = np.all(np.isfinite(b), axis=0)
+        b, xf = b[:, finite], xf[:, finite]
+        if not np.all(np.isfinite(xf)):
+            raise SingularSystemError("sparse solve produced non-finite values")
+        res = np.linalg.norm(self.A_ff @ xf - b, axis=0)
+        bnorm = np.linalg.norm(b, axis=0)
+        if np.any(res > RESIDUAL_RTOL * bnorm):
+            raise SingularSystemError(
+                f"sparse solve residual {np.max(res / bnorm):.3e} exceeds {RESIDUAL_RTOL:.1e}"
+            )
         return x

@@ -20,6 +20,7 @@ from .fluid import (
     SolverReport,
     dirichlet_dofs,
     dirichlet_vector,
+    fixed_point,
     linearized_system,
 )
 from .fsi import FSISolver, FSIState, MeshTangledError, OuterDivergenceError
@@ -147,46 +148,28 @@ class SensitivitySolver:
         displacement fixed point du = S(0, dt(du))."""
         solver = self.solver
         S = solver.sspace
-        du = FEFunction.zeros(S)
-        report = SolverReport(mode="sensitivity")
-        prev_inc = None
-        bad_streak = 0
         dw = dp = None
-        for it in range(1, max_iter + 1):
-            dext, derivs = self._derivs_of(du)
-            dw, dp = self._linearized(dg=dg, rhs_extra=self._scaled_rhs(derivs))
-            dt = self._traction_derivative(dext, dp)
-            du_new = solver.solid.solve(traction=dt)
-            inc = solver.norms_u.h1_norm(du_new.coefficients - du.coefficients)
-            scale = max(solver.norms_u.h1_norm(du_new.coefficients), 1e-30)
-            if prev_inc is not None and prev_inc > 0:
-                ratio = inc / prev_inc
-                report.increment_ratios.append(ratio)
-                bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
-            prev_inc = inc
-            du = du_new
-            report.iterations = it
-            report.residual_history.append(inc / scale if scale > 0 else 0.0)
-            if inc / scale <= tol or inc == 0.0:
-                report.converged = True
-                break
-            if bad_streak >= 5:
-                raise ConvergenceError(
-                    "sensitivity fixed point is not contracting "
-                    f"(ratios {report.increment_ratios[-5:]}); the base state "
-                    "is outside the small-data regime", report)
-        if not report.converged:
-            raise ConvergenceError("sensitivity fixed point did not converge",
-                                   report)
-        return SensitivityState(du, dw, dp, report)
+
+        def step(du):
+            nonlocal dw, dp
+            du_new, dw, dp = self._coupled_step(FEFunction(S, du), dg)
+            return du_new.coefficients, du_new.coefficients - du, None
+
+        du, report = fixed_point(step, np.zeros(S.ndof), solver.norms_u.h1_norm,
+                                 tol, max_iter, "sensitivity")
+        return SensitivityState(FEFunction(S, du), dw, dp, report)
+
+    def _coupled_step(self, du: FEFunction, dg):
+        """du -> S(dg, dt[du]) with its linearized fluid state: (du, dw, dp)."""
+        dext, derivs = self._derivs_of(du)
+        dw, dp = self._linearized(dg=dg, rhs_extra=self._scaled_rhs(derivs))
+        dt = self._traction_derivative(dext, dp)
+        return self.solver.solid.solve(traction=dt), dw, dp
 
     def apply_coupling_map(self, du: FEFunction) -> FEFunction:
         """One application of the interface map du -> S(0, dt[du]) with
         dg = 0: the operator whose spectral radius governs contraction."""
-        dext, derivs = self._derivs_of(du)
-        _, dp = self._linearized(rhs_extra=self._scaled_rhs(derivs))
-        dt = self._traction_derivative(dext, dp)
-        return self.solver.solid.solve(traction=dt)
+        return self._coupled_step(du, None)[0]
 
 
 def linearized_wrt_g(solver: FSISolver, base: FSIState, dg):

@@ -196,6 +196,13 @@ def test_solve_sparse_matches_dense_oracle():
     assert np.abs(x2 - dense_oracle(rhs2, prescribed[cdofs])).max() <= 1e-10
     assert x2[2] == prescribed[2] and x2[5] == prescribed[5]
 
+    # a two-column block solve: each column bit-equal to its 1-D solve
+    rhs_block = np.column_stack([rhs2, rhs])
+    x_block = lu.solve(rhs_block, np.column_stack([prescribed, prescribed[::-1]]))
+    assert np.array_equal(x_block[:, 0], x2)
+    assert np.array_equal(x_block[:, 1], lu.solve(rhs, prescribed[::-1]))
+    assert np.array_equal(lu.solve(rhs_block)[:, 1], x)
+
 
 def test_frozen_factorization_rejects_non_finite_result():
     lu = FrozenFactorization(sp.diags([1e-300, 1.0], format="csc"), [])

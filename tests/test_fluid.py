@@ -5,10 +5,12 @@ from oracles import fit_loglog, newton_navier_stokes
 
 from fsichannel import assembly as asm
 from fsichannel.fluid import (
+    DIVERGENCE_STREAK,
     ConvergenceError,
     InflowProfile,
     PicardSolver,
     dirichlet_sets,
+    fixed_point,
     fluid_spaces,
     solve_linearized,
     solve_navier_stokes,
@@ -122,7 +124,57 @@ def test_picard_nonconvergence_reported(coarse_mesh):
     g = InflowProfile(50.0, coarse_mesh.geometry.channel_height)
     with pytest.raises(ConvergenceError) as err:
         solve_navier_stokes(coarse_mesh, g=g, nu=0.01, max_iter=10)
-    assert err.value.report.increment_ratios
+    report = err.value.report
+    assert report.increment_ratios
+    # the divergence stop ends the run before max_iter and before overflow
+    assert report.iterations < 10
+    assert np.all(np.isfinite(report.residual_history))
+
+
+def _affine_step(a, b):
+    def step(x):
+        x_new = a * x + b
+        return x_new, x_new - x, None
+    return step
+
+
+def test_fixed_point_contraction_ratios():
+    b = np.array([1.0, -2.0, 0.5])
+    x, rep = fixed_point(_affine_step(0.5, b), np.zeros(3), np.linalg.norm,
+                         1e-12, 100, "affine")
+    assert rep.converged
+    assert np.allclose(x, 2.0 * b, rtol=0, atol=1e-11)
+    assert rep.iterations == len(rep.increments) == len(rep.residual_history)
+    assert len(rep.increment_ratios) == rep.iterations - 1
+    assert np.allclose(rep.increment_ratios, 0.5, rtol=0, atol=1e-12)
+
+
+def test_fixed_point_divergence_raises_given_error():
+    class Diverged(RuntimeError):
+        def __init__(self, message, report):
+            super().__init__(message)
+            self.report = report
+
+    with pytest.raises(Diverged) as err:
+        fixed_point(_affine_step(2.0, np.ones(3)), np.zeros(3), np.linalg.norm,
+                    1e-12, 100, "affine", Diverged)
+    ratios = err.value.report.increment_ratios
+    assert len(ratios) == DIVERGENCE_STREAK == 5
+    assert all(r >= 1.0 for r in ratios[-5:])
+    assert not err.value.report.converged
+
+
+def test_fixed_point_non_finite_step_raises_at_that_iteration():
+    def step(x):
+        x_new = 0.5 * x + 1.0 if x[0] < 1.5 else np.full_like(x, np.nan)
+        return x_new, x_new - x, None
+
+    with pytest.raises(ConvergenceError) as err:
+        fixed_point(step, np.zeros(2), np.linalg.norm, 1e-12, 100, "nan")
+    rep = err.value.report
+    # x = 0, 1, 1.5, then nan at the third step
+    assert rep.iterations == 3
+    assert not np.isfinite(rep.increments[-1])
 
 
 def test_picard_ratio_sweep_monotone(default_mesh):

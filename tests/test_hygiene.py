@@ -1,5 +1,6 @@
 """Static checks on the package source: no blanket ``except Exception``
-outside the CLI's top-level handler, and no unused module-level imports."""
+outside the CLI's top-level handler, no unused module-level imports, and
+one fixed-point loop."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,20 @@ def test_no_unused_module_level_imports():
             if name not in used:
                 found.append(f"{path.name}:{line} {name}")
     assert not found, f"unused imports: {found}"
+
+
+def test_increment_ratios_appended_only_in_fixed_point():
+    found = []
+    for path in MODULES:
+        for fn in ast.walk(_parse(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "append"
+                        and isinstance(node.func.value, ast.Attribute)
+                        and node.func.value.attr == "increment_ratios"):
+                    found.append(f"{path.stem}.{fn.name}")
+    assert found == ["fluid.fixed_point"], (
+        f"increment ratios recorded outside the fixed-point driver: {found}")
