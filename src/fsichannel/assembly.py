@@ -2,9 +2,13 @@
 
 All volume terms are integrated with the degree-6 symmetric triangle rule.
 Coefficient fields (the diffusion matrix and cofactor matrix of the flow
-map) enter as per-element, per-quadrature-point arrays; passing ``None``
-means the identity field, which reproduces the untransformed operators
-bit-identically (same code path, identity coefficients).
+map) enter as per-element, per-quadrature-point arrays; ``None`` means the
+identity field and skips the multiply.  Identity arrays give the same bits,
+since multiplying by 1 and adding 0 is exact.
+
+Every kernel contracts at most two operands at a time (batched ``matmul``)
+against the geometry its ``Space`` caches, and sums its element entries
+with one ``bincount`` into a CSR pattern fixed per space and block kind.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import scipy.sparse as sp
 
 from .linsolve import SaddleSystem
 from .quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS, TRI_WEIGHTS
-from .spaces import FEFunction, Space
+from .spaces import FEFunction, Space, read_only
 
 
 class NonPositiveJacobianError(ValueError):
@@ -26,137 +30,155 @@ class NonPositiveJacobianError(ValueError):
         super().__init__(f"J = {value:.6e} <= 0 in element {element_id}")
 
 
-def _wdet(space: Space):
-    return TRI_WEIGHTS[None, :] * space.detJ[:, None]
-
-
-def _eye_field(ntri, nq):
-    return np.broadcast_to(np.eye(2), (ntri, nq, 2, 2))
-
-
 def _coeffs(space, fields):
-    """Resolve (A, K, J) arrays from a transform-fields object or None."""
-    nt, nq = len(space.tri_ids), len(TRI_WEIGHTS)
+    """(A, K) arrays of a transform-fields object; (None, None) for None."""
     if fields is None:
-        return _eye_field(nt, nq), _eye_field(nt, nq), np.ones((nt, nq))
+        return None, None
     if np.any(fields.J <= 0.0):
         e, q = np.unravel_index(np.argmin(fields.J), fields.J.shape)
         raise NonPositiveJacobianError(space.tri_ids[e], fields.J[e, q])
-    return fields.A, fields.K, fields.J
+    return fields.A, fields.K
 
 
-def _scatter(rows, cols, vals, shape):
-    m = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    return m.tocsr()
+class Pattern:
+    """Fixed CSR sparsity of one block kind, built once per space.
+
+    ``index`` holds each element entry's slot in the CSR ``data``; the
+    read-only ``indptr``/``indices`` are shared by every matrix assembled
+    on the pattern.
+    """
+
+    def __init__(self, rows, cols, shape):
+        n_cols = shape[1]
+        keys, index = np.unique((rows * n_cols + cols).ravel(), return_inverse=True)
+        self.shape = shape
+        self.index = index
+        self.indices = read_only((keys % n_cols).astype(np.int32))
+        counts = np.bincount(keys // n_cols, minlength=shape[0])
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        self.indptr = read_only(indptr.astype(np.int32))
+
+    def matrix(self, elem):
+        """CSR matrix of the summed element entries (C order of ``index``)."""
+        data = np.bincount(self.index, elem.ravel(), minlength=len(self.indices))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-def _vector_rows(space, elem_vals):
-    """Scatter (T, a, i, b, j) element blocks into the vector dof matrix."""
-    ed = space.elem_dofs
-    nloc = ed.shape[1]
-    rows = (2 * ed)[:, :, None, None, None] + np.arange(2)[None, None, :, None, None]
-    rows = np.broadcast_to(rows, elem_vals.shape)
-    cols = (2 * ed)[:, None, None, :, None] + np.arange(2)[None, None, None, None, :]
-    cols = np.broadcast_to(cols, elem_vals.shape)
-    return _scatter(rows, cols, elem_vals, (space.ndof, space.ndof))
+def _pattern(space: Space, kind, pspace: Space | None = None):
+    """The cached pattern of ``kind`` on ``space``: "scalar" (a, b) entries
+    of the scalar layout; "diag" (a, b, i) and "vector" (a, i, b, j) entries
+    of the vector layout; "mixed" (a, i, c) entries of the velocity-pressure
+    block, keyed by the pressure space."""
+    key = kind if pspace is None else pspace
+    if key not in space.patterns:
+        d, c = 2 * space.elem_dofs, np.arange(2)
+        shape = (space.ndof, space.ndof)
+        if kind == "scalar":
+            ed = space.elem_dofs
+            rows, cols, shape = ed[:, :, None], ed[:, None, :], (space.n_scalar,) * 2
+        elif kind == "diag":  # component-diagonal entries only
+            rows, cols = d[:, :, None, None] + c, d[:, None, :, None] + c
+        elif kind == "vector":
+            rows = d[:, :, None, None, None] + c[:, None, None]
+            cols = d[:, None, None, :, None] + c
+        else:
+            rows = d[:, :, None, None] + c[:, None]
+            cols = pspace.elem_dofs[:, None, None, :]
+            shape = (space.ndof, pspace.ndof)
+        space.patterns[key] = Pattern(rows, cols, shape)
+    return space.patterns[key]
 
 
-def _scalar_to_vector_blockdiag(space, elem_scalar):
-    """Expand a scalar element block (T, a, b) to both vector components."""
-    nt, nloc, _ = elem_scalar.shape
-    full = np.zeros((nt, nloc, 2, nloc, 2))
-    full[:, :, 0, :, 0] = elem_scalar
-    full[:, :, 1, :, 1] = elem_scalar
-    return _vector_rows(space, full)
+def _diag(space, elem_scalar):
+    """Block-diagonal vector matrix: the (T, a, b) block on both components."""
+    return _pattern(space, "diag").matrix(np.repeat(elem_scalar, 2))
+
+
+def _contract(X, Y):
+    """(T, a, b) sums over q and k of X[e, q, a, k] Y[e, q, b, k]."""
+    nt, nq, na, nk = X.shape
+    Xt = X.transpose(0, 2, 1, 3).reshape(nt, na, nq * nk)
+    return Xt @ Y.transpose(0, 1, 3, 2).reshape(nt, nq * nk, -1)
+
+
+def _outer(phi):
+    """Basis products phi_a phi_b per quadrature point, (q, a b)."""
+    return (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
 
 
 def assemble_viscous(vspace: Space, A=None, nu=1.0):
     """nu * integral of (grad psi)^T A (grad w), componentwise."""
-    wdet = _wdet(vspace)
     g = vspace.grads_at(TRI_POINTS)
-    if A is None:
-        A = _eye_field(len(vspace.tri_ids), len(TRI_WEIGHTS))
-    elem = nu * np.einsum("eq,eqai,eqij,eqbj->eab", wdet, g, A, g)
-    return _scalar_to_vector_blockdiag(vspace, elem)
+    wg = vspace.wdet[..., None, None] * g
+    if A is not None:
+        wg = wg @ A
+    return _diag(vspace, nu * _contract(wg, g))
 
 
 def assemble_convection(vspace: Space, advector: FEFunction, K=None):
     """integral of psi . (w_adv^T K grad) w, block-diagonal per component."""
-    wdet = _wdet(vspace)
     phi = vspace.basis_at(TRI_POINTS)
     g = vspace.grads_at(TRI_POINTS)
-    wv = advector.values_at(TRI_POINTS)  # (T, q, 2)
-    if K is None:
-        K = _eye_field(len(vspace.tri_ids), len(TRI_WEIGHTS))
-    adv = np.einsum("eqjl,eqj->eql", K, wv)  # (K^T w)_l
-    elem = np.einsum("eq,qa,eql,eqbl->eab", wdet, phi, adv, g)
-    return _scalar_to_vector_blockdiag(vspace, elem)
+    adv = advector.values_at(TRI_POINTS)[:, :, None, :]  # (T, q, 1, 2)
+    if K is not None:
+        adv = adv @ K  # (K^T w)_l as a row
+    s = g @ (vspace.wdet[..., None, None] * adv).swapaxes(2, 3)  # (T, q, b, 1)
+    return _diag(vspace, phi.T @ s[..., 0])
 
 
 def assemble_reaction(vspace: Space, base: FEFunction, K=None):
     """integral of psi_i w_j (K grad base_i)_j  (component coupling block)."""
-    wdet = _wdet(vspace)
     phi = vspace.basis_at(TRI_POINTS)
-    Gw = base.gradients_at(TRI_POINTS)  # (T, q, i, l)
-    if K is None:
-        K = _eye_field(len(vspace.tri_ids), len(TRI_WEIGHTS))
-    D = np.einsum("eqjl,eqil->eqij", K, Gw)
-    elem = np.einsum("eq,qa,qb,eqij->eaibj", wdet, phi, phi, D)
-    return _vector_rows(vspace, elem)
+    D = base.gradients_at(TRI_POINTS)  # (T, q, i, l)
+    if K is not None:
+        D = D @ K.swapaxes(2, 3)  # (T, q, i, j)
+    nt, nq = D.shape[:2]
+    nloc = phi.shape[1]
+    wD = (vspace.wdet[..., None, None] * D).reshape(nt, nq, 4)
+    elem = (_outer(phi).T @ wD).reshape(nt, nloc, nloc, 2, 2)
+    return _pattern(vspace, "vector").matrix(elem.transpose(0, 1, 3, 2, 4))
 
 
 def assemble_pressure_blocks(vspace: Space, pspace: Space, K=None):
     """Velocity-pressure block -int p (K grad).psi and its negative transpose."""
-    wdet = _wdet(vspace)
     g = vspace.grads_at(TRI_POINTS)
     q = pspace.basis_at(TRI_POINTS)
-    if K is None:
-        K = _eye_field(len(vspace.tri_ids), len(TRI_WEIGHTS))
-    elem = -np.einsum("eq,qc,eqil,eqal->eaic", wdet, q, K, g)  # (T, a, i, c)
-
-    ved = vspace.elem_dofs
-    ped = pspace.elem_dofs
-    rows = (2 * ved)[:, :, None, None] + np.arange(2)[None, None, :, None]
-    rows = np.broadcast_to(rows, elem.shape)
-    cols = np.broadcast_to(ped[:, None, None, :], elem.shape)
-    A_vp = _scatter(rows, cols, elem, (vspace.ndof, pspace.ndof))
+    Kg = g if K is None else g @ K.swapaxes(2, 3)  # (T, q, a, i)
+    nt, nq = g.shape[:2]
+    wKg = (vspace.wdet[..., None, None] * Kg).reshape(nt, nq, -1)
+    elem = -(wKg.swapaxes(1, 2) @ q)  # (T, a i, c)
+    A_vp = _pattern(vspace, "mixed", pspace).matrix(elem)
     A_pv = (-A_vp).T.tocsr()
     return A_vp, A_pv
 
 
 def assemble_mass(space: Space):
     """Scalar mass matrix."""
-    wdet = _wdet(space)
     phi = space.basis_at(TRI_POINTS)
-    elem = np.einsum("eq,qa,qb->eab", wdet, phi, phi)
-    ed = space.elem_dofs
-    rows = np.broadcast_to(ed[:, :, None], elem.shape)
-    cols = np.broadcast_to(ed[:, None, :], elem.shape)
-    return _scatter(rows, cols, elem, (space.n_scalar, space.n_scalar))
+    return _pattern(space, "scalar").matrix(space.wdet @ _outer(phi))
 
 
 def assemble_scalar_stiffness(space: Space):
-    wdet = _wdet(space)
     g = space.grads_at(TRI_POINTS)
-    elem = np.einsum("eq,eqal,eqbl->eab", wdet, g, g)
-    ed = space.elem_dofs
-    rows = np.broadcast_to(ed[:, :, None], elem.shape)
-    cols = np.broadcast_to(ed[:, None, :], elem.shape)
-    return _scatter(rows, cols, elem, (space.n_scalar, space.n_scalar))
+    elem = _contract(space.wdet[..., None, None] * g, g)
+    return _pattern(space, "scalar").matrix(elem)
 
 
 def assemble_elasticity(space: Space, lam, mu):
     """Isotropic linear elasticity: 2 mu eps(u):eps(v) + lam div u div v."""
     if mu <= 0 or lam < 0:
         raise ValueError("Lame parameters require mu > 0 and lambda >= 0")
-    wdet = _wdet(space)
     g = space.grads_at(TRI_POINTS)
-    dot = np.einsum("eq,eqal,eqbl->eab", wdet, g, g)
+    nt, nq, nloc, _ = g.shape
+    wg = (space.wdet[..., None, None] * g).reshape(nt, nq, -1)
+    # GG[e, a, i, b, j] = integral of d_i psi_a d_j psi_b
+    GG = (wg.swapaxes(1, 2) @ g.reshape(nt, nq, -1)).reshape(nt, nloc, 2, nloc, 2)
+    dot = GG[:, :, 0, :, 0] + GG[:, :, 1, :, 1]
     # mu (delta_ij grad a . grad b + da_j db_i) + lam da_i db_j
-    elem = mu * np.einsum("eab,ij->eaibj", dot, np.eye(2))
-    elem += mu * np.einsum("eq,eqaj,eqbi->eaibj", wdet, g, g)
-    elem += lam * np.einsum("eq,eqai,eqbj->eaibj", wdet, g, g)
-    return _vector_rows(space, elem)
+    elem = mu * dot[:, :, None, :, None] * np.eye(2)[:, None, :]
+    elem += mu * GG.transpose(0, 1, 4, 3, 2)
+    elem += lam * GG
+    return _pattern(space, "vector").matrix(elem)
 
 
 def transformed_oseen_system(
@@ -174,7 +196,7 @@ def transformed_oseen_system(
     """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
-    A, K, _ = _coeffs(vspace, fields)
+    A, K = _coeffs(vspace, fields)
     A_vv = assemble_viscous(vspace, A, nu)
     if advector is not None:
         A_vv = A_vv + assemble_convection(vspace, advector, K)
@@ -213,9 +235,8 @@ def _resolve_values(space, data, arity):
 def assemble_velocity_load(vspace: Space, f):
     """integral of f . psi over the velocity space."""
     vals = _resolve_values(vspace, f, 2)
-    wdet = _wdet(vspace)
     phi = vspace.basis_at(TRI_POINTS)
-    elem = np.einsum("eq,qa,eqi->eai", wdet, phi, vals)
+    elem = phi.T @ (vspace.wdet[..., None] * vals)  # (T, a, i)
     out = np.zeros(vspace.ndof)
     np.add.at(out, 2 * vspace.elem_dofs[:, :, None] + np.arange(2)[None, None, :], elem)
     return out
@@ -224,9 +245,8 @@ def assemble_velocity_load(vspace: Space, f):
 def assemble_pressure_load(pspace: Space, f2):
     """integral of f2 q over the pressure space (divergence data)."""
     vals = _resolve_values(pspace, f2, 1)[..., 0]
-    wdet = _wdet(pspace)
     phi = pspace.basis_at(TRI_POINTS)
-    elem = np.einsum("eq,qa,eq->ea", wdet, phi, vals)
+    elem = (pspace.wdet * vals) @ phi  # (T, a)
     out = np.zeros(pspace.ndof)
     np.add.at(out, pspace.elem_dofs, elem)
     return out
@@ -264,7 +284,7 @@ def assemble_boundary_load(space: Space, tag, f):
             fv = np.asarray([f(x, y) for x, y in xs], dtype=float).reshape(len(t), arity)
         else:
             fv = np.broadcast_to(np.asarray(f, dtype=float), (len(t), arity))
-        contrib = length * np.einsum("k,ka,ki->ai", EDGE_WEIGHTS, N, fv)
+        contrib = length * ((EDGE_WEIGHTS[:, None] * N).T @ fv)
         for a, d in enumerate(dofs):
             for c in range(arity):
                 out[space.vdof(d, c) if arity > 1 else d] += contrib[a, c]

@@ -21,7 +21,7 @@ from .elasticity import interface_trace
 from .fluid import ConvergenceError, InflowProfile, solve_navier_stokes
 from .fsi import CouplingOptions, FSISolver, MeshTangledError, OuterDivergenceError
 from .geomap import EllipticityError, TangledMeshError
-from .io import save_mesh, vertex_values, write_csv, write_json, write_vtk
+from .io import read_vtk, save_mesh, vertex_values, write_csv, write_json, write_vtk
 from .mesh import (
     ChannelGeometry,
     GeometryError,
@@ -410,8 +410,33 @@ def _load_numeric_csv(path):
     return header, rows
 
 
+def _compare_vtk(pa, pb):
+    """(label, kind, diff) rows for two VTK files: the structure and the
+    integer cell blocks must match exactly; each float block is compared
+    normwise, max|a - b| / max(|a|_inf, |b|_inf), because entries that are
+    round-off-sized (velocity at a wall) carry no relative accuracy."""
+    (sa, ba), (sb, bb) = read_vtk(pa), read_vtk(pb)
+    if sa != sb or any(ba[k].shape != bb[k].shape for k in ba):
+        return [("", "structure", float("inf"))]
+    rows = []
+    for key, a in ba.items():
+        b = bb[key]
+        if a.dtype.kind == "i":
+            if not np.array_equal(a, b):
+                return [(f" {key}", "structure", float("inf"))]
+            continue
+        scale = float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
+        diff = float(np.abs(a - b).max(initial=0.0))
+        rows.append((f" {key}", "normwise", diff / scale if scale > 0 else diff))
+    return rows
+
+
 def compare(dir_a, dir_b, tol=0.0):
-    """Per-field relative differences between two result directories."""
+    """Per-field relative differences between two result directories.
+
+    CSV cells are compared entrywise, VTK blocks normwise (see
+    :func:`_compare_vtk`), other files by hash.  A structural mismatch
+    fails at every tolerance."""
     diffs = []
     ok = True
     names = sorted(
@@ -441,6 +466,10 @@ def compare(dir_a, dir_b, tol=0.0):
                     worst = max(worst, abs(va - vb) / denom)
             diffs.append((name, "relative", worst))
             ok = ok and worst <= tol
+        elif name.endswith(".vtk"):
+            for label, kind, value in _compare_vtk(pa, pb):
+                diffs.append((name + label, kind, value))
+                ok = ok and kind != "structure" and value <= tol
         else:
             same = _hash_file(pa) == _hash_file(pb)
             diffs.append((name, "hash", 0.0 if same else float("inf")))

@@ -211,15 +211,18 @@ class PicardSolver:
 
         x0 = np.zeros(V.ndof + Q.ndof) if initial is None else initial
         # the operator at x is M_I + D + C(x); C(x) assembled for the residual
-        # of one step is the lagged convection of the next
-        C = asm.assemble_convection(V, FEFunction(V, x0[:n_v]), K)
+        # of one step is the lagged convection of the next.  Convection is
+        # linear in the advector, so a cold start (x0 = 0) has none.
+        C = None if initial is None else asm.assemble_convection(
+            V, FEFunction(V, x0[:n_v]), K)
 
         def step(x):
             nonlocal C
             rhs = F.copy()
             if D is not None:
                 rhs -= D @ x
-            rhs[:n_v] -= C @ x[:n_v]
+            if C is not None:
+                rhs[:n_v] -= C @ x[:n_v]
             x_new = self._lu.solve(rhs, prescribed)
             C = asm.assemble_convection(V, FEFunction(V, x_new[:n_v]), K)
             r = self._M_I @ x_new - F

@@ -110,7 +110,7 @@ class TractionEvaluator:
         """Gradient of the lift at reference point ``ref`` of ``elem``."""
         cm = extension.component_matrix()[self.vspace.elem_dofs[elem]]  # (6, 2)
         gref = p2_grads(ref[None, :])[0]  # (6, 2) d/dxi
-        return np.einsum("ai,ad,dk->ik", cm, gref, self.vspace.inv_jac[elem])
+        return cm.T @ (gref @ self.vspace.inv_jac[elem])
 
     def _K_at(self, extension, elem, ref):
         G = self._lift_grad(extension, elem, ref)

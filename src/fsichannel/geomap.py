@@ -182,7 +182,8 @@ def piola_divergence(vspace: Space, extension: FEFunction):
     Href = p2_ref_hessians()  # (a, 2, 2) in reference coordinates
     cm = extension.component_matrix()[vspace.elem_dofs]  # (T, nloc, 2)
     # physical Hessian of basis a: B^-T Href[a] B^-1 (constant per element)
-    Hbasis = np.einsum("edj,adl,elk->eajk", vspace.inv_jac, Href, vspace.inv_jac)
+    HB = np.einsum("adl,elk->eadk", Href, vspace.inv_jac)
+    Hbasis = np.einsum("edj,eadk->eajk", vspace.inv_jac, HB)
     H = np.einsum("eajk,eai->eijk", Hbasis, cm)  # (T, i, j, k): d_j d_k Phi_i
     div = np.empty((H.shape[0], 2))
     div[:, 0] = H[:, 1, 0, 1] - H[:, 1, 1, 0]

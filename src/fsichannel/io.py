@@ -91,6 +91,38 @@ def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None):
                         fh.write(f"{float(vx)!r} {float(vy)!r} 0.0\n")
 
 
+def read_vtk(path):
+    """Parse a file written by :func:`write_vtk`.
+
+    Returns ``(structure, blocks)``: ``structure`` lists the header and
+    every keyword line (counts and field names included), and ``blocks``
+    maps "POINTS", "CELLS", "CELL_TYPES" and "<CELL_DATA|POINT_DATA> name"
+    to the block's values, integer for the two cell blocks, float otherwise.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    structure, blocks = lines[:4], {}
+    k, section, size = 4, None, 0
+    while k < len(lines):
+        words = lines[k].split()
+        structure.append(lines[k])
+        k += 1
+        if words[0] in ("CELL_DATA", "POINT_DATA"):
+            section, size = words[0], int(words[1])
+            continue
+        if words[0] == "SCALARS":
+            structure.append(lines[k])  # LOOKUP_TABLE
+            k += 1
+        if words[0] in ("SCALARS", "VECTORS"):
+            name, rows = f"{section} {words[1]}", size
+        else:
+            name, rows = words[0], int(words[1])
+        dtype = int if words[0] in ("CELLS", "CELL_TYPES") else float
+        blocks[name] = np.array([r.split() for r in lines[k:k + rows]], dtype=dtype)
+        k += rows
+    return structure, blocks
+
+
 def vertex_values(fefun):
     """Values of an FE function at mesh vertices, for VTK point data.
 

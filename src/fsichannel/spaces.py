@@ -9,10 +9,12 @@ dofs interleave components as ``2*scalar + component``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .mesh import ALL_TAGS, TAG_PRIORITY, Mesh, MeshError
+from .quadrature import TRI_WEIGHTS
 
 SCALAR = 1
 VECTOR = 2
@@ -29,6 +31,12 @@ class SpaceDescriptor:
             raise ValueError("element order must be 1 or 2")
         if self.arity not in (SCALAR, VECTOR):
             raise ValueError("arity must be scalar (1) or 2-vector (2)")
+
+
+def read_only(a):
+    """``a`` marked read-only, for arrays a cache hands to every caller."""
+    a.setflags(write=False)
+    return a
 
 
 def p1_basis(pts):
@@ -145,6 +153,9 @@ class Space:
         self.origin = p[:, 0]
 
         self._boundary_scalar_cache = {}
+        self._grads = {}  # reference point bytes -> physical gradients
+        # block kind, or the pressure Space of a mixed block -> assembly.Pattern
+        self.patterns = {}
 
     # ---- dof layout ----------------------------------------------------
     @property
@@ -221,10 +232,21 @@ class Space:
         return p1_basis(ref_pts) if self.desc.order == 1 else p2_basis(ref_pts)
 
     def grads_at(self, ref_pts):
-        """Physical-coordinate basis gradients, (T, q, nloc, 2)."""
-        ref = p1_grads(ref_pts) if self.desc.order == 1 else p2_grads(ref_pts)
-        # grad_x = invB^T grad_xi
-        return np.einsum("qad,edk->eqak", ref, self.inv_jac)
+        """Physical-coordinate basis gradients, (T, q, nloc, 2), read-only.
+
+        They depend only on the geometry, so each point set is computed once.
+        """
+        key = np.asarray(ref_pts, dtype=float).tobytes()
+        if key not in self._grads:
+            ref = p1_grads(ref_pts) if self.desc.order == 1 else p2_grads(ref_pts)
+            # grad_x = invB^T grad_xi, one (nloc, 2) @ (2, 2) per point
+            self._grads[key] = read_only(ref[None] @ self.inv_jac[:, None])
+        return self._grads[key]
+
+    @cached_property
+    def wdet(self):
+        """Quadrature weights times det B at the triangle rule, (T, q), read-only."""
+        return read_only(TRI_WEIGHTS[None, :] * self.detJ[:, None])
 
     def quad_points_physical(self, ref_pts):
         return self.origin[:, None, :] + np.einsum("eij,qj->eqi", self.jac, ref_pts)
@@ -273,14 +295,14 @@ class FEFunction:
         sp = self.space
         phi = sp.basis_at(ref_pts)  # (q, nloc)
         cm = self.component_matrix()[sp.elem_dofs]  # (T, nloc, arity)
-        return np.einsum("qa,eac->eqc", phi, cm)
+        return phi @ cm
 
     def gradients_at(self, ref_pts):
         """Gradients at reference points: (T, q, arity, 2) with G[i, l] = d_l f_i."""
         sp = self.space
         g = sp.grads_at(ref_pts)  # (T, q, nloc, 2)
         cm = self.component_matrix()[sp.elem_dofs]  # (T, nloc, arity)
-        return np.einsum("eqal,eac->eqcl", g, cm)
+        return cm.swapaxes(1, 2)[:, None] @ g
 
 
 def interface_scalar_maps(space_a: Space, space_b: Space):

@@ -119,13 +119,21 @@ def assemble_scalar_p2_stiffness(nodes, triangles):
     return A, dofs
 
 
-def assemble_navier_stokes(nodes, triangles, nu, advector=None, newton=False):
-    """Loop-based untransformed Navier-Stokes / Oseen assembly.
+def _identity(x):
+    return np.eye(2)
+
+
+def assemble_navier_stokes(nodes, triangles, nu, advector=None, newton=False,
+                           A_of=_identity, K_of=_identity):
+    """Loop-based transformed Navier-Stokes / Oseen assembly.
 
     Unknown layout matches the package: interleaved velocity components
     (2*dof + comp) followed by pressure dofs.  Returns (matrix, dofs).
     ``advector`` is a velocity coefficient vector (interleaved); with
-    ``newton`` the reaction (Jacobian) term is included.
+    ``newton`` the reaction (Jacobian) term is included.  ``A_of(x)`` and
+    ``K_of(x)`` give the diffusion and cofactor matrices at a physical point
+    (identity by default: the untransformed system); they are evaluated at
+    this file's own quadrature points.
     """
     dofs = TaylorHoodDofs(nodes, triangles)
     pts, wts = tri_quadrature()
@@ -150,14 +158,17 @@ def assemble_navier_stokes(nodes, triangles, nu, advector=None, newton=False):
         e1 = dofs.p1_dofs(tri)
         ww = wts * detB                                  # (q,)
         G = Gref @ Binv                                  # (q, 6, 2) physical
-        visc = nu * np.einsum("q,qad,qbd->ab", ww, G, G)
+        xq = [p0 + B @ pt for pt in pts]
+        Aq = np.array([A_of(x) for x in xq])             # (q, 2, 2)
+        Kq = np.array([K_of(x) for x in xq])
+        visc = nu * np.einsum("q,qad,qde,qbe->ab", ww, G, Aq, G)
         if advector is not None:
             adv = np.array([[advector[2 * e2[a] + i] for i in range(2)]
                             for a in range(6)])          # (6, 2)
             wq = Phi @ adv                               # (q, 2)
-            visc = visc + np.einsum("q,qa,qbd,qd->ab", ww, Phi, G, wq)
+            visc = visc + np.einsum("q,qa,qbd,qed,qe->ab", ww, Phi, G, Kq, wq)
             if newton:
-                gradw = np.einsum("ai,qad->qid", adv, G)  # (q, 2, 2)
+                gradw = np.einsum("ai,qad,qjd->qij", adv, G, Kq)  # (q, 2, 2)
                 R = np.einsum("q,qa,qb,qij->abij", ww, Phi, Phi, gradw)
                 for a in range(6):
                     for b in range(6):
@@ -168,7 +179,7 @@ def assemble_navier_stokes(nodes, triangles, nu, advector=None, newton=False):
             for b in range(6):
                 for i in range(2):
                     add(2 * e2[a] + i, 2 * e2[b] + i, visc[a, b])
-        P = np.einsum("q,qc,qai->aci", ww, Qp, G)        # (6, 3, 2)
+        P = np.einsum("q,qc,qid,qad->aci", ww, Qp, Kq, G)  # (6, 3, 2)
         for a in range(6):
             for c in range(3):
                 for i in range(2):

@@ -10,6 +10,7 @@ from oracles import (
 )
 
 from fsichannel import assembly as asm
+from fsichannel.geomap import TransformFields, cof2, det2
 from fsichannel.linsolve import (
     DirichletConflictError,
     FrozenFactorization,
@@ -113,6 +114,36 @@ def test_oseen_assembly_matches_loop_oracle(coarse_mesh):
     reordered = np.zeros_like(M)
     reordered[np.ix_(perm_full, perm_full)] = M
     assert np.abs(reordered - A_oracle).max() <= 1e-13
+
+    # a smooth non-symmetric flow-map cofactor K = cof(I + eps B(x)) with
+    # A = K K^T / det, evaluated pointwise by both sides
+    def DPhi_of(x):
+        B = np.array([[np.sin(3 * x[0]), x[0] * x[1]],
+                      [np.cos(2 * x[1]) - x[0], 0.5 * x[1] ** 2]])
+        return np.eye(2) + 0.2 * B
+
+    def K_of(x):
+        return cof2(DPhi_of(x))
+
+    def A_of(x):
+        K = K_of(x)
+        return K @ K.T / np.linalg.det(K)
+
+    xq = V.quad_points_physical(TRI_POINTS)
+    DPhi = np.array([[DPhi_of(x) for x in row] for row in xq])
+    K = cof2(DPhi)
+    J = det2(DPhi)
+    A = np.einsum("eqij,eqkj->eqik", K, K) / J[..., None, None]
+    fields = TransformFields(DPhi, J, K, A)
+    M = asm.transformed_oseen_system(V, Q, fields, nu=0.7,
+                                     advector=adv).full_matrix().toarray()
+    A_oracle, _ = assemble_navier_stokes(coarse_mesh.nodes, tris, 0.7,
+                                         advector=adv_oracle, A_of=A_of,
+                                         K_of=K_of)
+    A_oracle = A_oracle.toarray()
+    reordered = np.zeros_like(M)
+    reordered[np.ix_(perm_full, perm_full)] = M
+    assert np.abs(reordered - A_oracle).max() <= 1e-12 * np.abs(A_oracle).max()
 
 
 def test_pressure_blocks_exact_negative_transpose(default_mesh):

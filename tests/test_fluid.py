@@ -118,6 +118,22 @@ def test_identity_reduction_bitwise(default_mesh):
     assert d.nnz == 0 or np.abs(d.data).max() == 0.0
 
 
+def test_cold_start_assembles_convection_once_per_step(coarse_mesh, monkeypatch):
+    # the zero starting iterate has no convection: one assembly per step
+    calls = []
+    assemble = asm.assemble_convection
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(asm, "assemble_convection", counted)
+    g = InflowProfile(1.0, coarse_mesh.geometry.channel_height)
+    _, report = solve_navier_stokes(coarse_mesh, g=g)
+    assert report.converged and report.iterations > 1
+    assert len(calls) == report.iterations
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_picard_nonconvergence_reported(coarse_mesh):
     # strong inflow past the obstacle leaves the contraction regime

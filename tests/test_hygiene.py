@@ -1,6 +1,6 @@
 """Static checks on the package source: no blanket ``except Exception``
-outside the CLI's top-level handler, no unused module-level imports, and
-one fixed-point loop."""
+outside the CLI's top-level handler, no unused module-level imports, one
+fixed-point loop, and two-operand assembly kernels."""
 
 import ast
 from pathlib import Path
@@ -71,3 +71,23 @@ def test_increment_ratios_appended_only_in_fixed_point():
                     found.append(f"{path.stem}.{fn.name}")
     assert found == ["fluid.fixed_point"], (
         f"increment ratios recorded outside the fixed-point driver: {found}")
+
+
+def test_assembly_kernel_shape():
+    """Every einsum contracts at most two operands without ``optimize=``
+    (threaded BLAS dispatch would break bit-identity across thread counts),
+    and assembly scatters through its fixed CSR patterns, not COO."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "einsum"
+                    and (len(node.args) > 3
+                         or any(k.arg == "optimize" for k in node.keywords))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"einsum with more than two operands or optimize=: {found}"
+    names = {n.id if isinstance(n, ast.Name) else n.attr
+             for n in ast.walk(_parse(SRC / "assembly.py"))
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    assert "coo_matrix" not in names

@@ -109,6 +109,44 @@ def test_compare_identical_and_differing(tmp_path):
         open(path, "w").write("\n".join(lines) + "\n")
         _, ok2 = compare(a, b)
         assert not ok2
+    # VTK: float blocks compare normwise, cells exactly
+    a_vtk, b_vtk = os.path.join(a, "mesh.vtk"), os.path.join(b, "mesh.vtk")
+    text = open(a_vtk).read()
+    lines = text.splitlines()
+    points = lines.index(next(l for l in lines if l.startswith("POINTS"))) + 1
+    cells = lines.index(next(l for l in lines if l.startswith("CELLS"))) + 1
+
+    def vtk_diff(edit):
+        """compare() rows and verdicts at tol 1e-12 and inf for mesh.vtk
+        with one edited line."""
+        changed = list(lines)
+        edit(changed)
+        open(b_vtk, "w").write("\n".join(changed) + "\n")
+        rows, ok = compare(a, b, tol=1e-12)
+        _, ok_inf = compare(a, b, tol=float("inf"))
+        return [r for r in rows if r[0].startswith("mesh.vtk")], ok, ok_inf
+
+    def nudge_coordinate(ls):
+        x, y, z = ls[points + 1].split()
+        ls[points + 1] = f"{float(x) * (1 + 1e-14)!r} {y} {z}"
+
+    rows, ok, _ = vtk_diff(nudge_coordinate)
+    assert ok and 0.0 < max(v for _, _, v in rows) <= 1e-12
+
+    def raise_zero(ls):
+        x, y, _ = ls[points].split()
+        ls[points] = f"{x} {y} 1e-17"
+
+    rows, ok, _ = vtk_diff(raise_zero)
+    assert ok and 0.0 < max(v for _, _, v in rows)
+
+    def move_cell(ls):
+        n, i, j, k = ls[cells].split()
+        ls[cells] = f"{n} {j} {i} {k}"
+
+    rows, ok, ok_inf = vtk_diff(move_cell)
+    assert not ok and not ok_inf
+    assert any(kind == "structure" for _, kind, _ in rows)
 
 
 def _run_cli(args, env_extra, cwd):
