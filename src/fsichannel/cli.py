@@ -31,7 +31,7 @@ from .mesh import (
     refine_uniform,
     validate_mesh,
 )
-from .sensitivity import contraction_probe, solve_fsi_sensitivity, taylor_test
+from .sensitivity import SensitivitySolver, contraction_probe, taylor_test
 from .verification import mms_convergence_study
 
 EXIT_CHECKS_FAILED = 1
@@ -239,8 +239,10 @@ def run_solve_fsi(cfg, out, seed):
     "sensitivity",
     _FSI_KEYS + ("dg_magnitude",),
     "Computes the directional derivative of the coupled state with respect "
-    "to the inflow profile via the derivative fixed point (linearized fluid "
-    "solve, traction product rule, elasticity solve).",
+    "to the inflow profile by one direct solve of the interface Schur "
+    "complement (linearized fluid solves of the unit interface lifts, "
+    "traction product rule, elasticity solves), checked by one matrix-free "
+    "coupled step whose fixed-point residual is reported.",
     ("fields_sens.vtk", "report_sens.csv", "summary.json"),
 )
 def run_sensitivity(cfg, out, seed):
@@ -248,7 +250,8 @@ def run_sensitivity(cfg, out, seed):
     solver = FSISolver(mesh, (float(cfg["lam"]), float(cfg["mu"])),
                        float(cfg["nu"]))
     base = solver.solve(_inflow(cfg), _coupling_options(cfg))
-    sens = solve_fsi_sensitivity(solver, base, _inflow(cfg, "dg_magnitude"))
+    schur = SensitivitySolver(solver, base)
+    sens = schur.solve(_inflow(cfg, "dg_magnitude"))
     write_vtk(os.path.join(out, "fields_sens.vtk"), mesh, point_data={
         "dvelocity": vertex_values(sens.dw),
         "dpressure": vertex_values(sens.dp),
@@ -258,7 +261,9 @@ def run_sensitivity(cfg, out, seed):
               ("iter", "residual", "ratio"), sens.report.rows())
     return {
         "iterations": sens.report.iterations,
-        "max_ratio": float(max(sens.report.increment_ratios, default=0.0)),
+        "check_residual": float(sens.report.residual_history[-1]),
+        "coupling_spectral_radius": float(
+            np.abs(np.linalg.eigvals(schur.coupling_matrix)).max()),
     }, bool(sens.report.converged)
 
 
@@ -403,18 +408,18 @@ def describe(name):
     return "\n".join(lines)
 
 
-def _load_numeric_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return header, rows
+def _normwise(a, b):
+    """max|a - b| / max(|a|_inf, |b|_inf): round-off-sized entries carry no
+    relative accuracy, so differences are measured against the block."""
+    scale = float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
+    diff = float(np.abs(a - b).max(initial=0.0))
+    return diff / scale if scale > 0 else diff
 
 
 def _compare_vtk(pa, pb):
     """(label, kind, diff) rows for two VTK files: the structure and the
     integer cell blocks must match exactly; each float block is compared
-    normwise, max|a - b| / max(|a|_inf, |b|_inf), because entries that are
-    round-off-sized (velocity at a wall) carry no relative accuracy."""
+    normwise."""
     (sa, ba), (sb, bb) = read_vtk(pa), read_vtk(pb)
     if sa != sb or any(ba[k].shape != bb[k].shape for k in ba):
         return [("", "structure", float("inf"))]
@@ -425,18 +430,93 @@ def _compare_vtk(pa, pb):
             if not np.array_equal(a, b):
                 return [(f" {key}", "structure", float("inf"))]
             continue
-        scale = float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
-        diff = float(np.abs(a - b).max(initial=0.0))
-        rows.append((f" {key}", "normwise", diff / scale if scale > 0 else diff))
+        rows.append((f" {key}", "normwise", _normwise(a, b)))
+    return rows
+
+
+def _load_csv(path):
+    with open(path) as fh:
+        return [line.split(",") for line in fh.read().splitlines() if line]
+
+
+def _is_float(cell):
+    """True for a float cell; integer and text cells compare exactly."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return not cell.lstrip("-").isdigit()
+
+
+def _compare_csv(pa, pb):
+    """(label, kind, diff) rows for two CSV reports: the header, the row
+    count, integer cells and text cells must match exactly; the float cells
+    of each column are compared normwise."""
+    ta, tb = _load_csv(pa), _load_csv(pb)
+    if (len(ta) != len(tb) or not ta or ta[0] != tb[0]
+            or any(len(x) != len(y) for x, y in zip(ta, tb))):
+        return [("", "structure", float("inf"))]
+    rows = []
+    for j, name in enumerate(ta[0]):
+        floats = []
+        for x, y in zip(ta[1:], tb[1:]):
+            if _is_float(x[j]) and _is_float(y[j]):
+                floats.append((x[j], y[j]))
+            elif x[j] != y[j]:
+                return [(f" {name}", "structure", float("inf"))]
+        if floats:
+            a, b = np.array(floats, dtype=float).T
+            rows.append((f" {name}", "normwise", _normwise(a, b)))
+    return rows
+
+
+def _json_diff(a, b):
+    """Largest difference of two JSON values: floats and numeric lists
+    normwise, everything else (ints and bools included) exactly."""
+    if a == b and type(a) is type(b):
+        return 0.0
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return float("inf")
+        return max((_json_diff(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        try:
+            x, y = np.array(a, dtype=float), np.array(b, dtype=float)
+        except (TypeError, ValueError):  # text or ragged entries
+            x = y = None
+        if x is not None and x.shape == y.shape:
+            return _normwise(x, y)
+        if len(a) != len(b):
+            return float("inf")
+        return max(_json_diff(u, v) for u, v in zip(a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return _normwise(np.array([a]), np.array([b]))
+    return float("inf")
+
+
+def _compare_summary(pa, pb):
+    """One row per ``summary.json`` entry except ``artifacts``, whose
+    hashes cover the files that are compared directly."""
+    with open(pa) as fa, open(pb) as fb:
+        a, b = json.load(fa), json.load(fb)
+    a.pop("artifacts", None)
+    b.pop("artifacts", None)
+    if a.keys() != b.keys():
+        return [("", "structure", float("inf"))]
+    rows = []
+    for key in sorted(a):
+        diff = _json_diff(a[key], b[key])
+        rows.append((f" {key}", "normwise" if diff < float("inf")
+                     else "structure", diff))
     return rows
 
 
 def compare(dir_a, dir_b, tol=0.0):
     """Per-field relative differences between two result directories.
 
-    CSV cells are compared entrywise, VTK blocks normwise (see
-    :func:`_compare_vtk`), other files by hash.  A structural mismatch
-    fails at every tolerance."""
+    CSV columns, VTK blocks and ``summary.json`` numbers are compared
+    normwise, their structure exactly (see the ``_compare_*`` helpers);
+    other files by hash.  A structural mismatch fails at every tolerance."""
     diffs = []
     ok = True
     names = sorted(
@@ -444,36 +524,19 @@ def compare(dir_a, dir_b, tol=0.0):
     )
     if not names:
         raise ConfigError("no common artifacts to compare")
+    by_kind = {".csv": _compare_csv, ".vtk": _compare_vtk}
     for name in names:
         pa, pb = os.path.join(dir_a, name), os.path.join(dir_b, name)
-        if name.endswith(".csv"):
-            ha, ra = _load_numeric_csv(pa)
-            hb, rb = _load_numeric_csv(pb)
-            if ha != hb or len(ra) != len(rb):
-                diffs.append((name, "structure", float("inf")))
-                ok = False
-                continue
-            worst = 0.0
-            for rowa, rowb in zip(ra, rb):
-                for ca, cb in zip(rowa, rowb):
-                    try:
-                        va, vb = float(ca), float(cb)
-                    except ValueError:
-                        if ca != cb:
-                            worst = float("inf")
-                        continue
-                    denom = max(abs(va), abs(vb), 1e-300)
-                    worst = max(worst, abs(va - vb) / denom)
-            diffs.append((name, "relative", worst))
-            ok = ok and worst <= tol
-        elif name.endswith(".vtk"):
-            for label, kind, value in _compare_vtk(pa, pb):
-                diffs.append((name + label, kind, value))
-                ok = ok and kind != "structure" and value <= tol
-        else:
+        rows_of = (_compare_summary if name == "summary.json"
+                   else by_kind.get(os.path.splitext(name)[1]))
+        if rows_of is None:
             same = _hash_file(pa) == _hash_file(pb)
             diffs.append((name, "hash", 0.0 if same else float("inf")))
             ok = ok and (same or tol == float("inf"))
+            continue
+        for label, kind, value in rows_of(pa, pb):
+            diffs.append((name + label, kind, value))
+            ok = ok and kind != "structure" and value <= tol
     return diffs, ok
 
 

@@ -13,10 +13,12 @@ and the solver returns the displacement of the weak problem
 with u = 0 on the clamped boundary.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .assembly import (
-    assemble_boundary_load,
+    assemble_boundary_mass,
     assemble_elasticity,
     assemble_velocity_load,
 )
@@ -47,7 +49,16 @@ class ElasticitySolver:
         self.matrix = assemble_elasticity(space, lam, mu).tocsc()
         self.clamped = space.boundary_dofs(TAG_CLAMPED)
         self.iface = interface_dofs(space)
+        # vector dofs of the interface, in trace order 2 m + c
+        self.iface_vdofs = (2 * self.iface[:, None] + np.arange(2)).ravel()
         self._lu = FrozenFactorization(self.matrix, self.clamped)
+
+    @cached_property
+    def interface_load(self):
+        """Sparse (ndof, 2 n_interface) map from interface traction values,
+        flattened row by row, to the weak load int_interface v . psi."""
+        mass = assemble_boundary_mass(self.space, TAG_INTERFACE)
+        return mass[:, self.iface_vdofs].tocsr()
 
     def solve(self, f1=None, traction=None) -> FEFunction:
         """Displacement for volume force f1 and interface traction values.
@@ -66,11 +77,13 @@ class ElasticitySolver:
                 raise ValueError(
                     f"traction shape {tr.shape} != ({len(self.iface)}, 2)"
                 )
-            v = FEFunction.zeros(self.space)
-            cm = v.component_matrix()
-            cm[self.iface] = tr
-            rhs += assemble_boundary_load(self.space, TAG_INTERFACE, v)
+            rhs += self.interface_load @ tr.ravel()
         return FEFunction(self.space, self._lu.solve(rhs))
+
+    def solve_tractions(self, columns):
+        """Displacements (ndof, k) for k interface tractions given as the
+        columns of a (2 n_interface, k) array, in one block solve."""
+        return self._lu.solve(self.interface_load @ columns)
 
 
 def solid_space(mesh) -> Space:

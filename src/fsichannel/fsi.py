@@ -9,6 +9,7 @@ and relax.  The converged state is the coupled fixed point u = N(t(u, p)).
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assembly as asm
 from .elasticity import ElasticitySolver, interface_trace, solid_space
@@ -21,7 +22,7 @@ from .geomap import (
     transform_fields,
 )
 from .mesh import TAG_INTERFACE
-from .spaces import FEFunction, p2_grads
+from .spaces import FEFunction, p1_basis, p2_grads
 
 
 class OuterDivergenceError(RuntimeError):
@@ -65,6 +66,11 @@ class FSIState:
     fields: object
     report: SolverReport
     log_rows: list = field(default_factory=list)
+    traction_interpretation: str = "full-vector"  # as in CouplingOptions
+
+    @property
+    def projected(self):
+        return self.traction_interpretation == "normal-projected"
 
 
 class TractionEvaluator:
@@ -77,6 +83,10 @@ class TractionEvaluator:
     edge normals.  Averaging keeps the evaluation invariant under mesh
     symmetries.  Normals point out of the fluid, so a positive pressure
     pushes the solid away from it.
+
+    Every (dof, element) record is one sample point.  Three sparse matrices
+    built once carry the sampling: lift coefficients to lift gradients,
+    pressure coefficients to pressures, and the per-dof average.
     """
 
     def __init__(self, vspace, pspace):
@@ -85,7 +95,6 @@ class TractionEvaluator:
         self.iface = interface_dofs(vspace)
         edges = asm.tagged_edge_elements(vspace, TAG_INTERFACE)
         per_dof = {}  # scalar dof -> list of (element, normal)
-        sd2pos = {int(d): k for k, d in enumerate(self.iface)}
         for edge in edges:
             u, v = edge["start"], edge["end"]
             du = vspace._vert_dof[u]
@@ -105,34 +114,68 @@ class TractionEvaluator:
                 for e in elems
             ]
             self.records.append((int(d), elems, normal, refs))
+        self.normals = np.array([normal for _, _, normal, _ in self.records])
+        rec = np.array([k for k, (_, elems, _, _) in enumerate(self.records)
+                        for _ in elems])
+        elem = np.array([e for _, elems, _, _ in self.records for e in elems])
+        refs = np.array([r for _, _, _, refs in self.records for r in refs])
+        n_pts = len(rec)
+        self._pair_normal = self.normals[rec, :, None]  # (pts, 2, 1)
+        # lift gradient rows (point, l) from the scalar lift coefficients
+        grads = p2_grads(refs) @ vspace.inv_jac[elem]  # (pts, 6, 2)
+        rows = 2 * np.arange(n_pts)[:, None, None] + np.arange(2)
+        self._grad = sp.csr_matrix(
+            (grads.ravel(), (np.broadcast_to(rows, grads.shape).ravel(),
+                             np.repeat(vspace.elem_dofs[elem], 2))),
+            shape=(2 * n_pts, vspace.n_scalar))
+        self._pressure = sp.csr_matrix(
+            (p1_basis(refs).ravel(),
+             (np.repeat(np.arange(n_pts), 3), pspace.elem_dofs[elem].ravel())),
+            shape=(n_pts, pspace.ndof))
+        self._sum = sp.csr_matrix((np.ones(n_pts), (rec, np.arange(n_pts))),
+                                  shape=(len(self.records), n_pts))
+        self._count = np.bincount(rec)[:, None]
 
-    def _lift_grad(self, extension, elem, ref):
-        """Gradient of the lift at reference point ``ref`` of ``elem``."""
-        cm = extension.component_matrix()[self.vspace.elem_dofs[elem]]  # (6, 2)
-        gref = p2_grads(ref[None, :])[0]  # (6, 2) d/dxi
-        return cm.T @ (gref @ self.vspace.inv_jac[elem])
+    def _lift_grads(self, coefficients):
+        """Lift gradients [i, l] at the points, (k, pts, 2, 2), for lift
+        coefficients (ndof,) or k columns (ndof, k)."""
+        n_s = self.vspace.n_scalar
+        cols = np.reshape(coefficients, (n_s, 2, -1))
+        G = self._grad @ cols.reshape(n_s, -1)  # (pts l, i k)
+        return G.reshape(-1, 2, 2, cols.shape[2]).transpose(3, 0, 2, 1)
 
-    def _K_at(self, extension, elem, ref):
-        G = self._lift_grad(extension, elem, ref)
-        return cof2((G + np.eye(2))[None, None])[0, 0]
+    def _average(self, values, projected):
+        """Per-dof mean of point values (pts, 2, k), optionally projected on
+        the normal: (n_interface, 2, k)."""
+        k = values.shape[2]
+        t = (self._sum @ values.reshape(-1, 2 * k)).reshape(-1, 2, k)
+        t /= self._count[:, :, None]
+        if projected:
+            n = self.normals[:, :, None]
+            t = np.sum(t * n, axis=1, keepdims=True) * n
+        return t
+
+    def _base(self, extension, pressure):
+        """(K n, p) at the points."""
+        K = cof2(self._lift_grads(extension.coefficients)[0] + np.eye(2))
+        return (K @ self._pair_normal)[..., 0], self._pressure @ pressure.coefficients
 
     def evaluate(self, extension, pressure, projected=False):
         """Traction rows (n_interface, 2) in canonical interface order."""
-        out = np.zeros((len(self.records), 2))
-        pcoef = pressure.coefficients
-        ped = self.pspace.elem_dofs
-        for k, (d, elems, normal, refs) in enumerate(self.records):
-            Kn = np.zeros(2)
-            for elem, ref in zip(elems, refs):
-                K = self._K_at(extension, elem, ref)
-                lam = np.array([1.0 - ref[0] - ref[1], ref[0], ref[1]])
-                p_val = float(lam @ pcoef[ped[elem]])
-                Kn += p_val * (K @ normal)
-            t = Kn / len(elems)
-            if projected:
-                t = (t @ normal) * normal
-            out[k] = t
-        return out
+        Kn, p = self._base(extension, pressure)
+        return self._average((p[:, None] * Kn)[..., None], projected)[..., 0]
+
+    def derivative(self, extension, pressure, dext, dp, projected=False):
+        """d(p K n) = dp K n + p cof(dG) n at the state (extension, pressure)
+        for lift and pressure coefficients ``dext`` (ndof, ...) and ``dp``
+        (pressure ndof, ...); returns (n_interface, 2, ...)."""
+        Kn, p = self._base(extension, pressure)
+        rest = np.shape(dp)[1:]
+        dG = cof2(self._lift_grads(dext))  # (k, pts, 2, 2)
+        dpv = self._pressure @ np.reshape(dp, (self.pspace.ndof, -1))  # (pts, k)
+        vals = dpv[:, None] * Kn[..., None] + p[:, None, None] * np.moveaxis(
+            (dG @ self._pair_normal)[..., 0], 0, -1)
+        return self._average(vals, projected).reshape(-1, 2, *rest)
 
 
 def traction(extension, pressure, vspace, pspace, projected=False):
@@ -199,21 +242,21 @@ class FSISolver:
             fields, g, tol=opts.fluid_tol, max_iter=opts.fluid_max_iter,
             initial=x_fluid,
         )
-        return FSIState(u, state, ext, fields, report, log_rows)
+        return FSIState(u, state, ext, fields, report, log_rows,
+                        opts.traction_interpretation)
 
     def residual(self, fsistate: FSIState, g) -> float:
         """Coupled residual: fluid weak residual + elasticity residual with
-        the state's own traction + distance to the elasticity fixed point."""
+        the state's own traction (in the interpretation it was solved with)
+        + distance to the elasticity fixed point."""
         F = self.fluid.loads()
         r_fluid = self.fluid.residual(
             fsistate.fluid.stacked(), fsistate.fields, F
         )
-        t = self.tractor.evaluate(fsistate.extension, fsistate.fluid.p)
+        t = self.tractor.evaluate(fsistate.extension, fsistate.fluid.p,
+                                  fsistate.projected)
         u_next = self.solid.solve(traction=t)
-        rhs = np.zeros(self.sspace.ndof)
-        v = FEFunction.zeros(self.sspace)
-        v.component_matrix()[self.solid.iface] = t
-        rhs += asm.assemble_boundary_load(self.sspace, TAG_INTERFACE, v)
+        rhs = self.solid.interface_load @ t.ravel()
         r_solid = self.solid.matrix @ fsistate.u.coefficients - rhs
         r_solid[self.solid.clamped] = 0.0
         r_fix = self.norms_u.h1_norm(u_next.coefficients - fsistate.u.coefficients)

@@ -110,6 +110,19 @@ class HarmonicExtender:
         coeffs = self._fact.solve(self._zero_rhs, by_dof)
         return FEFunction(self.vspace, coeffs.reshape(-1))
 
+    def lift_columns(self, positions):
+        """Lifts of the unit interface traces at ``positions`` (indices into
+        the interface order), both components, as columns of (ndof,
+        2 len(positions)): column 2 j + c lifts the unit value of component
+        c at positions[j].  The scalar lifts are one block solve."""
+        n_s, k = self.vspace.n_scalar, len(positions)
+        by_dof = np.zeros((n_s, k))
+        by_dof[self.iface[positions], np.arange(k)] = 1.0
+        scalar = self._fact.solve(np.zeros((n_s, k)), by_dof)
+        cols = np.zeros((n_s, 2, k, 2))
+        cols[:, 0, :, 0] = cols[:, 1, :, 1] = scalar
+        return cols.reshape(2 * n_s, 2 * k)
+
 
 def harmonic_extension(vspace: Space, trace_values) -> FEFunction:
     """One-shot interface lift (see :class:`HarmonicExtender`)."""
@@ -143,17 +156,18 @@ def transform_derivatives(fields: TransformFields, dgrad) -> TransformDerivative
     """Directional derivatives for a lift perturbation with gradient ``dgrad``.
 
     Uses Jacobi's formula for the determinant and the exact linearity of the
-    2D cofactor; the diffusion matrix derivative follows by the product rule.
+    2D cofactor; the diffusion matrix derivative follows by the product rule,
+    dA = (dK K^T + K dK^T - dJ A) / J.  Leading axes broadcast, so one call
+    can take several directions.  The 2 x 2 products are written out
+    elementwise, which is much faster than batched einsum or matmul here.
     """
     dDPhi = np.asarray(dgrad)
-    dJ = np.einsum("eqil,eqil->eq", fields.K, dDPhi)
+    K = fields.K
+    dJ = np.sum(K * dDPhi, axis=(-2, -1))
     dK = cof2(dDPhi)
-    KKt = np.einsum("eqij,eqkj->eqik", fields.K, fields.K)
-    dKKt = np.einsum("eqij,eqkj->eqik", dK, fields.K) + np.einsum(
-        "eqij,eqkj->eqik", fields.K, dK
-    )
-    J = fields.J[..., None, None]
-    dA = -dJ[..., None, None] / (J * J) * KKt + dKKt / J
+    dKKt = np.sum(dK[..., :, None, :] * K[..., None, :, :], axis=-1)
+    dA = (dKKt + dKKt.swapaxes(-1, -2) - dJ[..., None, None] * fields.A) \
+        / fields.J[..., None, None]
     return TransformDerivatives(dDPhi, dJ, dK, dA)
 
 

@@ -1,30 +1,38 @@
 """Directional derivatives of the coupled control-to-state map.
 
-For the map g -> (u, w, p) (inflow profile to coupled state) this module
-computes the directional derivative in a direction dg by mirroring the
-coupled fixed point: the fluid state is differentiated with respect to both
-the inflow data and the flow-map displacement, the traction is
-differentiated by the product rule, and the elastic solve is its own
-derivative (it is linear).  The resulting fixed point for du converges
-whenever the underlying coupling iteration contracts, and the derivative
+For the map g -> (u, w, p) (inflow profile to coupled state) the derivative
+in a direction dg solves the linearized coupled fixed point du = S(dt[du]):
+the fluid state is differentiated with respect to both the inflow data and
+the flow-map displacement, the traction by the product rule, and the
+elastic solve is its own derivative (it is linear).
+
+The map reads du only through its interface trace tau, so the fixed point
+is eliminated exactly: with explicit operators for the lift, the
+flow-map derivative of the fluid residual, the traction derivative and the
+elastic response, the dense interface matrix T is formed once per base
+state, and (I - T) tau = c(dg) is solved directly.  The solution exists
+wherever I - T is invertible, also where the fixed point would not
+contract.  One matrix-free coupled step at the result gives the
+fixed-point residual, an a-posteriori check on every solve; the derivative
 is validated externally by Taylor-remainder tests.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import assembly as asm
+from .elasticity import interface_trace
 from .fluid import (
     ConvergenceError,
     SolverReport,
     dirichlet_dofs,
     dirichlet_vector,
-    fixed_point,
     linearized_system,
 )
 from .fsi import FSISolver, FSIState, MeshTangledError, OuterDivergenceError
-from .geomap import TangledMeshError, cof2, transform_derivatives
+from .geomap import TangledMeshError, TransformFields, transform_derivatives
 from .linsolve import FrozenFactorization
 from .quadrature import TRI_POINTS
 from .spaces import FEFunction
@@ -72,12 +80,34 @@ def coefficient_rhs(vspace, pspace, derivs, w_hat, p_hat):
     return np.concatenate([rhs_v, rhs_p])
 
 
+# the four unit lift gradients E_jl, index 2 j + l
+_UNIT_GRADIENTS = np.eye(4).reshape(4, 2, 2)
+# interface positions (two columns each) per linearized block solve of the
+# Schur complement: the block bounds the dense temporaries, and SuperLU is
+# no faster per column for wider blocks
+SCHUR_BLOCK = 8
+
+
+def lift_operator(vspace, pspace, fields, w_hat, p_hat, nu):
+    """Sparse B with B @ dext = coefficient_rhs in the lift direction dext
+    (viscosity folded in), assembled element-locally from the coefficient
+    derivatives of the four unit lift gradients."""
+    def unit(b):
+        """(nu dA, dK) of the unit lift gradients on the elements b."""
+        f = [a[b, :, None] for a in (fields.DPhi, fields.J, fields.K, fields.A)]
+        d = transform_derivatives(TransformFields(*f), _UNIT_GRADIENTS)
+        return nu * d.dA, d.dK  # viscosity enters only the viscous term
+
+    return asm.assemble_lift_derivative(vspace, pspace, unit, w_hat, p_hat)
+
+
 class SensitivitySolver:
     """Derivative solves around one converged coupled state.
 
     The linearized fluid operator at the base state is factorized once and
-    reused: every derivative direction only changes the right-hand side and
-    the inflow data.
+    reused.  The interface Schur complement T is formed on the first solve
+    and reused by every further direction, which then costs two linearized
+    solves, one dense solve of the interface size and the check step.
     """
 
     def __init__(self, solver: FSISolver, base: FSIState):
@@ -85,8 +115,8 @@ class SensitivitySolver:
         self.base = base
         V, Q = solver.vspace, solver.pspace
         self.nu = solver.nu
-        system = linearized_system(V, Q, base.fields, base.fluid.w, solver.nu)
-        self._lu = FrozenFactorization(system.full_matrix(), dirichlet_dofs(V))
+        A = linearized_system(V, Q, base.fields, base.fluid.w, solver.nu).full_matrix()
+        self._lu = FrozenFactorization(A, dirichlet_dofs(V))
 
     def _linearized(self, dg=None, rhs_extra=None):
         """(dw, dp) of the linearized fluid problem at the base state."""
@@ -97,8 +127,6 @@ class SensitivitySolver:
 
     def _derivs_of(self, du: FEFunction):
         """Transform-coefficient derivatives for a solid direction du."""
-        from .elasticity import interface_trace
-
         dext = self.solver.extender.extend(interface_trace(du))
         derivs = transform_derivatives(
             self.base.fields, dext.gradients_at(TRI_POINTS)
@@ -123,41 +151,63 @@ class SensitivitySolver:
         return self._linearized(rhs_extra=self._scaled_rhs(derivs))
 
     def _traction_derivative(self, dext, dp):
-        """d(p K n) in a flow-map direction: dp K n + p_hat dK n, nodal."""
-        tractor = self.solver.tractor
-        base_ext = self.base.extension
-        p_hat = self.base.fluid.p
-        out = np.zeros((len(tractor.records), 2))
-        pcoef = p_hat.coefficients
-        dpcoef = dp.coefficients
-        ped = self.solver.pspace.elem_dofs
-        for k, (d, elems, normal, refs) in enumerate(tractor.records):
-            acc = np.zeros(2)
-            for elem, ref in zip(elems, refs):
-                K = tractor._K_at(base_ext, elem, ref)
-                dK = cof2(tractor._lift_grad(dext, elem, ref)[None, None])[0, 0]
-                lam = np.array([1.0 - ref[0] - ref[1], ref[0], ref[1]])
-                p_val = float(lam @ pcoef[ped[elem]])
-                dp_val = float(lam @ dpcoef[ped[elem]])
-                acc += dp_val * (K @ normal) + p_val * (dK @ normal)
-            out[k] = acc / len(elems)
-        return out
+        """d(p K n) in a flow-map direction: dp K n + p_hat dK n, nodal,
+        projected on the normal if the base state was."""
+        base = self.base
+        return self.solver.tractor.derivative(
+            base.extension, base.fluid.p, dext.coefficients, dp.coefficients,
+            base.projected)
 
-    def solve(self, dg, tol=1e-10, max_iter=100) -> SensitivityState:
-        """Derivative of the coupled map in direction dg via the
-        displacement fixed point du = S(0, dt(du))."""
+    @cached_property
+    def _schur(self):
+        """(U, T): the solid responses to the unit interface traces and the
+        trace matrix T of the coupling map."""
+        solver, base = self.solver, self.base
+        V, Q = solver.vspace, solver.pspace
+        B = lift_operator(V, Q, base.fields, base.fluid.w, base.fluid.p, self.nu)
+        n_if = len(solver.solid.iface)
+        dt = []
+        for m in range(0, n_if, SCHUR_BLOCK):
+            E = solver.extender.lift_columns(np.arange(m, min(m + SCHUR_BLOCK, n_if)))
+            dp = self._lu.solve(B @ E)[V.ndof:]
+            dt.append(solver.tractor.derivative(
+                base.extension, base.fluid.p, E, dp, base.projected))
+        U = solver.solid.solve_tractions(
+            np.concatenate(dt, axis=-1).reshape(2 * n_if, -1))
+        return U, U[solver.solid.iface_vdofs]
+
+    @property
+    def coupling_matrix(self):
+        """T: the coupling map du -> S(0, dt[du]) acting on interface
+        traces, (2 n_interface, 2 n_interface), rows and columns 2 m + c."""
+        return self._schur[1]
+
+    def solve(self, dg, tol=1e-10) -> SensitivityState:
+        """Derivative of the coupled map in direction dg by one solve of
+        (I - T) tau = c(dg) for the interface trace tau of du.  One coupled
+        step at du gives the fluid derivatives (dw, dp) and the relative
+        fixed-point residual; ConvergenceError if that exceeds tol."""
         solver = self.solver
-        S = solver.sspace
-        dw = dp = None
+        U, T = self._schur
+        _, dp = self._linearized(dg=dg)
+        dt = self._traction_derivative(FEFunction.zeros(solver.vspace), dp)
+        u_g = solver.solid.solve(traction=dt).coefficients
+        tau = np.linalg.solve(np.eye(len(T)) - T, u_g[solver.solid.iface_vdofs])
+        du = FEFunction(solver.sspace, u_g + U @ tau)
 
-        def step(du):
-            nonlocal dw, dp
-            du_new, dw, dp = self._coupled_step(FEFunction(S, du), dg)
-            return du_new.coefficients, du_new.coefficients - du, None
-
-        du, report = fixed_point(step, np.zeros(S.ndof), solver.norms_u.h1_norm,
-                                 tol, max_iter, "sensitivity")
-        return SensitivityState(FEFunction(S, du), dw, dp, report)
+        du_check, dw, dp = self._coupled_step(du, dg)
+        du_check = du_check.coefficients
+        norm = solver.norms_u.h1_norm
+        inc = norm(du_check - du.coefficients)
+        residual = inc / max(norm(du_check), 1e-30)
+        report = SolverReport(iterations=1, residual_history=[residual],
+                              increments=[inc], converged=residual <= tol,
+                              mode="schur")
+        if not report.converged:
+            raise ConvergenceError(
+                f"schur: fixed-point residual {residual:.3e} of the direct "
+                f"derivative exceeds {tol:.1e}", report)
+        return SensitivityState(du, dw, dp, report)
 
     def _coupled_step(self, du: FEFunction, dg):
         """du -> S(dg, dt[du]) with its linearized fluid state: (du, dw, dp)."""

@@ -247,3 +247,36 @@ def fit_loglog(hs, errs):
     sx, sy = lx.sum(), ly.sum()
     sxx, sxy = (lx * lx).sum(), (lx * ly).sum()
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
+
+
+def _cof(M):
+    return np.array([[M[1, 1], -M[1, 0]], [-M[0, 1], M[0, 0]]])
+
+
+def traction_by_loop(tractor, extension, pressure, dext=None, dp=None):
+    """Nodal traction p cof(I + G) n per interface dof, averaged over the
+    dof's interface-edge elements, by a loop over the evaluator's
+    (dof, elements, normal, reference points) records.  With coefficient
+    vectors ``dext`` and ``dp`` it returns the derivative
+    dp cof(I + G) n + p cof(dG) n instead."""
+    V, Q = tractor.vspace, tractor.pspace
+
+    def lift_grad(coefs, elem, ref):
+        cm = np.reshape(coefs, (-1, 2))[V.elem_dofs[elem]]  # (6, 2)
+        return cm.T @ (p2_shape_grad(*ref) @ V.inv_jac[elem])
+
+    out = np.zeros((len(tractor.records), 2))
+    for k, (_, elems, normal, refs) in enumerate(tractor.records):
+        acc = np.zeros(2)
+        for elem, ref in zip(elems, refs):
+            lam = p1_shape(*ref)
+            pdofs = Q.elem_dofs[elem]
+            p = lam @ pressure[pdofs]
+            Kn = _cof(np.eye(2) + lift_grad(extension, elem, ref)) @ normal
+            if dext is None:
+                acc += p * Kn
+            else:
+                acc += (lam @ dp[pdofs]) * Kn \
+                    + p * (_cof(lift_grad(dext, elem, ref)) @ normal)
+        out[k] = acc / len(elems)
+    return out

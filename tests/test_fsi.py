@@ -15,6 +15,7 @@ from fsichannel.fsi import (
 from fsichannel.geomap import identity_fields, interface_dofs
 from fsichannel.spaces import FEFunction
 from conftest import LAME, NU, mirror_dof_error
+from oracles import traction_by_loop
 
 
 def _zero_extension(vspace):
@@ -53,15 +54,38 @@ def test_traction_per_node_oracle(default_mesh, fsi_base):
     solver = FSISolver(default_mesh, LAME, NU)
     state = fsi_base
     evaluated = solver.tractor.evaluate(state.extension, state.fluid.p)
-    for k, (d, elems, normal, refs) in enumerate(solver.tractor.records):
-        acc = np.zeros(2)
-        for elem, ref in zip(elems, refs):
-            K = solver.tractor._K_at(state.extension, elem, ref)
-            lam = np.array([1.0 - ref[0] - ref[1], ref[0], ref[1]])
-            pv = float(lam @ state.fluid.p.coefficients[
-                solver.pspace.elem_dofs[elem]])
-            acc += pv * (K @ normal)
-        assert np.abs(evaluated[k] - acc / len(elems)).max() <= 1e-14
+    looped = traction_by_loop(solver.tractor, state.extension.coefficients,
+                              state.fluid.p.coefficients)
+    assert np.abs(evaluated - looped).max() <= 1e-14
+
+
+@pytest.mark.parametrize("projected", [False, True])
+def test_traction_derivative_matches_loop_oracle(fsi_solver, fsi_base,
+                                                 projected):
+    # smooth lift and pressure directions, one by one and as two columns
+    V, Q = fsi_solver.vspace, fsi_solver.pspace
+    tractor = fsi_solver.tractor
+    xv, xq = V.dof_coords, Q.dof_coords
+    dext = np.stack([
+        np.column_stack([np.sin(3 * xv[:, 0]) * np.cos(2 * xv[:, 1]),
+                         np.cos(xv[:, 0] + xv[:, 1])]).ravel(),
+        np.column_stack([xv[:, 1] ** 2, np.sin(xv[:, 0])]).ravel(),
+    ], axis=1)
+    dp = np.stack([np.cos(xq[:, 0] - 2 * xq[:, 1]), xq[:, 0] * xq[:, 1]],
+                  axis=1)
+    ext, p = fsi_base.extension.coefficients, fsi_base.fluid.p.coefficients
+    both = tractor.derivative(fsi_base.extension, fsi_base.fluid.p, dext, dp,
+                              projected)
+    for k in range(2):
+        looped = traction_by_loop(tractor, ext, p, dext[:, k], dp[:, k])
+        if projected:
+            n = tractor.normals
+            looped = np.sum(looped * n, axis=1, keepdims=True) * n
+        one = tractor.derivative(fsi_base.extension, fsi_base.fluid.p,
+                                 dext[:, k], dp[:, k], projected)
+        scale = np.abs(looped).max()
+        assert np.abs(one - looped).max() <= 1e-13 * scale
+        assert np.abs(both[..., k] - looped).max() <= 1e-13 * scale
 
 
 def test_traction_projected_flag(default_mesh, fsi_base):
@@ -74,6 +98,16 @@ def test_traction_projected_flag(default_mesh, fsi_base):
         # projected traction has no tangential part
         tang = np.array([-normal[1], normal[0]])
         assert abs(proj[k] @ tang) <= 1e-14
+
+
+def test_normal_projected_state_has_small_residual(fsi_solver,
+                                                  operating_inflow):
+    # the residual evaluates the traction the state was solved with
+    state = fsi_solver.solve(operating_inflow, CouplingOptions(
+        tol=1e-11, fluid_tol=1e-12,
+        traction_interpretation="normal-projected"))
+    assert state.traction_interpretation == "normal-projected"
+    assert fsi_solver.residual(state, operating_inflow) <= 1e-7
 
 
 def test_zero_inflow_zero_state(fsi_solver):

@@ -147,6 +147,46 @@ def test_compare_identical_and_differing(tmp_path):
     rows, ok, ok_inf = vtk_diff(move_cell)
     assert not ok and not ok_inf
     assert any(kind == "structure" for _, kind, _ in rows)
+    open(b_vtk, "w").write(text)
+
+    # summary.json: numbers normwise, the artifact hashes skipped
+    b_summary = os.path.join(b, "summary.json")
+    with open(b_summary) as fh:
+        summary = json.load(fh)
+
+    def summary_ok(edit):
+        changed = json.loads(json.dumps(summary))
+        edit(changed)
+        write_json(b_summary, changed)
+        return compare(a, b, tol=1e-12)
+
+    def round_off(sm):
+        sm["config"]["target_edge_length"] *= 1 + 1e-14
+        sm["artifacts"] = {k: "0" * 64 for k in sm["artifacts"]}
+
+    rows, ok = summary_ok(round_off)
+    assert ok and 0.0 < max(v for n, _, v in rows if n == "summary.json config")
+    _, ok = summary_ok(lambda sm: sm.update({"pass": False}))
+    assert not ok
+    _, ok = summary_ok(lambda sm: sm["checks"].update({"nodes": 1}))
+    assert not ok
+    write_json(b_summary, summary)
+
+    # CSV: each float column normwise; header, row count, integers exact
+    header = ("iter", "residual", "ratio")
+    base = [(0, 0.5, ""), (1, 3e-7, 0.02), (2, 5.191e-13, 0.03)]
+    write_csv(os.path.join(a, "report.csv"), header, base)
+
+    def csv_ok(rows_b, tol=1e-12):
+        write_csv(os.path.join(b, "report.csv"), header, rows_b)
+        return compare(a, b, tol)[1]
+
+    # entrywise the last residual moves by 1.9e-4, normwise by 2e-19
+    assert csv_ok(base[:2] + [(2, 5.192e-13, 0.03)])
+    assert not csv_ok(base[:2] + [(2, 5.192e-13, 0.03)], tol=0.0)
+    assert not csv_ok(base[:2], tol=float("inf"))
+    assert not csv_ok(base[:2] + [(3, 5.191e-13, 0.03)], tol=float("inf"))
+    assert not csv_ok(base[:2] + [(2, 5.191e-13, 0.5)])
 
 
 def _run_cli(args, env_extra, cwd):
@@ -156,23 +196,22 @@ def _run_cli(args, env_extra, cwd):
 
 
 def test_determinism_across_thread_counts(tmp_path):
+    # the derivative adds a dense LAPACK solve and multi-column products
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(FAST))
-    outs = []
-    for threads in ("1", "4"):
-        out = str(tmp_path / f"t{threads}")
-        res = _run_cli(
-            ["solve-ns", "--config", str(cfg), "--out", out, "--seed", "7"],
-            {"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads},
-            str(tmp_path))
-        assert res.returncode == 0, res.stderr
-        outs.append(out)
-    summaries = []
-    for out in outs:
-        with open(os.path.join(out, "summary.json")) as fh:
-            summaries.append(json.load(fh))
-    # identical artifact hashes: bit-for-bit reproducible results
-    assert summaries[0]["artifacts"] == summaries[1]["artifacts"]
+    for scenario in ("solve-ns", "sensitivity"):
+        summaries = []
+        for threads in ("1", "4"):
+            out = str(tmp_path / f"{scenario}-t{threads}")
+            res = _run_cli(
+                [scenario, "--config", str(cfg), "--out", out, "--seed", "7"],
+                {"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads},
+                str(tmp_path))
+            assert res.returncode == 0, res.stderr
+            with open(os.path.join(out, "summary.json")) as fh:
+                summaries.append(json.load(fh))
+        # identical artifact hashes: bit-for-bit reproducible results
+        assert summaries[0]["artifacts"] == summaries[1]["artifacts"], scenario
 
 
 def test_mesh_roundtrip_io(tmp_path, coarse_mesh):

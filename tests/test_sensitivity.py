@@ -10,12 +10,19 @@ from fsichannel.fsi import (
     MeshTangledError,
     OuterDivergenceError,
 )
-from fsichannel.geomap import TangledMeshError, interface_dofs, transform_fields
+from fsichannel.geomap import (
+    TangledMeshError,
+    interface_dofs,
+    transform_derivatives,
+    transform_fields,
+)
+from fsichannel.quadrature import TRI_POINTS
 from fsichannel.elasticity import interface_trace
 from fsichannel.sensitivity import (
     SensitivitySolver,
     coefficient_rhs,
     contraction_probe,
+    lift_operator,
     linearized_wrt_g,
     linearized_wrt_u,
     solve_fsi_sensitivity,
@@ -175,6 +182,59 @@ def test_sensitivity_matches_monolithic_oracle(coarse_base):
     assert err <= 1e-8
 
 
+def test_lift_operator_matches_coefficient_rhs(fsi_solver, fsi_base, sens):
+    # B @ v against the matrix-free load of the same smooth lift v
+    V, Q = fsi_solver.vspace, fsi_solver.pspace
+    B = lift_operator(V, Q, fsi_base.fields, fsi_base.fluid.w,
+                      fsi_base.fluid.p, fsi_solver.nu)
+    rng = np.random.default_rng(3)
+    x, y = V.dof_coords[:, 0], V.dof_coords[:, 1]
+    for _ in range(3):
+        a, b, c = rng.uniform(0.5, 3.0, size=3)
+        v = FEFunction(V, np.column_stack([
+            np.sin(a * x) * np.cos(b * y), np.cos(c * x + y) * y]).ravel())
+        derivs = transform_derivatives(fsi_base.fields,
+                                       v.gradients_at(TRI_POINTS))
+        ref = sens._scaled_rhs(derivs)
+        assert np.abs(B @ v.coefficients - ref).max() \
+            <= 1e-12 * np.abs(ref).max()
+
+
+def test_coupling_matrix_matches_columns(coarse_base):
+    # the explicit Schur matrix against one coupling-map application per
+    # unit interface trace
+    solver, g, base = coarse_base
+    sens = SensitivitySolver(solver, base)
+    S = solver.sspace
+    scalar_if = interface_dofs(S)
+    vec_if = np.column_stack([2 * scalar_if, 2 * scalar_if + 1]).ravel()
+    T = np.zeros((len(vec_if), len(vec_if)))
+    for j, dof in enumerate(vec_if):
+        e = FEFunction.zeros(S)
+        e.coefficients[dof] = 1.0
+        T[:, j] = sens.apply_coupling_map(e).coefficients[vec_if]
+    assert np.abs(sens.coupling_matrix - T).max() <= 1e-10 * np.abs(T).max()
+
+
+def test_schur_report_holds_check_residual(fsi_solver, fsi_base):
+    H = fsi_solver.mesh.geometry.channel_height
+    state = solve_fsi_sensitivity(fsi_solver, fsi_base, InflowProfile(1.0, H))
+    rep = state.report
+    assert (rep.mode, rep.iterations, rep.converged) == ("schur", 1, True)
+    assert len(rep.residual_history) == 1
+    assert rep.residual_history[0] <= 1e-12
+
+
+def test_schur_check_failure_raises_with_report(fsi_solver, fsi_base):
+    H = fsi_solver.mesh.geometry.channel_height
+    with pytest.raises(ConvergenceError) as err:
+        solve_fsi_sensitivity(fsi_solver, fsi_base, InflowProfile(1.0, H),
+                              tol=1e-20)
+    assert err.value.report.mode == "schur"
+    assert not err.value.report.converged
+    assert err.value.report.residual_history[0] > 1e-20
+
+
 def test_taylor_remainder_slopes(fsi_solver, fsi_base):
     H = fsi_solver.mesh.geometry.channel_height
     report = taylor_test(
@@ -277,3 +337,42 @@ def test_stiff_solid_approaches_frozen_interface(coarse_mesh):
     # both the coupling strength and the base deformation shrink with mu,
     # so a 100x stiffer solid should cut the gap by well over an order
     assert gaps[1] < 0.03 * gaps[0]
+
+
+def test_taylor_slopes_normal_projected(fsi_solver):
+    # the derivative projects its traction like the state it differentiates
+    H = fsi_solver.mesh.geometry.channel_height
+    opts = CouplingOptions(tol=1e-11, fluid_tol=1e-12,
+                           traction_interpretation="normal-projected")
+    report = taylor_test(
+        fsi_solver,
+        g_of=lambda m: InflowProfile(0.05 + m, H),
+        dg_of=InflowProfile(1.0, H),
+        h_list=[1e-2, 3e-3, 1e-3],
+        opts=opts,
+    )
+    assert report.slope_u >= 1.8
+    assert report.slope_w >= 1.8
+    assert report.slope_p >= 1.8
+
+
+def test_derivative_where_fixed_point_does_not_contract(fsi_solver):
+    # at g = 0.22 the relaxed outer loop converges, but the unrelaxed
+    # derivative map has spectral radius near 0.92, where a fixed point
+    # needs hundreds of iterations; the direct solve is unaffected
+    H = fsi_solver.mesh.geometry.channel_height
+    opts = CouplingOptions(relaxation=0.6, tol=1e-11, fluid_tol=1e-12)
+    base = fsi_solver.solve(InflowProfile(0.22, H), opts)
+    sens = SensitivitySolver(fsi_solver, base)
+    state = sens.solve(InflowProfile(1.0, H))
+    assert state.report.converged
+    assert np.abs(np.linalg.eigvals(sens.coupling_matrix)).max() >= 0.85
+    report = taylor_test(
+        fsi_solver,
+        g_of=lambda m: InflowProfile(0.22 + m, H),
+        dg_of=InflowProfile(1.0, H),
+        h_list=[1e-2, 3e-3, 1e-3],
+        opts=opts,
+        base=base,
+    )
+    assert report.slope_u >= 1.8
