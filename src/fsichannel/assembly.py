@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .linsolve import SaddleSystem
 from .quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS, TRI_WEIGHTS
 from .spaces import FEFunction, Space, read_only
 
@@ -243,11 +242,14 @@ def transformed_oseen_system(
     nu=1.0,
     advector: FEFunction | None = None,
     reaction_with: FEFunction | None = None,
-) -> SaddleSystem:
-    """Assemble the transformed (Navier-)Stokes saddle system.
+) -> sp.csr_matrix:
+    """Assemble the transformed (Navier-)Stokes operator as one CSR matrix
+    [[A_vv, A_vp], [A_pv, 0]] on the stacked [v; p] dofs.
 
-    The do-nothing outflow condition is natural for this weak form: no
-    surface term is assembled on the outflow boundary.
+    ``A_vv`` is the viscous block plus the convection by ``advector`` and
+    the reaction with ``reaction_with`` when given.  The do-nothing outflow
+    condition is natural for this weak form: no surface term is assembled
+    on the outflow boundary.
     """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
@@ -258,14 +260,8 @@ def transformed_oseen_system(
     if reaction_with is not None:
         A_vv = A_vv + assemble_reaction(vspace, reaction_with, K)
     A_vp, A_pv = assemble_pressure_blocks(vspace, pspace, K)
-    return SaddleSystem(
-        A_vv,
-        A_vp,
-        A_pv,
-        None,
-        np.zeros(vspace.ndof),
-        np.zeros(pspace.ndof),
-    )
+    A_pp = sp.csr_matrix((pspace.ndof, pspace.ndof))
+    return sp.bmat([[A_vv, A_vp], [A_pv, A_pp]], format="csr")
 
 
 # ---- right-hand sides ---------------------------------------------------

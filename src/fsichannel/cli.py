@@ -18,7 +18,12 @@ import sys
 import numpy as np
 
 from .elasticity import interface_trace
-from .fluid import ConvergenceError, InflowProfile, solve_navier_stokes
+from .fluid import (
+    ConvergenceError,
+    InflowProfile,
+    solve_linearized,
+    solve_navier_stokes,
+)
 from .fsi import CouplingOptions, FSISolver, MeshTangledError, OuterDivergenceError
 from .geomap import EllipticityError, TangledMeshError
 from .io import read_vtk, save_mesh, vertex_values, write_csv, write_json, write_vtk
@@ -61,7 +66,6 @@ DEFAULTS = {
     "relaxation": 1.0,
     "traction_interpretation": "full-vector",
     "warm_start": True,
-    "linearized_mode": "direct",
     "h_list": [1e-2, 3e-3, 1e-3, 3e-4],
     "mms_kind": "trig",
     "mms_levels": 4,
@@ -110,8 +114,6 @@ def resolve_config(raw):
     if cfg["traction_interpretation"] not in ("full-vector", "normal-projected"):
         raise ConfigError("traction_interpretation must be full-vector or "
                           "normal-projected")
-    if cfg["linearized_mode"] not in ("direct", "T-iteration"):
-        raise ConfigError("linearized_mode must be direct or T-iteration")
     if cfg["mms_kind"] not in ("trig", "polynomial"):
         raise ConfigError("mms_kind must be trig or polynomial")
     return cfg
@@ -143,6 +145,11 @@ def mesh_from_config(cfg):
 
 def _inflow(cfg, key="g_magnitude"):
     return InflowProfile(float(cfg[key]), float(cfg["channel_height"]))
+
+
+def _fsi_solver(cfg):
+    return FSISolver(mesh_from_config(cfg), (float(cfg["lam"]), float(cfg["mu"])),
+                     float(cfg["nu"]))
 
 
 def _coupling_options(cfg):
@@ -213,12 +220,10 @@ def run_solve_ns(cfg, out, seed):
     ("fields_fsi.vtk", "report_fsi.csv", "summary.json"),
 )
 def run_solve_fsi(cfg, out, seed):
-    mesh = mesh_from_config(cfg)
-    solver = FSISolver(mesh, (float(cfg["lam"]), float(cfg["mu"])),
-                       float(cfg["nu"]))
+    solver = _fsi_solver(cfg)
     state = solver.solve(_inflow(cfg), _coupling_options(cfg))
     residual = float(solver.residual(state, _inflow(cfg)))
-    write_vtk(os.path.join(out, "fields_fsi.vtk"), mesh, point_data={
+    write_vtk(os.path.join(out, "fields_fsi.vtk"), solver.mesh, point_data={
         "velocity": vertex_values(state.fluid.w),
         "pressure": vertex_values(state.fluid.p),
         "displacement": vertex_values(state.u),
@@ -246,13 +251,11 @@ def run_solve_fsi(cfg, out, seed):
     ("fields_sens.vtk", "report_sens.csv", "summary.json"),
 )
 def run_sensitivity(cfg, out, seed):
-    mesh = mesh_from_config(cfg)
-    solver = FSISolver(mesh, (float(cfg["lam"]), float(cfg["mu"])),
-                       float(cfg["nu"]))
+    solver = _fsi_solver(cfg)
     base = solver.solve(_inflow(cfg), _coupling_options(cfg))
     schur = SensitivitySolver(solver, base)
     sens = schur.solve(_inflow(cfg, "dg_magnitude"))
-    write_vtk(os.path.join(out, "fields_sens.vtk"), mesh, point_data={
+    write_vtk(os.path.join(out, "fields_sens.vtk"), solver.mesh, point_data={
         "dvelocity": vertex_values(sens.dw),
         "dpressure": vertex_values(sens.dp),
         "ddisplacement": vertex_values(sens.du),
@@ -276,9 +279,7 @@ def run_sensitivity(cfg, out, seed):
     ("report_taylor.csv", "summary.json"),
 )
 def run_taylor(cfg, out, seed):
-    mesh = mesh_from_config(cfg)
-    solver = FSISolver(mesh, (float(cfg["lam"]), float(cfg["mu"])),
-                       float(cfg["nu"]))
+    solver = _fsi_solver(cfg)
     m0 = float(cfg["g_magnitude"])
     dm = float(cfg["dg_magnitude"])
     H = float(cfg["channel_height"])
@@ -297,7 +298,8 @@ def run_taylor(cfg, out, seed):
         "slope_p": report.slope_p,
     }
     ok = all(s >= 1.8 for s in slopes.values())
-    return {**slopes, "n_valid_h": len(report.hs)}, ok
+    return {**slopes, "n_valid_h": len(report.hs),
+            "n_dropped": len(report.dropped)}, ok
 
 
 @scenario(
@@ -336,11 +338,7 @@ def run_mms(cfg, out, seed):
     ("report_probes.csv", "summary.json"),
 )
 def run_probes(cfg, out, seed):
-    from .fluid import solve_linearized
-
-    mesh = mesh_from_config(cfg)
-    solver = FSISolver(mesh, (float(cfg["lam"]), float(cfg["mu"])),
-                       float(cfg["nu"]))
+    solver = _fsi_solver(cfg)
     H = float(cfg["channel_height"])
     opts = _coupling_options(cfg)
     rows = []
@@ -548,7 +546,6 @@ def main(argv=None):
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=f"out-{name}")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--log-level", default="info")
     dp = sub.add_parser("describe")
     dp.add_argument("scenario")
     cp = sub.add_parser("compare")

@@ -90,11 +90,6 @@ def solid_space(mesh) -> Space:
     return make_space(mesh, order=2, arity=2, subdomain=SOLID)
 
 
-def solve_elasticity(mesh, f1, traction, lame) -> FEFunction:
-    """One-shot clamped solve; see :class:`ElasticitySolver` for arguments."""
-    return ElasticitySolver(solid_space(mesh), lame).solve(f1, traction)
-
-
 def interface_trace(u: FEFunction) -> np.ndarray:
     """Displacement values at the interface dofs, shape (n_interface, 2).
 

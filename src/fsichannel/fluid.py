@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly as asm
-from .linsolve import FrozenFactorization, SaddleSystem, apply_dirichlet, solve_sparse
+from .linsolve import FrozenFactorization
 from .mesh import FLUID, TAG_INFLOW, TAG_INTERFACE, TAG_WALL
 from .spaces import FEFunction, Space, make_space
 
@@ -122,22 +122,16 @@ def _inflow_values(vspace, g):
     return dofs, vals.ravel()
 
 
-def dirichlet_sets(vspace, g):
-    """(dofs, values) for inflow data g plus homogeneous wall/interface."""
-    gdofs, gvals = _inflow_values(vspace, g)
-    sets = [(gdofs, gvals)]
-    for tag in (TAG_WALL, TAG_INTERFACE):
-        if len(vspace.mesh.edges_with_tag(tag)) == 0:
-            continue
-        d = 2 * vspace.boundary_scalar_dofs(tag, exclusive=True)
-        d = np.concatenate([d, d + 1])
-        sets.append((d, np.zeros(len(d))))
-    return sets
-
-
 def dirichlet_dofs(vspace):
-    """Sorted velocity dofs constrained on the inflow, walls and interface."""
-    return np.unique(np.concatenate([d for d, _ in dirichlet_sets(vspace, None)]))
+    """Sorted velocity dofs constrained on the inflow, walls and interface.
+
+    Each tag keeps only its exclusive dofs, so the three groups are
+    disjoint; the sorted order fixes the column order of the LU."""
+    groups = [vspace.boundary_dofs(TAG_INFLOW, exclusive=True)]
+    groups += [vspace.boundary_dofs(tag, exclusive=True)
+               for tag in (TAG_WALL, TAG_INTERFACE)
+               if len(vspace.mesh.edges_with_tag(tag))]
+    return np.unique(np.concatenate(groups))
 
 
 def dirichlet_vector(vspace, pspace, g):
@@ -180,7 +174,7 @@ class PicardSolver:
         self.nu = float(nu)
         self.norms_v = asm.NormSet(vspace)
         self.norms_p = asm.NormSet(pspace)
-        self._M_I = asm.transformed_oseen_system(vspace, pspace, None, nu).full_matrix()
+        self._M_I = asm.transformed_oseen_system(vspace, pspace, None, nu)
         self._lu = FrozenFactorization(self._M_I, dirichlet_dofs(vspace))
 
     def loads(self, f=None, f2=None, f3=None):
@@ -191,8 +185,7 @@ class PicardSolver:
         n_v = self.vspace.ndof
         w = FEFunction(self.vspace, x[:n_v])
         sysm = asm.transformed_oseen_system(
-            self.vspace, self.pspace, fields, self.nu, advector=w
-        ).full_matrix()
+            self.vspace, self.pspace, fields, self.nu, advector=w)
         return _weak_residual(sysm @ x - F, self._lu.cdofs, F)
 
     def solve(self, fields=None, g=None, f=None, f2=None, f3=None,
@@ -205,8 +198,8 @@ class PicardSolver:
             D = None
             K = None
         else:
-            M_A = asm.transformed_oseen_system(V, Q, fields, self.nu).full_matrix()
-            D = (M_A - self._M_I).tocsr()
+            M_A = asm.transformed_oseen_system(V, Q, fields, self.nu)
+            D = M_A - self._M_I
             K = fields.K
 
         x0 = np.zeros(V.ndof + Q.ndof) if initial is None else initial
@@ -245,7 +238,7 @@ def solve_navier_stokes(mesh, fields=None, g=None, f=None, f2=None, f3=None,
     return solver.solve(fields, g, f, f2, f3, tol=tol, max_iter=max_iter)
 
 
-def linearized_system(vspace, pspace, fields, base_w, nu) -> SaddleSystem:
+def linearized_system(vspace, pspace, fields, base_w, nu):
     """Full linearized operator at base_w: viscous + both convection
     linearizations + pressure/divergence, all with the given coefficients."""
     return asm.transformed_oseen_system(
@@ -273,22 +266,20 @@ def solve_linearized(vspace, pspace, fields, base_w, dg=None, f=None, f2=None,
     if rhs_extra is not None:
         F = F + rhs_extra
 
+    prescribed = dirichlet_vector(vspace, pspace, dg)
     if mode == "direct":
-        system = linearized_system(vspace, pspace, fields, base_w, nu)
-        system.rhs_v[:] = F[:n_v]
-        system.rhs_p[:] = F[n_v:]
-        x = solve_sparse(apply_dirichlet(system, dirichlet_sets(vspace, dg)))
+        A = linearized_system(vspace, pspace, fields, base_w, nu)
+        x = FrozenFactorization(A, dirichlet_dofs(vspace)).solve(F, prescribed)
         report = SolverReport(iterations=1, converged=True, mode="direct")
         return FEFunction(vspace, x[:n_v]), FEFunction(pspace, x[n_v:]), report
 
     if mode != "T-iteration":
         raise ValueError(f"unknown mode {mode!r}")
 
-    M_I = linearized_system(vspace, pspace, None, base_w, nu).full_matrix()
+    M_I = linearized_system(vspace, pspace, None, base_w, nu)
     lu = FrozenFactorization(M_I, dirichlet_dofs(vspace))
-    M_full = linearized_system(vspace, pspace, fields, base_w, nu).full_matrix()
-    D = (M_full - M_I).tocsr()
-    prescribed = dirichlet_vector(vspace, pspace, dg)
+    M_full = linearized_system(vspace, pspace, fields, base_w, nu)
+    D = M_full - M_I
 
     norm = _product_norm(asm.NormSet(vspace), asm.NormSet(pspace), n_v)
 

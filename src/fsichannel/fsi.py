@@ -178,11 +178,6 @@ class TractionEvaluator:
         return self._average(vals, projected).reshape(-1, 2, *rest)
 
 
-def traction(extension, pressure, vspace, pspace, projected=False):
-    """One-shot nodal traction; see :class:`TractionEvaluator`."""
-    return TractionEvaluator(vspace, pspace).evaluate(extension, pressure, projected)
-
-
 class FSISolver:
     """Reusable coupled solver: factorizations built once per mesh."""
 
@@ -261,13 +256,4 @@ class FSISolver:
         r_solid[self.solid.clamped] = 0.0
         r_fix = self.norms_u.h1_norm(u_next.coefficients - fsistate.u.coefficients)
         return r_fluid + float(np.linalg.norm(r_solid)) + r_fix
-
-
-def solve_fsi(mesh, g, lame, nu=1.0, opts: CouplingOptions | None = None) -> FSIState:
-    return FSISolver(mesh, lame, nu).solve(g, opts)
-
-
-def fsi_residual(state: FSIState, g, lame, nu=1.0, solver: FSISolver | None = None):
-    solver = solver or FSISolver(state.u.space.mesh, lame, nu)
-    return solver.residual(state, g)
 

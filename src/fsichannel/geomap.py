@@ -124,11 +124,6 @@ class HarmonicExtender:
         return cols.reshape(2 * n_s, 2 * k)
 
 
-def harmonic_extension(vspace: Space, trace_values) -> FEFunction:
-    """One-shot interface lift (see :class:`HarmonicExtender`)."""
-    return HarmonicExtender(vspace).extend(trace_values)
-
-
 def transform_fields(vspace: Space, extension: FEFunction) -> TransformFields:
     """Evaluate (DPhi, J, K, A) at all quadrature points of the fluid mesh.
 

@@ -1,11 +1,6 @@
-"""Saddle-point system container, Dirichlet elimination, and direct solves."""
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+"""Direct sparse solves with symmetric Dirichlet elimination."""
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
@@ -16,105 +11,6 @@ RESIDUAL_RTOL = 1e-10
 class SingularSystemError(RuntimeError):
     """A direct solve failed: singular factorization, non-finite result or
     residual above ``RESIDUAL_RTOL``."""
-
-
-class DirichletConflictError(ValueError):
-    """Two prescriptions at a shared dof disagree."""
-
-
-@dataclass
-class SaddleSystem:
-    """Block system [[A_vv, A_vp], [A_pv, A_pp]] x = [rhs_v; rhs_p].
-
-    Constraints are (dof, value) records in the stacked [v; p] numbering and
-    are eliminated symmetrically at solve time.  ``A_pp`` and off-diagonal
-    blocks may be ``None`` (zero).
-    """
-
-    A_vv: sp.spmatrix
-    A_vp: sp.spmatrix | None
-    A_pv: sp.spmatrix | None
-    A_pp: sp.spmatrix | None
-    rhs_v: np.ndarray
-    rhs_p: np.ndarray | None
-    constrained_dofs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    constrained_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    @property
-    def n_v(self):
-        return self.A_vv.shape[0]
-
-    @property
-    def n_p(self):
-        if self.A_vp is not None:
-            return self.A_vp.shape[1]
-        if self.A_pv is not None:
-            return self.A_pv.shape[0]
-        return 0
-
-    @property
-    def size(self):
-        return self.n_v + self.n_p
-
-    def full_matrix(self):
-        nv, np_ = self.n_v, self.n_p
-        if np_ == 0:
-            return self.A_vv.tocsr()
-        blocks = [
-            [self.A_vv, self.A_vp],
-            [self.A_pv, self.A_pp if self.A_pp is not None else sp.csr_matrix((np_, np_))],
-        ]
-        return sp.bmat(blocks, format="csr")
-
-    def full_rhs(self):
-        if self.n_p == 0:
-            return self.rhs_v.copy()
-        rp = self.rhs_p if self.rhs_p is not None else np.zeros(self.n_p)
-        return np.concatenate([self.rhs_v, rp])
-
-    def copy(self):
-        return SaddleSystem(
-            self.A_vv.copy(),
-            None if self.A_vp is None else self.A_vp.copy(),
-            None if self.A_pv is None else self.A_pv.copy(),
-            None if self.A_pp is None else self.A_pp.copy(),
-            self.rhs_v.copy(),
-            None if self.rhs_p is None else self.rhs_p.copy(),
-            self.constrained_dofs.copy(),
-            self.constrained_values.copy(),
-        )
-
-
-def apply_dirichlet(system: SaddleSystem, assignments) -> SaddleSystem:
-    """Record Dirichlet constraints on the system.
-
-    ``assignments`` is an iterable of (dofs, values) pairs in the stacked
-    [v; p] dof numbering; values may be a scalar or an array matching dofs.
-    Conflicting values at a shared dof raise :class:`DirichletConflictError`.
-    """
-    out = system.copy()
-    seen = {int(d): float(v) for d, v in zip(out.constrained_dofs, out.constrained_values)}
-    for dofs, values in assignments:
-        dofs = np.asarray(dofs, dtype=np.int64)
-        values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
-        for d, v in zip(dofs, values):
-            d, v = int(d), float(v)
-            if d in seen and seen[d] != v:
-                raise DirichletConflictError(
-                    f"dof {d} prescribed both {seen[d]!r} and {v!r}"
-                )
-            seen[d] = v
-    dofs = np.fromiter(sorted(seen), dtype=np.int64, count=len(seen))
-    out.constrained_dofs = dofs
-    out.constrained_values = np.asarray([seen[int(d)] for d in dofs])
-    return out
-
-
-def solve_sparse(system: SaddleSystem):
-    """Direct sparse solve of a constrained system; see :class:`FrozenFactorization`."""
-    return FrozenFactorization(
-        system.full_matrix(), system.constrained_dofs, system.constrained_values
-    ).solve(system.full_rhs())
 
 
 class FrozenFactorization:

@@ -115,7 +115,7 @@ class SensitivitySolver:
         self.base = base
         V, Q = solver.vspace, solver.pspace
         self.nu = solver.nu
-        A = linearized_system(V, Q, base.fields, base.fluid.w, solver.nu).full_matrix()
+        A = linearized_system(V, Q, base.fields, base.fluid.w, solver.nu)
         self._lu = FrozenFactorization(A, dirichlet_dofs(V))
 
     def _linearized(self, dg=None, rhs_extra=None):
@@ -220,14 +220,6 @@ class SensitivitySolver:
         """One application of the interface map du -> S(0, dt[du]) with
         dg = 0: the operator whose spectral radius governs contraction."""
         return self._coupled_step(du, None)[0]
-
-
-def linearized_wrt_g(solver: FSISolver, base: FSIState, dg):
-    return SensitivitySolver(solver, base).linearized_wrt_g(dg)
-
-
-def linearized_wrt_u(solver: FSISolver, base: FSIState, du):
-    return SensitivitySolver(solver, base).linearized_wrt_u(du)
 
 
 def solve_fsi_sensitivity(solver: FSISolver, base: FSIState, dg,

@@ -275,17 +275,6 @@ class FEFunction:
     def zeros(cls, space):
         return cls(space, np.zeros(space.ndof))
 
-    @classmethod
-    def interpolate(cls, space, fn):
-        """Nodal interpolation of a callable (x, y) -> value(s)."""
-        vals = np.asarray([fn(x, y) for x, y in space.dof_coords], dtype=float)
-        if space.desc.arity == SCALAR:
-            return cls(space, vals.reshape(-1))
-        return cls(space, vals.reshape(-1))  # (n,2) interleaves as 2*s+c
-
-    def copy(self):
-        return FEFunction(self.space, self.coefficients.copy())
-
     def component_matrix(self):
         """Coefficients reshaped to (n_scalar, arity)."""
         return self.coefficients.reshape(self.space.n_scalar, self.space.desc.arity)

@@ -13,7 +13,6 @@ from fsichannel.elasticity import (
     ElasticitySolver,
     interface_trace,
     solid_space,
-    solve_elasticity,
 )
 from fsichannel.mesh import SOLID
 from fsichannel.spaces import FEFunction
@@ -171,6 +170,6 @@ def test_trace_of_prolongation_identity(solver):
 
 def test_one_shot_wrapper(default_mesh, solver):
     tr = outward_traction(solver, 1e-3)
-    a = solve_elasticity(default_mesh, None, tr, (1.0, 1.0))
+    a = ElasticitySolver(solid_space(default_mesh), (1.0, 1.0)).solve(None, tr)
     b = solver.solve(traction=tr)
     assert np.array_equal(a.coefficients, b.coefficients)

@@ -11,14 +11,8 @@ from oracles import (
 
 from fsichannel import assembly as asm
 from fsichannel.geomap import TransformFields, cof2, det2
-from fsichannel.linsolve import (
-    DirichletConflictError,
-    FrozenFactorization,
-    SaddleSystem,
-    SingularSystemError,
-    apply_dirichlet,
-    solve_sparse,
-)
+from fsichannel.fluid import dirichlet_dofs, fluid_spaces
+from fsichannel.linsolve import FrozenFactorization, SingularSystemError
 from fsichannel.mesh import FLUID, SOLID, build_channel_mesh, default_geometry
 from fsichannel.quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS, TRI_WEIGHTS
 from fsichannel.spaces import FEFunction, make_space, p1_basis, p2_basis
@@ -90,8 +84,7 @@ def test_oseen_assembly_matches_loop_oracle(coarse_mesh):
     Q = make_space(coarse_mesh, order=1, arity=1, subdomain=FLUID)
     rng = np.random.default_rng(1)
     adv = FEFunction(V, rng.standard_normal(V.ndof))
-    system = asm.transformed_oseen_system(V, Q, None, nu=0.7, advector=adv)
-    M = system.full_matrix().toarray()
+    M = asm.transformed_oseen_system(V, Q, None, nu=0.7, advector=adv).toarray()
 
     A_oracle, odofs = assemble_navier_stokes(
         coarse_mesh.nodes, tris, 0.7,
@@ -135,8 +128,7 @@ def test_oseen_assembly_matches_loop_oracle(coarse_mesh):
     J = det2(DPhi)
     A = np.einsum("eqij,eqkj->eqik", K, K) / J[..., None, None]
     fields = TransformFields(DPhi, J, K, A)
-    M = asm.transformed_oseen_system(V, Q, fields, nu=0.7,
-                                     advector=adv).full_matrix().toarray()
+    M = asm.transformed_oseen_system(V, Q, fields, nu=0.7, advector=adv).toarray()
     A_oracle, _ = assemble_navier_stokes(coarse_mesh.nodes, tris, 0.7,
                                          advector=adv_oracle, A_of=A_of,
                                          K_of=K_of)
@@ -178,12 +170,19 @@ def test_elasticity_rejects_bad_lame(default_mesh):
         asm.assemble_elasticity(S, -1.0, 1.0)
 
 
-def test_dirichlet_conflict_detected():
-    A = sp.eye(4, format="csr")
-    system = SaddleSystem(A, sp.csr_matrix((4, 2)), sp.csr_matrix((2, 4)),
-                          None, np.zeros(4), np.zeros(2))
-    with pytest.raises(DirichletConflictError):
-        apply_dirichlet(system, [([0], [1.0]), ([0], [2.0])])
+def test_dirichlet_groups_disjoint(default_mesh, coarse_mesh):
+    # the inflow data and the zero wall/interface values sit on disjoint
+    # dofs, so no two prescriptions can meet at one dof
+    for mesh in (default_mesh, coarse_mesh):
+        V, _ = fluid_spaces(mesh)
+        groups = [V.boundary_dofs(tag, exclusive=True)
+                  for tag in ("inflow", "wall", "interface")]
+        assert all(len(g) > 0 for g in groups)
+        for i, a in enumerate(groups):
+            for b in groups[i + 1:]:
+                assert len(np.intersect1d(a, b)) == 0
+        union = np.sort(np.concatenate(groups))
+        assert np.array_equal(dirichlet_dofs(V), union)
 
 
 def test_solve_sparse_matches_dense_oracle():
@@ -195,14 +194,11 @@ def test_solve_sparse_matches_dense_oracle():
     rhs = rng.standard_normal(n + m)
     # make the saddle system invertible by regularizing the (2,2) block
     C = -np.eye(m)
-    system = SaddleSystem(
-        sp.csr_matrix(A), sp.csr_matrix(B), sp.csr_matrix(B.T),
-        sp.csr_matrix(C), rhs[:n].copy(), rhs[n:].copy(),
-    )
-    constrained = apply_dirichlet(system, [([2, 5], [0.3, -0.1])])
-    x = solve_sparse(constrained)
-    full = np.block([[A, B], [B.T, C]])
+    M = sp.bmat([[sp.csr_matrix(A), sp.csr_matrix(B)],
+                 [sp.csr_matrix(B.T), sp.csr_matrix(C)]], format="csr")
     cdofs = [2, 5]
+    x = FrozenFactorization(M, cdofs, [0.3, -0.1]).solve(rhs)
+    full = np.block([[A, B], [B.T, C]])
     free = np.setdiff1d(np.arange(n + m), cdofs)
 
     def dense_oracle(rhs, cvals):
@@ -219,7 +215,7 @@ def test_solve_sparse_matches_dense_oracle():
 
     # two solves on one factorization: the default values, then new data
     # read from a full-length prescribed vector (the solvers' per-solve path)
-    lu = FrozenFactorization(constrained.full_matrix(), cdofs, [0.3, -0.1])
+    lu = FrozenFactorization(M, cdofs, [0.3, -0.1])
     assert np.array_equal(lu.solve(rhs), x)
     rhs2 = rng.standard_normal(n + m)
     prescribed = rng.standard_normal(n + m)

@@ -9,14 +9,15 @@ from fsichannel.fluid import (
     ConvergenceError,
     InflowProfile,
     PicardSolver,
-    dirichlet_sets,
+    dirichlet_dofs,
+    dirichlet_vector,
     fixed_point,
     fluid_spaces,
     solve_linearized,
     solve_navier_stokes,
 )
-from fsichannel.geomap import harmonic_extension, interface_dofs, transform_fields
-from fsichannel.linsolve import apply_dirichlet, solve_sparse
+from fsichannel.geomap import HarmonicExtender, interface_dofs, transform_fields
+from fsichannel.linsolve import FrozenFactorization
 from fsichannel.mesh import FLUID, build_channel_mesh, straight_channel
 from fsichannel.spaces import FEFunction
 from conftest import mirror_dof_error
@@ -29,7 +30,7 @@ def deformed_fields(default_mesh):
     xy = V.dof_coords[iface]
     trace = 0.01 * np.column_stack(
         [np.sin(np.pi * xy[:, 0]), np.cos(np.pi * xy[:, 1])])
-    ext = harmonic_extension(V, trace)
+    ext = HarmonicExtender(V).extend(trace)
     return ext, transform_fields(V, ext)
 
 
@@ -64,8 +65,8 @@ def test_do_nothing_residual_at_outflow(straight_mesh):
     solver = PicardSolver(V, Q, nu=1.0)
     state, _ = solver.solve(None, g)
     x = state.stacked()
-    system = asm.transformed_oseen_system(V, Q, None, 1.0, advector=state.w)
-    r = system.full_matrix() @ x - solver.loads()
+    M = asm.transformed_oseen_system(V, Q, None, 1.0, advector=state.w)
+    r = M @ x - solver.loads()
     out_dofs = V.boundary_dofs("outflow", exclusive=True)
     assert np.abs(r[out_dofs]).max() <= 1e-9
 
@@ -112,8 +113,8 @@ def test_identity_reduction_bitwise(default_mesh):
 
     V, Q = fluid_spaces(default_mesh)
     ident = identity_fields(V)
-    a = asm.transformed_oseen_system(V, Q, ident, 1.0).full_matrix()
-    b = asm.transformed_oseen_system(V, Q, None, 1.0).full_matrix()
+    a = asm.transformed_oseen_system(V, Q, ident, 1.0)
+    b = asm.transformed_oseen_system(V, Q, None, 1.0)
     d = (a - b).tocoo()
     assert d.nnz == 0 or np.abs(d.data).max() == 0.0
 
@@ -237,8 +238,10 @@ def test_linearized_at_rest_is_stokes(default_mesh):
     dg = InflowProfile(1.0, H)
     zw, zp, _ = solve_linearized(V, Q, None, FEFunction.zeros(V), dg=dg,
                                  nu=1.0, mode="direct")
-    system = asm.transformed_oseen_system(V, Q, None, 1.0)
-    x = solve_sparse(apply_dirichlet(system, dirichlet_sets(V, dg)))
+    # plain Stokes: no advector and no reaction terms
+    stokes = asm.transformed_oseen_system(V, Q, None, 1.0)
+    x = FrozenFactorization(stokes, dirichlet_dofs(V)).solve(
+        np.zeros(V.ndof + Q.ndof), dirichlet_vector(V, Q, dg))
     scale = max(np.abs(x).max(), 1.0)
     assert np.abs(zw.coefficients - x[:V.ndof]).max() <= 1e-12 * scale
     assert np.abs(zp.coefficients - x[V.ndof:]).max() <= 1e-12 * scale
@@ -282,7 +285,7 @@ def test_t_iteration_matches_direct(default_mesh, operating_inflow,
     assert max(rep.increment_ratios) < 1.0
 
 
-def test_unknown_linearized_mode_rejected(default_mesh, deformed_fields):
+def test_solve_linearized_rejects_unknown_mode(default_mesh, deformed_fields):
     _, fields = deformed_fields
     V, Q = fluid_spaces(default_mesh)
     with pytest.raises(ValueError):

@@ -8,9 +8,6 @@ from fsichannel.fsi import (
     FSISolver,
     OuterDivergenceError,
     TractionEvaluator,
-    fsi_residual,
-    solve_fsi,
-    traction,
 )
 from fsichannel.geomap import identity_fields, interface_dofs
 from fsichannel.spaces import FEFunction
@@ -24,7 +21,7 @@ def _zero_extension(vspace):
 
 def test_traction_zero_pressure(default_mesh):
     V, Q = fluid_spaces(default_mesh)
-    t = traction(_zero_extension(V), FEFunction.zeros(Q), V, Q)
+    t = TractionEvaluator(V, Q).evaluate(_zero_extension(V), FEFunction.zeros(Q))
     assert t.shape == (len(interface_dofs(V)), 2)
     assert np.abs(t).max() == 0.0
 
@@ -35,7 +32,7 @@ def test_traction_constant_pressure_undeformed(default_mesh):
     V, Q = fluid_spaces(default_mesh)
     c = 2.5
     p = FEFunction(Q, np.full(Q.ndof, c))
-    t = traction(_zero_extension(V), p, V, Q)
+    t = TractionEvaluator(V, Q).evaluate(_zero_extension(V), p)
     mags = np.linalg.norm(t, axis=1)
     assert np.abs(mags - abs(c)).max() <= 1e-12
     # normals point out of the fluid (into the obstacle): at each dof the
@@ -210,9 +207,11 @@ def test_options_validation():
 
 
 def test_one_shot_wrapper_matches_solver(coarse_mesh, operating_inflow):
+    # one-shot use, a fresh solver per call: two solvers built on one mesh
+    # give the same bits, and a third one checks the state it did not compute
     opts = CouplingOptions(tol=1e-10)
-    a = solve_fsi(coarse_mesh, operating_inflow, LAME, NU, opts)
+    a = FSISolver(coarse_mesh, LAME, NU).solve(operating_inflow, opts)
     b = FSISolver(coarse_mesh, LAME, NU).solve(operating_inflow, opts)
     assert np.array_equal(a.u.coefficients, b.u.coefficients)
-    r = fsi_residual(a, operating_inflow, LAME, NU)
+    r = FSISolver(coarse_mesh, LAME, NU).residual(a, operating_inflow)
     assert r <= 1e-7

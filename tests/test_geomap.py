@@ -10,7 +10,6 @@ from fsichannel.geomap import (
     TangledMeshError,
     check_admissibility,
     cof2,
-    harmonic_extension,
     identity_fields,
     interface_dofs,
     piola_divergence,
@@ -25,6 +24,11 @@ from fsichannel.spaces import FEFunction, make_space
 @pytest.fixture(scope="module")
 def vspace(default_mesh):
     return make_space(default_mesh, order=2, arity=2, subdomain=FLUID)
+
+
+@pytest.fixture(scope="module")
+def extender(vspace):
+    return HarmonicExtender(vspace)
 
 
 def smooth_trace(vspace, amplitude, k=0):
@@ -47,7 +51,7 @@ def test_zero_extension_gives_identity(vspace):
 def test_harmonic_extension_against_dense_laplace(coarse_mesh):
     V = make_space(coarse_mesh, order=2, arity=2, subdomain=FLUID)
     trace = smooth_trace(V, 0.05)
-    ext = harmonic_extension(V, trace)
+    ext = HarmonicExtender(V).extend(trace)
 
     tris = coarse_mesh.triangles[coarse_mesh.tri_subdomain == FLUID]
     A_oracle, odofs = assemble_scalar_p2_stiffness(coarse_mesh.nodes, tris)
@@ -87,34 +91,34 @@ def test_cofactor_algebra_identity():
     assert np.allclose(prod, det[..., None, None] * np.eye(2), atol=1e-13)
 
 
-def test_cofactor_affinity(vspace):
+def test_cofactor_affinity(vspace, extender):
     # K[alpha u] - I = alpha (K[u] - I) for the 2x2 cofactor
     trace = smooth_trace(vspace, 0.02)
     I = np.eye(2)
     for alpha in (0.25, 0.5, 2.0):
         Ka = transform_fields(
-            vspace, harmonic_extension(vspace, alpha * trace)).K
-        K1 = transform_fields(vspace, harmonic_extension(vspace, trace)).K
+            vspace, extender.extend(alpha * trace)).K
+        K1 = transform_fields(vspace, extender.extend(trace)).K
         assert np.abs((Ka - I) - alpha * (K1 - I)).max() <= 1e-13
 
 
-def test_piola_identity_random_displacements(vspace):
+def test_piola_identity_random_displacements(vspace, extender):
     rng = np.random.default_rng(9)
     worst = 0.0
     for k in range(20):
         amp = rng.uniform(0.005, 0.03)
         trace = smooth_trace(vspace, amp, k=k % 5)
-        ext = harmonic_extension(vspace, trace)
+        ext = extender.extend(trace)
         check_admissibility(transform_fields(vspace, ext), beta=0.25)
         worst = max(worst, float(np.abs(piola_divergence(vspace, ext)).max()))
     assert worst <= 1e-10
 
 
-def test_transform_derivatives_fd(vspace):
+def test_transform_derivatives_fd(vspace, extender):
     trace = smooth_trace(vspace, 0.02)
-    ext = harmonic_extension(vspace, trace)
+    ext = extender.extend(trace)
     fields = transform_fields(vspace, ext)
-    dext = harmonic_extension(vspace, smooth_trace(vspace, 1.0, k=2))
+    dext = extender.extend(smooth_trace(vspace, 1.0, k=2))
     derivs = transform_derivatives(fields, dext.gradients_at(TRI_POINTS))
     out = {}
     for eps in (1e-5, 1e-6):
@@ -133,47 +137,48 @@ def test_transform_derivatives_fd(vspace):
     assert out[1e-6][2] <= 0.05 * out[1e-5][2]
 
 
-def test_dJ_and_dK_linear_exact(vspace):
+def test_dJ_and_dK_linear_exact(vspace, extender):
     # J and K are polynomial in the displacement gradient, so scaled
     # directions scale the derivative exactly
-    ext = harmonic_extension(vspace, smooth_trace(vspace, 0.02))
+    ext = extender.extend(smooth_trace(vspace, 0.02))
     fields = transform_fields(vspace, ext)
-    dext = harmonic_extension(vspace, smooth_trace(vspace, 1.0, k=1))
+    dext = extender.extend(smooth_trace(vspace, 1.0, k=1))
     d1 = transform_derivatives(fields, dext.gradients_at(TRI_POINTS))
     d2 = transform_derivatives(fields, 2.0 * dext.gradients_at(TRI_POINTS))
     assert np.abs(d2.dJ - 2 * d1.dJ).max() <= 1e-13
     assert np.abs(d2.dK - 2 * d1.dK).max() <= 1e-13
 
 
-def test_tangling_detected(vspace):
+def test_tangling_detected(vspace, extender):
     iface = interface_dofs(vspace)
     rng = np.random.default_rng(3)
     trace = 0.2 * rng.standard_normal((len(iface), 2))
     with pytest.raises(TangledMeshError):
-        transform_fields(vspace, harmonic_extension(vspace, trace))
+        transform_fields(vspace, extender.extend(trace))
 
 
-def test_ellipticity_floor_enforced(vspace):
+def test_ellipticity_floor_enforced(vspace, extender):
     trace = smooth_trace(vspace, 0.05)
-    fields = transform_fields(vspace, harmonic_extension(vspace, trace))
+    fields = transform_fields(vspace, extender.extend(trace))
     with pytest.raises(EllipticityError):
         check_admissibility(fields, beta=0.999)
 
 
-def test_extender_matches_one_shot(vspace):
+def test_extender_matches_one_shot(vspace, extender):
     trace = smooth_trace(vspace, 0.01)
+    # a fresh extender and the module's shared, reused one
     a = HarmonicExtender(vspace).extend(trace)
-    b = harmonic_extension(vspace, trace)
+    b = extender.extend(trace)
     assert np.array_equal(a.coefficients, b.coefficients)
 
 
 @settings(max_examples=15, deadline=None)
 @given(alpha=st.floats(-2, 2, allow_nan=False),
        beta=st.floats(-2, 2, allow_nan=False))
-def test_extension_linearity(vspace, alpha, beta):
+def test_extension_linearity(vspace, extender, alpha, beta):
     t1 = smooth_trace(vspace, 0.01)
     t2 = smooth_trace(vspace, 0.01, k=3)
-    ext = harmonic_extension(vspace, alpha * t1 + beta * t2)
-    combo = (alpha * harmonic_extension(vspace, t1).coefficients
-             + beta * harmonic_extension(vspace, t2).coefficients)
+    ext = extender.extend(alpha * t1 + beta * t2)
+    combo = (alpha * extender.extend(t1).coefficients
+             + beta * extender.extend(t2).coefficients)
     assert np.abs(ext.coefficients - combo).max() <= 1e-11

@@ -1,14 +1,17 @@
 """Static checks on the package source: no blanket ``except Exception``
-outside the CLI's top-level handler, no unused module-level imports, one
-fixed-point loop, and two-operand assembly kernels."""
+outside the CLI's top-level handler, no unused module-level imports, no
+function, class or method that nothing references, one fixed-point loop,
+and two-operand assembly kernels."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import fsichannel
 
 SRC = Path(fsichannel.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _parse(path):
@@ -54,6 +57,43 @@ def test_no_unused_module_level_imports():
             if name not in used:
                 found.append(f"{path.name}:{line} {name}")
     assert not found, f"unused imports: {found}"
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and the non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield item
+
+
+def _referenced_names(tree):
+    """Every name read as an ``ast.Name`` or an attribute, with repeats."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_no_unreferenced_definitions():
+    """Every definition is referenced somewhere in src/ or tests/ outside
+    its own body; a decorator call (the ``@scenario`` registry) counts as a
+    reference of what it registers."""
+    trees = {path: _parse(path) for path in MODULES + TESTS}
+    refs = Counter(name for tree in trees.values()
+                   for name in _referenced_names(tree))
+    found = []
+    for path in MODULES:
+        for node in _definitions(trees[path]):
+            if any(isinstance(d, ast.Call) for d in node.decorator_list):
+                continue
+            own = _referenced_names(node).count(node.name)
+            if refs[node.name] == own:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, f"unreferenced definitions: {found}"
 
 
 def test_increment_ratios_appended_only_in_fixed_point():

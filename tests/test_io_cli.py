@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
+from fsichannel import cli
 from fsichannel.cli import (
     DEFAULTS,
     EXIT_CHECKS_FAILED,
@@ -28,6 +29,7 @@ from fsichannel.io import (
     write_vtk,
 )
 from fsichannel.fluid import fluid_spaces
+from fsichannel.sensitivity import TaylorReport
 from fsichannel.spaces import FEFunction
 
 
@@ -51,6 +53,9 @@ def test_scenario_keys_are_known_config_keys():
     for info in SCENARIOS.values():
         for key in info["keys"]:
             assert key in DEFAULTS
+    # and the converse: every config key is read by some scenario
+    read = set().union(*(info["keys"] for info in SCENARIOS.values()))
+    assert read == set(DEFAULTS)
 
 
 def test_resolve_config_rejects_unknown_and_invalid():
@@ -77,6 +82,24 @@ def test_mesh_scenario_writes_artifacts(tmp_path):
         assert os.path.exists(os.path.join(out, art))
         if art != "summary.json":  # the summary holds the other hashes
             assert art in summary["artifacts"]
+
+
+def test_taylor_summary_counts_dropped_h(tmp_path, monkeypatch):
+    report = TaylorReport([3e-3, 1e-3, 3e-4], [9e-6, 1e-6, 9e-8],
+                          [9e-6, 1e-6, 9e-8], [9e-6, 1e-6, 9e-8],
+                          slope_u=2.0, slope_w=2.0, slope_p=2.0, dropped=[1e-2])
+    monkeypatch.setattr(cli, "taylor_test", lambda *args, **kwargs: report)
+    out = str(tmp_path / "t")
+    assert run("taylor-test", FAST, out) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        checks = json.load(fh)["checks"]
+    assert checks["n_valid_h"] == 3
+    assert checks["n_dropped"] == 1
+    # the dropped h gets no row of the remainder table
+    with open(os.path.join(out, "report_taylor.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "h,R_u,R_w,R_p"
+    assert len(lines) == 4
 
 
 def test_cli_exit_codes(tmp_path):

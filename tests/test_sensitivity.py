@@ -23,8 +23,6 @@ from fsichannel.sensitivity import (
     coefficient_rhs,
     contraction_probe,
     lift_operator,
-    linearized_wrt_g,
-    linearized_wrt_u,
     solve_fsi_sensitivity,
     taylor_test,
 )
@@ -70,16 +68,16 @@ def test_coefficient_rhs_zero_direction(fsi_solver, fsi_base, sens):
     assert np.abs(rhs).max() == 0.0
 
 
-def test_linearized_wrt_g_zero(fsi_solver, fsi_base):
-    dw, dp = linearized_wrt_g(fsi_solver, fsi_base, None)
+def test_linearized_wrt_g_zero(sens):
+    dw, dp = sens.linearized_wrt_g(None)
     assert np.abs(dw.coefficients).max() == 0.0
     assert np.abs(dp.coefficients).max() == 0.0
 
 
-def test_linearized_wrt_g_fd(fsi_solver, fsi_base):
+def test_linearized_wrt_g_fd(fsi_solver, fsi_base, sens):
     H = fsi_solver.mesh.geometry.channel_height
     dg = InflowProfile(1.0, H)
-    dw, dp = linearized_wrt_g(fsi_solver, fsi_base, dg)
+    dw, dp = sens.linearized_wrt_g(dg)
     base, _ = fsi_solver.fluid.solve(
         fsi_base.fields, InflowProfile(0.05, H), tol=1e-13)
     hs, rem = [], []
@@ -95,18 +93,18 @@ def test_linearized_wrt_g_fd(fsi_solver, fsi_base):
     assert fit_loglog(hs, rem) >= 1.8
 
 
-def test_linearized_wrt_u_zero(fsi_solver, fsi_base):
+def test_linearized_wrt_u_zero(fsi_solver, sens):
     du = FEFunction.zeros(fsi_solver.sspace)
-    dw, dp = linearized_wrt_u(fsi_solver, fsi_base, du)
+    dw, dp = sens.linearized_wrt_u(du)
     assert np.abs(dw.coefficients).max() == 0.0
     assert np.abs(dp.coefficients).max() == 0.0
 
 
-def test_linearized_wrt_u_fd(fsi_solver, fsi_base):
+def test_linearized_wrt_u_fd(fsi_solver, fsi_base, sens):
     H = fsi_solver.mesh.geometry.channel_height
     g = InflowProfile(0.05, H)
     du = smooth_direction(fsi_solver, seed=1)
-    dw, dp = linearized_wrt_u(fsi_solver, fsi_base, du)
+    dw, dp = sens.linearized_wrt_u(du)
     base, _ = fsi_solver.fluid.solve(fsi_base.fields, g, tol=1e-13)
     hs, rem = [], []
     for h in (1e-2, 3e-3, 1e-3):
@@ -328,8 +326,9 @@ def test_stiff_solid_approaches_frozen_interface(coarse_mesh):
     for mu in (50.0, 5000.0):
         solver = FSISolver(coarse_mesh, (1.0, mu), NU)
         base = solver.solve(g, TIGHT)
-        coupled = solve_fsi_sensitivity(solver, base, dg, tol=1e-12)
-        frozen_w, _ = linearized_wrt_g(solver, base, dg)
+        sens = SensitivitySolver(solver, base)
+        coupled = sens.solve(dg, tol=1e-12)
+        frozen_w, _ = sens.linearized_wrt_g(dg)
         num = solver.fluid.norms_v.h1_norm(
             coupled.dw.coefficients - frozen_w.coefficients)
         den = solver.fluid.norms_v.h1_norm(frozen_w.coefficients)
