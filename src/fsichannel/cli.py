@@ -237,6 +237,7 @@ def run_solve_fsi(cfg, out, seed):
         "coupled_residual": residual,
         "max_interface_displacement": float(
             np.abs(interface_trace(state.u)).max()),
+        "fluid_steps": sum(row[3] for row in state.log_rows),
     }, bool(state.report.converged and residual <= 1e-7)
 
 
@@ -470,13 +471,13 @@ def _compare_csv(pa, pb):
 
 def _json_diff(a, b):
     """Largest difference of two JSON values: floats and numeric lists
-    normwise, everything else (ints and bools included) exactly."""
+    normwise, everything else (ints and bools included) exactly.  Dicts
+    compare on their common keys; see ``_one_sided`` for the others."""
     if a == b and type(a) is type(b):
         return 0.0
     if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            return float("inf")
-        return max((_json_diff(a[k], b[k]) for k in a), default=0.0)
+        return max((_json_diff(a[k], b[k]) for k in a.keys() & b.keys()),
+                   default=0.0)
     if isinstance(a, list) and isinstance(b, list):
         try:
             x, y = np.array(a, dtype=float), np.array(b, dtype=float)
@@ -492,21 +493,33 @@ def _json_diff(a, b):
     return float("inf")
 
 
+def _one_sided(a, b, label):
+    """``removed``/``added`` rows for the dict keys, at any depth, that only
+    ``a``/only ``b`` holds: a new check or a dropped config key is listed,
+    not failed."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return []
+    rows = [(f"{label}{k}", "removed", 0.0) for k in sorted(a.keys() - b.keys())]
+    rows += [(f"{label}{k}", "added", 0.0) for k in sorted(b.keys() - a.keys())]
+    for k in sorted(a.keys() & b.keys()):
+        rows += _one_sided(a[k], b[k], f"{label}{k}.")
+    return rows
+
+
 def _compare_summary(pa, pb):
-    """One row per ``summary.json`` entry except ``artifacts``, whose
-    hashes cover the files that are compared directly."""
+    """One row per ``summary.json`` entry on both sides except
+    ``artifacts``, whose hashes cover the files that are compared directly,
+    plus the ``_one_sided`` rows."""
     with open(pa) as fa, open(pb) as fb:
         a, b = json.load(fa), json.load(fb)
     a.pop("artifacts", None)
     b.pop("artifacts", None)
-    if a.keys() != b.keys():
-        return [("", "structure", float("inf"))]
     rows = []
-    for key in sorted(a):
+    for key in sorted(a.keys() & b.keys()):
         diff = _json_diff(a[key], b[key])
         rows.append((f" {key}", "normwise" if diff < float("inf")
                      else "structure", diff))
-    return rows
+    return rows + _one_sided(a, b, " ")
 
 
 def compare(dir_a, dir_b, tol=0.0):
@@ -514,7 +527,8 @@ def compare(dir_a, dir_b, tol=0.0):
 
     CSV columns, VTK blocks and ``summary.json`` numbers are compared
     normwise, their structure exactly (see the ``_compare_*`` helpers);
-    other files by hash.  A structural mismatch fails at every tolerance."""
+    other files by hash.  A structural mismatch fails at every tolerance;
+    a ``summary.json`` key on one side only is listed and does not fail."""
     diffs = []
     ok = True
     names = sorted(

@@ -51,6 +51,9 @@ class SolverReport:
 
 # consecutive increment ratios >= 1 after which a fixed point is abandoned
 DIVERGENCE_STREAK = 5
+# an inner solve inside an outer fixed point stops at FORCING times the
+# outer relative increment (Eisenstat & Walker 1996), never below its own tol
+FORCING = 0.1
 
 
 def fixed_point(step, x0, norm, tol, max_iter, mode, error=ConvergenceError):

@@ -13,7 +13,14 @@ import scipy.sparse as sp
 
 from . import assembly as asm
 from .elasticity import ElasticitySolver, interface_trace, solid_space
-from .fluid import FluidState, PicardSolver, SolverReport, fixed_point, fluid_spaces
+from .fluid import (
+    FORCING,
+    FluidState,
+    PicardSolver,
+    SolverReport,
+    fixed_point,
+    fluid_spaces,
+)
 from .geomap import (
     HarmonicExtender,
     TangledMeshError,
@@ -52,8 +59,10 @@ class CouplingOptions:
     def __post_init__(self):
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation must lie in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.tol <= 0 or self.fluid_tol <= 0:
+            raise ValueError("tol and fluid_tol must be positive")
+        if self.max_outer_iter < 1 or self.fluid_max_iter < 1:
+            raise ValueError("iteration limits must be at least 1")
         if self.traction_interpretation not in ("full-vector", "normal-projected"):
             raise ValueError("unknown traction interpretation")
 
@@ -200,20 +209,25 @@ class FSISolver:
         opts = opts or CouplingOptions()
         omega = opts.relaxation
         projected = opts.traction_interpretation == "normal-projected"
-        x_fluid = None
+        norm = self.norms_u.h1_norm
+        x_fluid, r_prev = None, None
         per_step = []  # (fluid_iters, min_J, min_eig_A) of each outer step
 
         def step(u):
-            nonlocal x_fluid
+            nonlocal x_fluid, r_prev
             u_fn = FEFunction(self.sspace, u)
             ext = self.extension_of(u_fn)
             try:
                 fields = transform_fields(self.vspace, ext)
             except TangledMeshError as exc:
                 raise MeshTangledError(str(exc), u_fn) from exc
+            # inexact inner solve: the fluid need not be more accurate than
+            # the outer iterate it feeds (Eisenstat-Walker forcing)
+            fluid_tol = (opts.fluid_tol if r_prev is None
+                         else max(opts.fluid_tol, FORCING * r_prev))
             state, frep = self.fluid.solve(
                 fields, g,
-                tol=opts.fluid_tol, max_iter=opts.fluid_max_iter,
+                tol=fluid_tol, max_iter=opts.fluid_max_iter,
                 initial=x_fluid if opts.warm_start else None,
             )
             x_fluid = state.stacked()
@@ -221,10 +235,13 @@ class FSISolver:
             du = self.solid.solve(traction=t).coefficients - u
             per_step.append((frep.iterations, float(fields.J.min()),
                              float(fields.min_eig_A().min())))
-            return u + omega * du, omega * du, None
+            u_new, dx = u + omega * du, omega * du
+            # the relative increment fixed_point tests against tol
+            r_prev = norm(dx) / max(norm(u_new), 1e-30)
+            return u_new, dx, r_prev
 
         u, report = fixed_point(
-            step, np.zeros(self.sspace.ndof), self.norms_u.h1_norm,
+            step, np.zeros(self.sspace.ndof), norm,
             opts.tol, opts.max_outer_iter, "fsi-outer", OuterDivergenceError,
         )
         log_rows = [(k + 1, inc, ratio, *extra) for (k, _, ratio), inc, extra

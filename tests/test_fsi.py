@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fsichannel import fsi
 from fsichannel.elasticity import interface_trace
 from fsichannel.fluid import FluidState, InflowProfile, fluid_spaces
 from fsichannel.fsi import (
@@ -204,6 +205,34 @@ def test_options_validation():
         CouplingOptions(tol=-1.0)
     with pytest.raises(ValueError):
         CouplingOptions(traction_interpretation="sideways")
+    # fluid_tol is the floor of the forced inner tolerance and the tolerance
+    # of the final refresh solve, so it must be reachable
+    for bad in ({"fluid_tol": 0.0}, {"fluid_tol": -1e-11},
+                {"max_outer_iter": 0}, {"fluid_max_iter": 0}):
+        with pytest.raises(ValueError):
+            CouplingOptions(**bad)
+
+
+def test_inexact_fluid_solves(fsi_solver, fsi_base, operating_inflow,
+                              monkeypatch):
+    # after the first outer step the fluid is solved only to FORCING times
+    # the previous outer increment: the same outer iterates, and the fluid
+    # steps fall well below the 51 of a fluid_tol solve at every step
+    state = fsi_solver.solve(operating_inflow, CouplingOptions())
+    fluid_iters = [row[3] for row in state.log_rows]
+    assert max(fluid_iters[1:]) <= 2
+    assert sum(fluid_iters) <= 51 // 2
+    monkeypatch.setattr(fsi, "FORCING", 0.0)
+    exact = fsi_solver.solve(operating_inflow, CouplingOptions())
+    assert state.report.iterations == exact.report.iterations
+    # the returned state is as accurate as a tight solve's
+    for a, b, norm in (
+        (state.u, fsi_base.u, fsi_solver.norms_u.h1_norm),
+        (state.fluid.w, fsi_base.fluid.w, fsi_solver.fluid.norms_v.h1_norm),
+        (state.fluid.p, fsi_base.fluid.p, fsi_solver.fluid.norms_p.l2),
+    ):
+        assert norm(a.coefficients - b.coefficients) <= 1e-8 * norm(b.coefficients)
+    assert fsi_solver.residual(state, operating_inflow) <= 1e-7
 
 
 def test_one_shot_wrapper_matches_solver(coarse_mesh, operating_inflow):

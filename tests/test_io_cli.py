@@ -102,6 +102,19 @@ def test_taylor_summary_counts_dropped_h(tmp_path, monkeypatch):
     assert len(lines) == 4
 
 
+def test_fsi_summary_counts_fluid_steps(tmp_path):
+    out = str(tmp_path / "f")
+    assert run("solve-fsi", FAST, out) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        checks = json.load(fh)["checks"]
+    with open(os.path.join(out, "report_fsi.csv")) as fh:
+        lines = fh.read().splitlines()
+    col = lines[0].split(",").index("fluid_iters")
+    steps = [int(line.split(",")[col]) for line in lines[1:]]
+    assert len(steps) == checks["outer_iterations"]
+    assert checks["fluid_steps"] == sum(steps)
+
+
 def test_cli_exit_codes(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"relaxation": 2.0}))
@@ -210,6 +223,44 @@ def test_compare_identical_and_differing(tmp_path):
     assert not csv_ok(base[:2], tol=float("inf"))
     assert not csv_ok(base[:2] + [(3, 5.191e-13, 0.03)], tol=float("inf"))
     assert not csv_ok(base[:2] + [(2, 5.191e-13, 0.5)])
+
+
+def test_compare_lists_one_sided_summary_keys(tmp_path):
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run("mesh", FAST, a) == 0
+    assert run("mesh", FAST, b) == 0
+    b_summary = os.path.join(b, "summary.json")
+    with open(b_summary) as fh:
+        summary = json.load(fh)
+
+    def compared(edit):
+        changed = json.loads(json.dumps(summary))
+        edit(changed)
+        write_json(b_summary, changed)
+        rows, ok = compare(a, b)
+        return {n: (k, v) for n, k, v in rows if n.startswith("summary")}, ok
+
+    # a key on one side only is listed at any depth and does not fail
+    def one_sided(sm):
+        sm["checks"]["fluid_steps"] = 17
+        sm["checks"]["tag_edge_counts"]["extra"] = 1
+        del sm["config"]["mesh_level"]
+        sm["note"] = "new"
+
+    rows, ok = compared(one_sided)
+    assert ok
+    assert rows["summary.json checks.fluid_steps"] == ("added", 0.0)
+    assert rows["summary.json checks.tag_edge_counts.extra"] == ("added", 0.0)
+    assert rows["summary.json config.mesh_level"] == ("removed", 0.0)
+    assert rows["summary.json note"] == ("added", 0.0)
+    assert rows["summary.json checks"] == ("normwise", 0.0)
+    # a key on both sides whose type or shape differs still fails
+    for edit in (lambda sm: sm["checks"].update({"nodes": "many"}),
+                 lambda sm: sm["config"].update({"obstacle_outer": [1.0]}),
+                 lambda sm: sm["checks"].update({"tag_edge_counts": 3})):
+        rows, ok = compared(edit)
+        assert not ok
+        assert any(k == "structure" for k, _ in rows.values())
 
 
 def _run_cli(args, env_extra, cwd):
