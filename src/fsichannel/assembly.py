@@ -9,6 +9,8 @@ since multiplying by 1 and adding 0 is exact.
 Every kernel contracts at most two operands at a time (batched ``matmul``)
 against the geometry its ``Space`` caches, and sums its element entries
 with one ``bincount`` into a CSR pattern fixed per space and block kind.
+``oseen_action`` applies the Navier-Stokes operator to a state the same
+way, summing element vectors into dof vectors, with no matrix at all.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class NonPositiveJacobianError(ValueError):
         super().__init__(f"J = {value:.6e} <= 0 in element {element_id}")
 
 
-def _coeffs(space, fields):
+def coefficient_arrays(space, fields):
     """(A, K) arrays of a transform-fields object; (None, None) for None."""
     if fields is None:
         return None, None
@@ -253,7 +255,7 @@ def transformed_oseen_system(
     """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
-    A, K = _coeffs(vspace, fields)
+    A, K = coefficient_arrays(vspace, fields)
     A_vv = assemble_viscous(vspace, A, nu)
     if advector is not None:
         A_vv = A_vv + assemble_convection(vspace, advector, K)
@@ -262,6 +264,43 @@ def transformed_oseen_system(
     A_vp, A_pv = assemble_pressure_blocks(vspace, pspace, K)
     A_pp = sp.csr_matrix((pspace.ndof, pspace.ndof))
     return sp.bmat([[A_vv, A_vp], [A_pv, A_pp]], format="csr")
+
+
+def oseen_action(vspace: Space, pspace: Space, x, A=None, K=None, nu=1.0):
+    """N(x) = M(A, K) x + C(w; K) x on the stacked [v; p] dofs, w the
+    velocity of x, without assembling a matrix.
+
+    Equals ``transformed_oseen_system(vspace, pspace, fields, nu,
+    advector=w) @ x`` for fields with coefficients (A, K); ``None`` is the
+    identity.  At each point the velocity rows integrate
+    d_k psi_a (nu (G A^T) - p K)_ik + psi_a (G K^T w)_i and the pressure
+    rows q_c K : G, with G = grad w; the 2 x 2 products are written out.
+    """
+    n_v, wdet = vspace.ndof, vspace.wdet
+    nt, nq = wdet.shape
+    eye = np.broadcast_to(np.eye(2), (nt, nq, 2, 2))
+    # coefficient entries [k, l] as (T, q) planes; nu and the weights in A
+    a = (eye if A is None else A).transpose(2, 3, 0, 1) * (nu * wdet)
+    Kc = (eye if K is None else K).transpose(2, 3, 0, 1)
+    cm = x[vspace.elem_vdofs]  # (T, a, i)
+    gt, phi = vspace.grads_by_basis(TRI_POINTS), vspace.basis_at(TRI_POINTS)
+    G = (cm.swapaxes(1, 2) @ gt).reshape(nt, 2, 2, nq).transpose(1, 2, 0, 3)
+    G = np.ascontiguousarray(G)  # [i, l] = d_l w_i
+    W = (phi @ cm).transpose(2, 0, 1)  # w_i
+    qb = pspace.basis_at(TRI_POINTS)
+    Pw = wdet * (x[n_v:][pspace.elem_dofs] @ qb.T)
+    # [k, i] = (nu G A^T - p K)_ik, (G K^T w)_i and K : G, weighted
+    flux = np.stack([G[:, 0] * a[k, 0] + G[:, 1] * a[k, 1] - Pw * Kc[:, k]
+                     for k in range(2)])
+    Ktw = W[0] * Kc[0] + W[1] * Kc[1]
+    conv = wdet * (G[:, 0] * Ktw[0] + G[:, 1] * Ktw[1])
+    div = wdet * np.sum(Kc * G, axis=(0, 1))
+    rv = gt @ flux.transpose(2, 0, 3, 1).reshape(nt, -1, 2)
+    rv += phi.T @ conv.transpose(1, 2, 0)  # (T, a, i)
+    return np.concatenate([
+        np.bincount(vspace.elem_vdofs.ravel(), rv.ravel(), minlength=n_v),
+        np.bincount(pspace.elem_dofs.ravel(), (div @ qb).ravel(),
+                    minlength=pspace.ndof)])
 
 
 # ---- right-hand sides ---------------------------------------------------
@@ -289,7 +328,7 @@ def assemble_velocity_load(vspace: Space, f):
     phi = vspace.basis_at(TRI_POINTS)
     elem = phi.T @ (vspace.wdet[..., None] * vals)  # (T, a, i)
     out = np.zeros(vspace.ndof)
-    np.add.at(out, 2 * vspace.elem_dofs[:, :, None] + np.arange(2)[None, None, :], elem)
+    np.add.at(out, vspace.elem_vdofs, elem)
     return out
 
 
@@ -364,7 +403,10 @@ def assemble_boundary_load(space: Space, tag, f):
 
 
 def assemble_rhs(vspace: Space, pspace: Space, f=None, f2=None, f3=None):
-    """Load vector (velocity block, pressure block) for data (f, f2, f3)."""
+    """Load vector (velocity block, pressure block) for data (f, f2, f3);
+    zeros, with nothing assembled, when there is no data."""
+    if f is None and f2 is None and f3 is None:
+        return np.zeros(vspace.ndof + pspace.ndof)
     rhs_v = assemble_velocity_load(vspace, f)
     if f3 is not None:
         from .mesh import TAG_OUTFLOW

@@ -2,11 +2,13 @@
 
 The fluid problem lives on the reference channel and carries the geometry
 through the coefficient fields (A, K) of a flow map.  The nonlinear solve
-is a Picard iteration built around a single factorized identity-coefficient
-Stokes operator: every coefficient perturbation and the lagged convection
-go to the right-hand side, so the fixed point solves the fully transformed
-system.  The linearized solver supports a one-shot direct mode and the
-analogous constant-coefficient fixed-point mode for contraction probing.
+is a defect correction on a single factorized identity-coefficient Stokes
+operator: each step evaluates the transformed operator with its lagged
+convection matrix-free at the iterate and corrects by the Stokes solve of
+the defect, so the fixed point solves the fully transformed system and no
+matrix is assembled per solve.  The linearized solver supports a one-shot
+direct mode and the analogous constant-coefficient fixed-point mode for
+contraction probing.
 """
 
 from dataclasses import dataclass, field
@@ -159,14 +161,18 @@ def _weak_residual(r, cdofs, F):
 class PicardSolver:
     """Nonlinear transformed Navier-Stokes via a frozen Stokes operator.
 
-    The identity-coefficient Stokes matrix (with the problem's Dirichlet
-    dof pattern) is factorized once; each Picard step solves
+    The identity-coefficient Stokes matrix M_I (with the problem's
+    Dirichlet dof pattern) is factorized once; with the operator action
+    N(x) = M(A, K) x + C(x; K) x each Picard step is the defect correction
 
-        M_I x = F - (M(A,K) - M_I) x_bar - C(x_bar; K) x_bar
+        M_I x_new = F - N(x) + M_I x
 
     so a fixed point satisfies the full transformed system including the
-    lagged convection.  The factorization is reusable across different
-    coefficient fields (e.g. along a coupled-iteration trajectory).
+    lagged convection.  N(x_new) gives the step's weak residual and the
+    next step's action, so an n-step solve makes n + 1 evaluations (n from
+    a cold start, where N(0) = 0) and assembles no matrix.  The
+    factorization is reusable across different coefficient fields (e.g.
+    along a coupled-iteration trajectory).
     """
 
     def __init__(self, vspace: Space, pspace: Space, nu=1.0):
@@ -183,13 +189,13 @@ class PicardSolver:
     def loads(self, f=None, f2=None, f3=None):
         return asm.assemble_rhs(self.vspace, self.pspace, f, f2, f3)
 
+    def _action(self, x, A, K):
+        return asm.oseen_action(self.vspace, self.pspace, x, A, K, self.nu)
+
     def residual(self, x, fields, F):
         """Free-dof norm of the nonlinear weak-form residual at x."""
-        n_v = self.vspace.ndof
-        w = FEFunction(self.vspace, x[:n_v])
-        sysm = asm.transformed_oseen_system(
-            self.vspace, self.pspace, fields, self.nu, advector=w)
-        return _weak_residual(sysm @ x - F, self._lu.cdofs, F)
+        N = self._action(x, *asm.coefficient_arrays(self.vspace, fields))
+        return _weak_residual(N - F, self._lu.cdofs, F)
 
     def solve(self, fields=None, g=None, f=None, f2=None, f3=None,
               tol=1e-10, max_iter=50, initial=None):
@@ -197,35 +203,15 @@ class PicardSolver:
         n_v = V.ndof
         F = self.loads(f, f2, f3)
         prescribed = dirichlet_vector(V, Q, g)
-        if fields is None:
-            D = None
-            K = None
-        else:
-            M_A = asm.transformed_oseen_system(V, Q, fields, self.nu)
-            D = M_A - self._M_I
-            K = fields.K
-
+        A, K = asm.coefficient_arrays(V, fields)
         x0 = np.zeros(V.ndof + Q.ndof) if initial is None else initial
-        # the operator at x is M_I + D + C(x); C(x) assembled for the residual
-        # of one step is the lagged convection of the next.  Convection is
-        # linear in the advector, so a cold start (x0 = 0) has none.
-        C = None if initial is None else asm.assemble_convection(
-            V, FEFunction(V, x0[:n_v]), K)
+        N = np.zeros_like(x0) if initial is None else self._action(x0, A, K)
 
         def step(x):
-            nonlocal C
-            rhs = F.copy()
-            if D is not None:
-                rhs -= D @ x
-            if C is not None:
-                rhs[:n_v] -= C @ x[:n_v]
-            x_new = self._lu.solve(rhs, prescribed)
-            C = asm.assemble_convection(V, FEFunction(V, x_new[:n_v]), K)
-            r = self._M_I @ x_new - F
-            if D is not None:
-                r += D @ x_new
-            r[:n_v] += C @ x_new[:n_v]
-            return x_new, x_new - x, _weak_residual(r, self._lu.cdofs, F)
+            nonlocal N
+            x_new = self._lu.solve(F - N + self._M_I @ x, prescribed)
+            N = self._action(x_new, A, K)
+            return x_new, x_new - x, _weak_residual(N - F, self._lu.cdofs, F)
 
         norm = _product_norm(self.norms_v, self.norms_p, n_v)
         x, report = fixed_point(step, x0, norm, tol, max_iter, "picard")

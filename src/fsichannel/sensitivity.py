@@ -67,17 +67,14 @@ def coefficient_rhs(vspace, pspace, derivs, w_hat, p_hat):
 
     The coefficients (A, K) of the discrete residual are differentiated in
     the given direction and applied to the base state, negated: this is
-    exactly -d/ds R(x_hat; A + s dA, K + s dK) at s = 0, so the do-nothing
-    outflow treatment of the nonlinear residual is differentiated
-    consistently without any surface assembly.
+    exactly -d/ds R(x_hat; A + s dA, K + s dK) at s = 0, the operator
+    action with the derivative coefficients (the residual is linear in
+    them), so the do-nothing outflow treatment of the nonlinear residual is
+    differentiated consistently without any surface assembly.  The
+    viscosity is folded into dA by the caller.
     """
-    dA, dK = derivs.dA, derivs.dK
-    Mv = asm.assemble_viscous(vspace, dA, 1.0)  # nu folded into dA by caller
-    Mv = Mv + asm.assemble_convection(vspace, w_hat, dK)
-    A_vp, A_pv = asm.assemble_pressure_blocks(vspace, pspace, dK)
-    rhs_v = -(Mv @ w_hat.coefficients) - A_vp @ p_hat.coefficients
-    rhs_p = -(A_pv @ w_hat.coefficients)
-    return np.concatenate([rhs_v, rhs_p])
+    x_hat = np.concatenate([w_hat.coefficients, p_hat.coefficients])
+    return -asm.oseen_action(vspace, pspace, x_hat, derivs.dA, derivs.dK, 1.0)
 
 
 # the four unit lift gradients E_jl, index 2 j + l

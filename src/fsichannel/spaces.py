@@ -154,6 +154,7 @@ class Space:
 
         self._boundary_scalar_cache = {}
         self._grads = {}  # reference point bytes -> physical gradients
+        self._grads_t = {}  # the same, in the layout of grads_by_basis
         # block kind, or the pressure Space of a mixed block -> assembly.Pattern
         self.patterns = {}
 
@@ -243,6 +244,23 @@ class Space:
             self._grads[key] = read_only(ref[None] @ self.inv_jac[:, None])
         return self._grads[key]
 
+    def grads_by_basis(self, ref_pts):
+        """The gradients of :meth:`grads_at` as (T, nloc, 2 q), entry
+        [a, l q + k] = d_l psi_a at point k, read-only: one batched matmul
+        with element coefficients (T, arity, nloc) gives every gradient."""
+        key = np.asarray(ref_pts, dtype=float).tobytes()
+        if key not in self._grads_t:
+            g = self.grads_at(ref_pts)
+            g = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+            self._grads_t[key] = read_only(g.reshape(len(g), g.shape[1], -1))
+        return self._grads_t[key]
+
+    @cached_property
+    def elem_vdofs(self):
+        """Vector dofs 2 s + i of each element's scalar dofs s, (T, nloc, 2),
+        read-only: gathers and scatters element vectors."""
+        return read_only(2 * self.elem_dofs[:, :, None] + np.arange(2))
+
     @cached_property
     def wdet(self):
         """Quadrature weights times det B at the triangle rule, (T, q), read-only."""
@@ -289,9 +307,10 @@ class FEFunction:
     def gradients_at(self, ref_pts):
         """Gradients at reference points: (T, q, arity, 2) with G[i, l] = d_l f_i."""
         sp = self.space
-        g = sp.grads_at(ref_pts)  # (T, q, nloc, 2)
+        gt = sp.grads_by_basis(ref_pts)  # (T, nloc, 2 q)
         cm = self.component_matrix()[sp.elem_dofs]  # (T, nloc, arity)
-        return cm.swapaxes(1, 2)[:, None] @ g
+        G = (cm.swapaxes(1, 2) @ gt).reshape(len(gt), -1, 2, len(ref_pts))
+        return G.transpose(0, 3, 1, 2)
 
 
 def interface_scalar_maps(space_a: Space, space_b: Space):

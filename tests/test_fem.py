@@ -10,7 +10,16 @@ from oracles import (
 )
 
 from fsichannel import assembly as asm
-from fsichannel.geomap import TransformFields, cof2, det2
+from fsichannel.geomap import (
+    HarmonicExtender,
+    TransformFields,
+    cof2,
+    det2,
+    identity_fields,
+    interface_dofs,
+    transform_derivatives,
+    transform_fields,
+)
 from fsichannel.fluid import dirichlet_dofs, fluid_spaces
 from fsichannel.linsolve import FrozenFactorization, SingularSystemError
 from fsichannel.mesh import FLUID, SOLID, build_channel_mesh, default_geometry
@@ -136,6 +145,45 @@ def test_oseen_assembly_matches_loop_oracle(coarse_mesh):
     reordered = np.zeros_like(M)
     reordered[np.ix_(perm_full, perm_full)] = M
     assert np.abs(reordered - A_oracle).max() <= 1e-12 * np.abs(A_oracle).max()
+
+
+def _action_case(case, V):
+    """Coefficient fields of one oseen_action oracle case (None: identity)."""
+    if case == "none":
+        return None
+    if case == "identity":
+        return identity_fields(V)
+    xy = V.dof_coords[interface_dofs(V)]
+    ext = HarmonicExtender(V).extend(0.01 * np.column_stack(
+        [np.sin(np.pi * xy[:, 0]), np.cos(np.pi * xy[:, 1])]))
+    fields = transform_fields(V, ext)
+    if case == "deformed":
+        return fields
+    rng = np.random.default_rng(5)
+    shape = fields.A.shape
+    if case == "non-symmetric":
+        A = np.eye(2) + 0.3 * rng.standard_normal(shape)
+        assert np.abs(A - A.swapaxes(2, 3)).max() > 0.1
+        return TransformFields(fields.DPhi, fields.J, fields.K, A)
+    # a derivative pair (dA, dK) in a smooth lift direction; the operator
+    # is linear in the coefficients, and J only enters the positivity check
+    x, y = V.dof_coords[:, 0], V.dof_coords[:, 1]
+    v = FEFunction(V, np.column_stack([np.sin(2 * x) * y, np.cos(x + y)]).ravel())
+    d = transform_derivatives(fields, v.gradients_at(TRI_POINTS))
+    return TransformFields(d.dDPhi, fields.J, d.dK, d.dA)
+
+
+@pytest.mark.parametrize(
+    "case", ["none", "identity", "deformed", "non-symmetric", "derivative"])
+def test_oseen_action_matches_assembled_product(default_mesh, case):
+    V, Q = fluid_spaces(default_mesh)
+    fields = _action_case(case, V)
+    x = np.random.default_rng(2).standard_normal(V.ndof + Q.ndof)
+    w = FEFunction(V, x[:V.ndof])
+    ref = asm.transformed_oseen_system(V, Q, fields, 0.7, advector=w) @ x
+    A, K = asm.coefficient_arrays(V, fields)
+    got = asm.oseen_action(V, Q, x, A, K, 0.7)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_pressure_blocks_exact_negative_transpose(default_mesh):

@@ -119,20 +119,38 @@ def test_identity_reduction_bitwise(default_mesh):
     assert d.nnz == 0 or np.abs(d.data).max() == 0.0
 
 
-def test_cold_start_assembles_convection_once_per_step(coarse_mesh, monkeypatch):
-    # the zero starting iterate has no convection: one assembly per step
+def test_picard_evaluates_operator_once_per_step(coarse_mesh, monkeypatch):
+    # each step evaluates the operator at its new iterate; a warm start
+    # evaluates it once more at the initial iterate, a cold start (x = 0,
+    # where the action is zero) does not
     calls = []
-    assemble = asm.assemble_convection
+    action = asm.oseen_action
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return assemble(*args, **kwargs)
+        return action(*args, **kwargs)
 
-    monkeypatch.setattr(asm, "assemble_convection", counted)
-    g = InflowProfile(1.0, coarse_mesh.geometry.channel_height)
-    _, report = solve_navier_stokes(coarse_mesh, g=g)
+    monkeypatch.setattr(asm, "oseen_action", counted)
+    H = coarse_mesh.geometry.channel_height
+    solver = PicardSolver(*fluid_spaces(coarse_mesh))
+    state, report = solver.solve(g=InflowProfile(1.0, H))
     assert report.converged and report.iterations > 1
     assert len(calls) == report.iterations
+    calls.clear()
+    _, report = solver.solve(g=InflowProfile(1.5, H), initial=state.stacked())
+    assert report.converged and report.iterations > 1
+    assert len(calls) == report.iterations + 1
+
+
+def test_load_without_data_is_zero_and_not_assembled(coarse_mesh, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a load without data was assembled")
+
+    monkeypatch.setattr(asm, "assemble_velocity_load", refuse)
+    monkeypatch.setattr(asm, "assemble_pressure_load", refuse)
+    V, Q = fluid_spaces(coarse_mesh)
+    F = PicardSolver(V, Q).loads()
+    assert F.shape == (V.ndof + Q.ndof,) and not F.any()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
