@@ -182,61 +182,6 @@ def assemble_elasticity(space: Space, lam, mu):
     return _pattern(space, "vector").matrix(elem)
 
 
-# elements per block of the lift-derivative kernel, which bounds the size of
-# its (elements, points, 6, 8) integrands
-LIFT_BLOCK = 64
-
-
-def assemble_lift_derivative(vspace: Space, pspace: Space, unit, w, p):
-    """Sparse matrix of the coefficient-derivative load in a flow-map lift.
-
-    ``unit(b)`` returns the coefficient derivatives dA (n, q, 4, 2, 2) and
-    dK (4, 2, 2) on the elements of the slice b for the unit lift gradients
-    E_jl (index u = 2 j + l; the cofactor is linear, so dK does not vary);
-    ``(w, p)`` is the base state.
-    Row (v; p) of the result applied to lift coefficients is minus the
-    derivative of the residual M(A, K) (w, p) in that lift.  A lift basis
-    function b in component j has gradient sum_l d_l phi_b E_jl, so each
-    element block contracts the unit integrands with the basis gradients.
-    Elements are taken LIFT_BLOCK at a time.
-    """
-    g = vspace.grads_at(TRI_POINTS)  # (T, q, a, l)
-    nt, nq, nloc = g.shape[:3]
-    GwT = w.gradients_at(TRI_POINTS).swapaxes(2, 3)  # (T, q, l, i)
-    wv = w.values_at(TRI_POINTS)
-    pv = p.values_at(TRI_POINTS)[..., None, None]
-    phi = vspace.basis_at(TRI_POINTS)[..., None]  # (q, a, 1)
-    wq = vspace.wdet[..., None] * pspace.basis_at(TRI_POINTS)  # (T, q, c)
-    Bv = np.empty((nt, nloc, 2, nloc, 2))
-    Bp = np.empty((nt, nloc, 2, pspace.elem_dofs.shape[1]))
-    for e in range(0, nt, LIFT_BLOCK):
-        b = slice(e, e + LIFT_BLOCK)
-        dA, dK = unit(b)
-        n = len(dA)
-        # viscous and pressure terms g[a, m] P[u, m, i], convection
-        # phi_a c[u, i] with c[u] = w^T dK[u] grad(w)^T; rows a by (l, i, j)
-        P = (pv[b] * dK.swapaxes(1, 2)
-             - (dA.reshape(n, nq, 8, 2) @ GwT[b]).reshape(n, nq, 4, 2, 2))
-        P = P.reshape(n, nq, 2, 2, 2, 2).transpose(0, 1, 4, 3, 5, 2)
-        wdK = wv[b] @ dK.transpose(1, 0, 2).reshape(2, 8)  # (n, q, u l)
-        c = (wdK.reshape(n, nq, 4, 2) @ GwT[b]).reshape(n, nq, 2, 2, 2)
-        c = c.transpose(0, 1, 3, 4, 2).reshape(n, nq, 1, 8)
-        R = g[b] @ P.reshape(n, nq, 2, 8) - phi * c
-        R *= vspace.wdet[b, :, None, None]
-        # summed against d_l phi_b over points and l
-        X = R.reshape(n, nq, nloc, 2, 4).swapaxes(3, 4).reshape(n, nq, -1, 2)
-        X = _contract(X, g[b]).reshape(n, nloc, 2, 2, nloc)
-        Bv[b] = X.transpose(0, 1, 2, 4, 3)
-        # divergence rows c: -q_c dK[u] : grad(w)
-        div = GwT[b].swapaxes(2, 3).reshape(n, nq, 4) @ dK.reshape(4, 4).T
-        X = -wq[b][..., None] * div[:, :, None]  # (n, q, c, u)
-        X = _contract(X.reshape(n, nq, -1, 2), g[b]).reshape(n, -1, 2, nloc)
-        Bp[b] = X.transpose(0, 3, 2, 1)
-    Bv = _pattern(vspace, "vector").matrix(Bv)
-    Bp = _pattern(vspace, "mixed", pspace).matrix(Bp)
-    return sp.vstack([Bv, Bp.T.tocsr()], format="csr")
-
-
 def transformed_oseen_system(
     vspace: Space,
     pspace: Space,

@@ -80,11 +80,6 @@ class ElasticitySolver:
             rhs += self.interface_load @ tr.ravel()
         return FEFunction(self.space, self._lu.solve(rhs))
 
-    def solve_tractions(self, columns):
-        """Displacements (ndof, k) for k interface tractions given as the
-        columns of a (2 n_interface, k) array, in one block solve."""
-        return self._lu.solve(self.interface_load @ columns)
-
 
 def solid_space(mesh) -> Space:
     return make_space(mesh, order=2, arity=2, subdomain=SOLID)

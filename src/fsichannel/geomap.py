@@ -110,19 +110,6 @@ class HarmonicExtender:
         coeffs = self._fact.solve(self._zero_rhs, by_dof)
         return FEFunction(self.vspace, coeffs.reshape(-1))
 
-    def lift_columns(self, positions):
-        """Lifts of the unit interface traces at ``positions`` (indices into
-        the interface order), both components, as columns of (ndof,
-        2 len(positions)): column 2 j + c lifts the unit value of component
-        c at positions[j].  The scalar lifts are one block solve."""
-        n_s, k = self.vspace.n_scalar, len(positions)
-        by_dof = np.zeros((n_s, k))
-        by_dof[self.iface[positions], np.arange(k)] = 1.0
-        scalar = self._fact.solve(np.zeros((n_s, k)), by_dof)
-        cols = np.zeros((n_s, 2, k, 2))
-        cols[:, 0, :, 0] = cols[:, 1, :, 1] = scalar
-        return cols.reshape(2 * n_s, 2 * k)
-
 
 def transform_fields(vspace: Space, extension: FEFunction) -> TransformFields:
     """Evaluate (DPhi, J, K, A) at all quadrature points of the fluid mesh.

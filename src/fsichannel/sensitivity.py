@@ -7,18 +7,18 @@ the flow-map displacement, the traction by the product rule, and the
 elastic solve is its own derivative (it is linear).
 
 The map reads du only through its interface trace tau, so the fixed point
-is eliminated exactly: with explicit operators for the lift, the
-flow-map derivative of the fluid residual, the traction derivative and the
-elastic response, the dense interface matrix T is formed once per base
-state, and (I - T) tau = c(dg) is solved directly.  The solution exists
-wherever I - T is invertible, also where the fixed point would not
-contract.  One matrix-free coupled step at the result gives the
-fixed-point residual, an a-posteriori check on every solve; the derivative
-is validated externally by Taylor-remainder tests.
+is the interface equation (I - T) tau = c(dg), with T the linearized
+coupling map on traces.  It is solved by unrestarted GMRES (Saad & Schultz
+1986), whose only access to T is one matrix-free coupled step per product:
+lift, transform-coefficient derivatives, one linearized fluid solve, the
+traction derivative and one elastic solve.  The solution exists wherever
+I - T is invertible, also where the fixed point would not contract.  One
+more coupled step at the result gives the fixed-point residual, an
+a-posteriori check on every solve; the derivative is validated externally
+by Taylor-remainder tests.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .fluid import (
     linearized_system,
 )
 from .fsi import FSISolver, FSIState, MeshTangledError, OuterDivergenceError
-from .geomap import TangledMeshError, TransformFields, transform_derivatives
+from .geomap import TangledMeshError, transform_derivatives
 from .linsolve import FrozenFactorization
 from .quadrature import TRI_POINTS
 from .spaces import FEFunction
@@ -44,6 +44,8 @@ class SensitivityState:
     dw: FEFunction
     dp: FEFunction
     report: SolverReport
+    # largest |Ritz value| of T from the GMRES solve; 0 without a product
+    ritz_radius: float = 0.0
 
 
 @dataclass
@@ -77,34 +79,52 @@ def coefficient_rhs(vspace, pspace, derivs, w_hat, p_hat):
     return -asm.oseen_action(vspace, pspace, x_hat, derivs.dA, derivs.dK, 1.0)
 
 
-# the four unit lift gradients E_jl, index 2 j + l
-_UNIT_GRADIENTS = np.eye(4).reshape(4, 2, 2)
-# interface positions (two columns each) per linearized block solve of the
-# Schur complement: the block bounds the dense temporaries, and SuperLU is
-# no faster per column for wider blocks
-SCHUR_BLOCK = 8
+# relative 2-norm residual of the interface equation at which GMRES stops
+KRYLOV_TOL = 1e-13
 
 
-def lift_operator(vspace, pspace, fields, w_hat, p_hat, nu):
-    """Sparse B with B @ dext = coefficient_rhs in the lift direction dext
-    (viscosity folded in), assembled element-locally from the coefficient
-    derivatives of the four unit lift gradients."""
-    def unit(b):
-        """(nu dA, dK) of the unit lift gradients on the elements b."""
-        f = [a[b, :, None] for a in (fields.DPhi, fields.J, fields.K, fields.A)]
-        d = transform_derivatives(TransformFields(*f), _UNIT_GRADIENTS)
-        return nu * d.dA, d.dK  # viscosity enters only the viscous term
+def gmres(image, iface, c, n_image):
+    """Unrestarted GMRES for (I - T) tau = c with T v = image(v)[iface].
 
-    return asm.assemble_lift_derivative(vspace, pspace, unit, w_hat, p_hat)
+    ``image(v)`` is the full solid response (length ``n_image``) to the
+    trace v; keeping it for every Arnoldi vector gives the response to the
+    solution V y as U y without a further product.  Stops at KRYLOV_TOL, on
+    an exact breakdown or after len(c) products.  Returns (U y, the
+    relative residual after each product, the largest |Ritz value| of T).
+    """
+    m, beta = len(c), np.linalg.norm(c)
+    # one block each for the basis and its images: per-product arrays that
+    # outlive the product fragment the heap (peak RSS +10 % at mesh level 1)
+    H, V = np.zeros((m + 1, m)), np.empty((m + 1, m))
+    U = np.empty((m, n_image))
+    V[0] = c / beta
+    residuals = []
+    for k in range(m):
+        U[k] = image(V[k])
+        w = V[k] - U[k, iface]
+        for j in range(k + 1):  # modified Gram-Schmidt
+            H[j, k] = V[j] @ w
+            w -= H[j, k] * V[j]
+        H[k + 1, k] = np.linalg.norm(w)
+        e1 = np.zeros(k + 2)
+        e1[0] = beta
+        y = np.linalg.lstsq(H[:k + 2, :k + 1], e1, rcond=None)[0]
+        residuals.append(
+            float(np.linalg.norm(e1 - H[:k + 2, :k + 1] @ y) / beta))
+        if residuals[-1] <= KRYLOV_TOL or H[k + 1, k] == 0.0:
+            break
+        V[k + 1] = w / H[k + 1, k]
+    # H[:k+1, :k+1] is I - T on the Krylov space
+    ritz = np.abs(1.0 - np.linalg.eigvals(H[:k + 1, :k + 1])).max()
+    return y @ U[:k + 1], residuals, float(ritz)
 
 
 class SensitivitySolver:
     """Derivative solves around one converged coupled state.
 
     The linearized fluid operator at the base state is factorized once and
-    reused.  The interface Schur complement T is formed on the first solve
-    and reused by every further direction, which then costs two linearized
-    solves, one dense solve of the interface size and the check step.
+    reused by every linearized solve: each GMRES product, the check step
+    and the inflow-direction solve cost one solve on it.
     """
 
     def __init__(self, solver: FSISolver, base: FSIState):
@@ -122,9 +142,10 @@ class SensitivitySolver:
         x = self._lu.solve(F, dirichlet_vector(V, Q, dg))
         return FEFunction(V, x[:V.ndof]), FEFunction(Q, x[V.ndof:])
 
-    def _derivs_of(self, du: FEFunction):
-        """Transform-coefficient derivatives for a solid direction du."""
-        dext = self.solver.extender.extend(interface_trace(du))
+    def _derivs_of(self, trace):
+        """Lift and transform-coefficient derivatives for an interface
+        trace, shape (n_interface, 2)."""
+        dext = self.solver.extender.extend(trace)
         derivs = transform_derivatives(
             self.base.fields, dext.gradients_at(TRI_POINTS)
         )
@@ -144,7 +165,7 @@ class SensitivitySolver:
         return self._linearized(dg=dg)
 
     def linearized_wrt_u(self, du: FEFunction):
-        _, derivs = self._derivs_of(du)
+        _, derivs = self._derivs_of(interface_trace(du))
         return self._linearized(rhs_extra=self._scaled_rhs(derivs))
 
     def _traction_derivative(self, dext, dp):
@@ -155,60 +176,50 @@ class SensitivitySolver:
             base.extension, base.fluid.p, dext.coefficients, dp.coefficients,
             base.projected)
 
-    @cached_property
-    def _schur(self):
-        """(U, T): the solid responses to the unit interface traces and the
-        trace matrix T of the coupling map."""
-        solver, base = self.solver, self.base
-        V, Q = solver.vspace, solver.pspace
-        B = lift_operator(V, Q, base.fields, base.fluid.w, base.fluid.p, self.nu)
-        n_if = len(solver.solid.iface)
-        dt = []
-        for m in range(0, n_if, SCHUR_BLOCK):
-            E = solver.extender.lift_columns(np.arange(m, min(m + SCHUR_BLOCK, n_if)))
-            dp = self._lu.solve(B @ E)[V.ndof:]
-            dt.append(solver.tractor.derivative(
-                base.extension, base.fluid.p, E, dp, base.projected))
-        U = solver.solid.solve_tractions(
-            np.concatenate(dt, axis=-1).reshape(2 * n_if, -1))
-        return U, U[solver.solid.iface_vdofs]
-
-    @property
-    def coupling_matrix(self):
-        """T: the coupling map du -> S(0, dt[du]) acting on interface
-        traces, (2 n_interface, 2 n_interface), rows and columns 2 m + c."""
-        return self._schur[1]
-
     def solve(self, dg, tol=1e-10) -> SensitivityState:
-        """Derivative of the coupled map in direction dg by one solve of
+        """Derivative of the coupled map in direction dg by GMRES on
         (I - T) tau = c(dg) for the interface trace tau of du.  One coupled
         step at du gives the fluid derivatives (dw, dp) and the relative
-        fixed-point residual; ConvergenceError if that exceeds tol."""
-        solver = self.solver
-        U, T = self._schur
-        _, dp = self._linearized(dg=dg)
-        dt = self._traction_derivative(FEFunction.zeros(solver.vspace), dp)
-        u_g = solver.solid.solve(traction=dt).coefficients
-        tau = np.linalg.solve(np.eye(len(T)) - T, u_g[solver.solid.iface_vdofs])
-        du = FEFunction(solver.sspace, u_g + U @ tau)
+        fixed-point residual; ConvergenceError if that exceeds tol.  The
+        report counts the coupled-step products, the check included, and
+        holds the GMRES residuals followed by the check residual."""
+        solid, iface = self.solver.solid, self.solver.solid.iface_vdofs
+        dw, dp = self._linearized(dg=dg)
+        dext = FEFunction.zeros(self.solver.vspace)
+        u_g = solid.solve(traction=self._traction_derivative(dext, dp))
+        c = u_g.coefficients[iface]
+        if not c.any():  # tau = 0, so du = u_g and the residual is exactly 0
+            report = SolverReport(iterations=0, residual_history=[0.0],
+                                  converged=True, mode="krylov")
+            return SensitivityState(u_g, dw, dp, report)
 
-        du_check, dw, dp = self._coupled_step(du, dg)
+        def image(v):
+            return self._coupled_step(v.reshape(-1, 2), None)[0].coefficients
+
+        U_y, history, ritz = gmres(image, iface, c, solid.space.ndof)
+        du = FEFunction(solid.space, u_g.coefficients + U_y)
+
+        du_check, dw, dp = self._coupled_step(
+            du.coefficients[iface].reshape(-1, 2), dg)
         du_check = du_check.coefficients
-        norm = solver.norms_u.h1_norm
-        inc = norm(du_check - du.coefficients)
-        residual = inc / max(norm(du_check), 1e-30)
-        report = SolverReport(iterations=1, residual_history=[residual],
-                              increments=[inc], converged=residual <= tol,
-                              mode="schur")
+        norm = self.solver.norms_u.h1_norm
+        history.append(
+            norm(du_check - du.coefficients) / max(norm(du_check), 1e-30))
+        ratios = [b / max(a, 1e-30) for a, b in zip(history, history[1:])]
+        report = SolverReport(
+            iterations=len(history), residual_history=history,
+            increment_ratios=ratios, converged=history[-1] <= tol,
+            mode="krylov")
         if not report.converged:
             raise ConvergenceError(
-                f"schur: fixed-point residual {residual:.3e} of the direct "
+                f"krylov: fixed-point residual {history[-1]:.3e} of the "
                 f"derivative exceeds {tol:.1e}", report)
-        return SensitivityState(du, dw, dp, report)
+        return SensitivityState(du, dw, dp, report, ritz)
 
-    def _coupled_step(self, du: FEFunction, dg):
-        """du -> S(dg, dt[du]) with its linearized fluid state: (du, dw, dp)."""
-        dext, derivs = self._derivs_of(du)
+    def _coupled_step(self, trace, dg):
+        """Interface trace -> S(dg, dt[trace]) with its linearized fluid
+        state: (du, dw, dp)."""
+        dext, derivs = self._derivs_of(trace)
         dw, dp = self._linearized(dg=dg, rhs_extra=self._scaled_rhs(derivs))
         dt = self._traction_derivative(dext, dp)
         return self.solver.solid.solve(traction=dt), dw, dp
@@ -216,7 +227,7 @@ class SensitivitySolver:
     def apply_coupling_map(self, du: FEFunction) -> FEFunction:
         """One application of the interface map du -> S(0, dt[du]) with
         dg = 0: the operator whose spectral radius governs contraction."""
-        return self._coupled_step(du, None)[0]
+        return self._coupled_step(interface_trace(du), None)[0]
 
 
 def solve_fsi_sensitivity(solver: FSISolver, base: FSIState, dg,

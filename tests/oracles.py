@@ -3,12 +3,17 @@
 Everything in this file is deliberately written with plain per-element /
 per-node Python loops and explicit formulas, avoiding the package's
 vectorized assembly paths, so that agreement between the two is evidence
-rather than tautology.
+rather than tautology.  The dense coupling matrix is built from the
+package's one-column coupling map, against which the Krylov derivative
+solve is checked.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from fsichannel.geomap import interface_dofs
+from fsichannel.spaces import FEFunction
 
 # quadrature: use a degree-6 rule written out independently (Gauss points
 # for the unit triangle, from the standard tables)
@@ -280,3 +285,18 @@ def traction_by_loop(tractor, extension, pressure, dext=None, dp=None):
                     + p * (_cof(lift_grad(dext, elem, ref)) @ normal)
         out[k] = acc / len(elems)
     return out
+
+
+def coupling_matrix_by_columns(sens):
+    """Dense trace matrix T of the linearized coupling map, one
+    ``sens.apply_coupling_map`` per unit interface trace: rows and columns
+    2 m + c for component c at interface position m."""
+    S = sens.solver.sspace
+    scalar_if = interface_dofs(S)
+    vec_if = np.column_stack([2 * scalar_if, 2 * scalar_if + 1]).ravel()
+    T = np.zeros((len(vec_if), len(vec_if)))
+    for j, dof in enumerate(vec_if):
+        e = FEFunction.zeros(S)
+        e.coefficients[dof] = 1.0
+        T[:, j] = sens.apply_coupling_map(e).coefficients[vec_if]
+    return T

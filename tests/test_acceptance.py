@@ -14,7 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles import TaylorHoodDofs, fit_loglog, newton_navier_stokes
+from oracles import (
+    TaylorHoodDofs,
+    coupling_matrix_by_columns,
+    fit_loglog,
+    newton_navier_stokes,
+)
 
 from fsichannel.fluid import (
     InflowProfile,
@@ -292,11 +297,7 @@ def test_08_sensitivity_vs_monolithic_oracle(coarse_mesh):
     _, dp0 = sens._linearized(dg=dg)
     dt0 = sens._traction_derivative(FEFunction.zeros(solver.vspace), dp0)
     du0 = solver.solid.solve(traction=dt0)
-    T = np.zeros((len(vec_if), len(vec_if)))
-    for j, dof in enumerate(vec_if):
-        e = FEFunction.zeros(S)
-        e.coefficients[dof] = 1.0
-        T[:, j] = sens.apply_coupling_map(e).coefficients[vec_if]
+    T = coupling_matrix_by_columns(sens)
     tau = np.linalg.solve(np.eye(len(vec_if)) - T, du0.coefficients[vec_if])
     lift = FEFunction.zeros(S)
     lift.coefficients[vec_if] = tau

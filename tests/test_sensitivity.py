@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import fit_loglog
+from oracles import coupling_matrix_by_columns, fit_loglog
 
 from fsichannel.fluid import ConvergenceError, InflowProfile
 from fsichannel.fsi import (
@@ -13,16 +13,11 @@ from fsichannel.fsi import (
 from fsichannel.geomap import (
     TangledMeshError,
     interface_dofs,
-    transform_derivatives,
     transform_fields,
 )
-from fsichannel.quadrature import TRI_POINTS
-from fsichannel.elasticity import interface_trace
 from fsichannel.sensitivity import (
     SensitivitySolver,
-    coefficient_rhs,
     contraction_probe,
-    lift_operator,
     solve_fsi_sensitivity,
     taylor_test,
 )
@@ -62,8 +57,7 @@ def coarse_base(coarse_mesh):
 
 
 def test_coefficient_rhs_zero_direction(fsi_solver, fsi_base, sens):
-    du = FEFunction.zeros(fsi_solver.sspace)
-    _, derivs = sens._derivs_of(du)
+    _, derivs = sens._derivs_of(np.zeros((len(fsi_solver.solid.iface), 2)))
     rhs = sens._scaled_rhs(derivs)
     assert np.abs(rhs).max() == 0.0
 
@@ -155,82 +149,72 @@ def test_sensitivity_matches_monolithic_oracle(coarse_base):
     S = solver.sspace
     scalar_if = interface_dofs(S)
     vec_if = np.column_stack([2 * scalar_if, 2 * scalar_if + 1]).ravel()
-    n_if = len(vec_if)
 
     _, dp0 = sens._linearized(dg=dg)
     dext0 = FEFunction.zeros(solver.vspace)
     dt0 = sens._traction_derivative(dext0, dp0)
     du0 = solver.solid.solve(traction=dt0)
 
-    T = np.zeros((n_if, n_if))
-    for j, dof in enumerate(vec_if):
-        e = FEFunction.zeros(S)
-        e.coefficients[dof] = 1.0
-        T[:, j] = sens.apply_coupling_map(e).coefficients[vec_if]
-    tau = np.linalg.solve(np.eye(n_if) - T, du0.coefficients[vec_if])
+    T = coupling_matrix_by_columns(sens)
+    tau = np.linalg.solve(np.eye(len(T)) - T, du0.coefficients[vec_if])
     lift = FEFunction.zeros(S)
     lift.coefficients[vec_if] = tau
     du_star = FEFunction(
         S, du0.coefficients + sens.apply_coupling_map(lift).coefficients)
 
-    fixed = solve_fsi_sensitivity(solver, base, dg, tol=1e-12)
+    krylov = solve_fsi_sensitivity(solver, base, dg, tol=1e-12)
     scale = max(solver.norms_u.h1_norm(du_star.coefficients), 1e-30)
     err = solver.norms_u.h1_norm(
-        fixed.du.coefficients - du_star.coefficients) / scale
-    assert err <= 1e-8
+        krylov.du.coefficients - du_star.coefficients) / scale
+    assert err <= 1e-12
 
 
-def test_lift_operator_matches_coefficient_rhs(fsi_solver, fsi_base, sens):
-    # B @ v against the matrix-free load of the same smooth lift v
-    V, Q = fsi_solver.vspace, fsi_solver.pspace
-    B = lift_operator(V, Q, fsi_base.fields, fsi_base.fluid.w,
-                      fsi_base.fluid.p, fsi_solver.nu)
-    rng = np.random.default_rng(3)
-    x, y = V.dof_coords[:, 0], V.dof_coords[:, 1]
-    for _ in range(3):
-        a, b, c = rng.uniform(0.5, 3.0, size=3)
-        v = FEFunction(V, np.column_stack([
-            np.sin(a * x) * np.cos(b * y), np.cos(c * x + y) * y]).ravel())
-        derivs = transform_derivatives(fsi_base.fields,
-                                       v.gradients_at(TRI_POINTS))
-        ref = sens._scaled_rhs(derivs)
-        assert np.abs(B @ v.coefficients - ref).max() \
-            <= 1e-12 * np.abs(ref).max()
-
-
-def test_coupling_matrix_matches_columns(coarse_base):
-    # the explicit Schur matrix against one coupling-map application per
-    # unit interface trace
+def test_ritz_radius_matches_dense_spectrum(coarse_base):
+    # the largest |Ritz value| of the GMRES solve against the spectral
+    # radius of the dense T on the 0.18 mesh: measured 0.2326 against
+    # 0.2336, a relative gap of 4.2e-3, bounded here by 1e-2
     solver, g, base = coarse_base
     sens = SensitivitySolver(solver, base)
-    S = solver.sspace
-    scalar_if = interface_dofs(S)
-    vec_if = np.column_stack([2 * scalar_if, 2 * scalar_if + 1]).ravel()
-    T = np.zeros((len(vec_if), len(vec_if)))
-    for j, dof in enumerate(vec_if):
-        e = FEFunction.zeros(S)
-        e.coefficients[dof] = 1.0
-        T[:, j] = sens.apply_coupling_map(e).coefficients[vec_if]
-    assert np.abs(sens.coupling_matrix - T).max() <= 1e-10 * np.abs(T).max()
+    state = sens.solve(InflowProfile(1.0, solver.mesh.geometry.channel_height))
+    rho = np.abs(np.linalg.eigvals(coupling_matrix_by_columns(sens))).max()
+    assert abs(state.ritz_radius - rho) <= 1e-2 * rho
 
 
-def test_schur_report_holds_check_residual(fsi_solver, fsi_base):
+def test_krylov_report_holds_check_residual(fsi_solver, fsi_base):
     H = fsi_solver.mesh.geometry.channel_height
     state = solve_fsi_sensitivity(fsi_solver, fsi_base, InflowProfile(1.0, H))
     rep = state.report
-    assert (rep.mode, rep.iterations, rep.converged) == ("schur", 1, True)
-    assert len(rep.residual_history) == 1
-    assert rep.residual_history[0] <= 1e-12
+    assert (rep.mode, rep.converged) == ("krylov", True)
+    assert 2 <= rep.iterations <= 20
+    assert len(rep.residual_history) == rep.iterations
+    assert len(rep.increment_ratios) == rep.iterations - 1
+    assert rep.residual_history[-1] <= 1e-12
 
 
-def test_schur_check_failure_raises_with_report(fsi_solver, fsi_base):
+def test_krylov_at_rest_stops_after_one_product(fsi_solver):
+    # T = 0 at the rest state: the first product spans the solution, so
+    # GMRES stops after it and du is the inflow response u_g itself
+    H = fsi_solver.mesh.geometry.channel_height
+    rest = fsi_solver.solve(None, CouplingOptions(tol=1e-12))
+    sens = SensitivitySolver(fsi_solver, rest)
+    dg = InflowProfile(1.0, H)
+    state = sens.solve(dg, tol=1e-12)
+    _, dp = sens._linearized(dg=dg)
+    u_g = fsi_solver.solid.solve(traction=sens._traction_derivative(
+        FEFunction.zeros(fsi_solver.vspace), dp))
+    assert np.abs(u_g.coefficients).max() > 0.0
+    assert (state.report.iterations, state.report.converged) == (2, True)
+    assert np.array_equal(state.du.coefficients, u_g.coefficients)
+
+
+def test_krylov_check_failure_raises_with_report(fsi_solver, fsi_base):
     H = fsi_solver.mesh.geometry.channel_height
     with pytest.raises(ConvergenceError) as err:
         solve_fsi_sensitivity(fsi_solver, fsi_base, InflowProfile(1.0, H),
                               tol=1e-20)
-    assert err.value.report.mode == "schur"
+    assert err.value.report.mode == "krylov"
     assert not err.value.report.converged
-    assert err.value.report.residual_history[0] > 1e-20
+    assert err.value.report.residual_history[-1] > 1e-20
 
 
 def test_taylor_remainder_slopes(fsi_solver, fsi_base):
@@ -300,18 +284,11 @@ def test_probe_matches_dense_spectrum(coarse_base):
     # dense interface coupling matrix in the H1 geometry
     solver, g, base = coarse_base
     sens = SensitivitySolver(solver, base)
-    S = solver.sspace
-    scalar_if = interface_dofs(S)
-    vec_if = np.column_stack([2 * scalar_if, 2 * scalar_if + 1]).ravel()
     est = max(contraction_probe(solver, base, n_samples=2, iters=25))
 
     # the coupling map reads only the interface trace, so its spectrum is
     # that of the dense interface restriction
-    T = np.zeros((len(vec_if), len(vec_if)))
-    for j, dof in enumerate(vec_if):
-        e = FEFunction.zeros(S)
-        e.coefficients[dof] = 1.0
-        T[:, j] = sens.apply_coupling_map(e).coefficients[vec_if]
+    T = coupling_matrix_by_columns(sens)
     lam = np.abs(np.linalg.eigvals(T)).max()
     assert abs(est - lam) <= 0.1 * max(lam, 1e-30)
 
@@ -358,14 +335,16 @@ def test_taylor_slopes_normal_projected(fsi_solver):
 def test_derivative_where_fixed_point_does_not_contract(fsi_solver):
     # at g = 0.22 the relaxed outer loop converges, but the unrelaxed
     # derivative map has spectral radius near 0.92, where a fixed point
-    # needs hundreds of iterations; the direct solve is unaffected
+    # needs hundreds of iterations; GMRES is unaffected
     H = fsi_solver.mesh.geometry.channel_height
     opts = CouplingOptions(relaxation=0.6, tol=1e-11, fluid_tol=1e-12)
     base = fsi_solver.solve(InflowProfile(0.22, H), opts)
     sens = SensitivitySolver(fsi_solver, base)
     state = sens.solve(InflowProfile(1.0, H))
     assert state.report.converged
-    assert np.abs(np.linalg.eigvals(sens.coupling_matrix)).max() >= 0.85
+    T = coupling_matrix_by_columns(sens)
+    assert np.abs(np.linalg.eigvals(T)).max() >= 0.85
+    assert state.ritz_radius >= 0.85
     report = taylor_test(
         fsi_solver,
         g_of=lambda m: InflowProfile(0.22 + m, H),
