@@ -1,9 +1,20 @@
 """Partitioned fluid-structure coupling.
 
-One outer iteration: build the flow map from the current interface
-displacement, solve the transformed Navier-Stokes problem, evaluate the
-pressure traction on the interface, solve the clamped elasticity problem,
-and relax.  The converged state is the coupled fixed point u = N(t(u, p)).
+One outer iteration evaluates the solid response h = H(u): build the flow
+map from the current interface displacement, solve the transformed
+Navier-Stokes problem, evaluate the pressure traction on the interface and
+solve the clamped elasticity problem.  The converged state is the coupled
+fixed point u = H(u).
+
+The update is interface quasi-Newton IQN-ILS (Degroote, Bathe &
+Vierendeels 2009): with the residual r = h - u, the first step relaxes,
+u + omega r, and every later step is u_new = h + W c, where c minimises
+|V c + r| over the differences V of the solve's earlier residuals and W of
+its earlier responses.  The fit is a least-squares inverse Jacobian built
+from the iterates alone, so no operator is assembled; near-dependent
+differences are filtered out first (Haelterman et al. 2016).  With
+``CouplingOptions.quasi_newton`` off every step relaxes, the plain Picard
+map whose increment ratios measure its contraction.
 """
 
 from dataclasses import dataclass, field
@@ -38,6 +49,37 @@ class OuterDivergenceError(RuntimeError):
         self.report = report
 
 
+# a secant difference whose part orthogonal to the newer kept ones is at
+# most this share of its own norm is dropped from the least-squares fit
+SECANT_FILTER = 1e-8
+# the fluid solves of a quasi-Newton loop stop at this share of the FORCING
+# tolerance: loose inner solves pollute the secant differences, which cost
+# an outer step at the operating point with FORCING alone
+SECANT_FORCING = 0.3
+
+
+def filter_secants(V):
+    """Indices of the rows of ``V`` (secant differences, oldest first) that
+    the QR filter keeps.
+
+    Walks from the newest row and orthogonalises each against the rows kept
+    before it (classical Gram-Schmidt, applied twice); a row whose remainder
+    is at most SECANT_FILTER times its own norm is dropped, so zero and
+    repeated rows go and the kept ones are well conditioned.
+    """
+    Q = np.empty_like(V)
+    kept = []
+    for i in range(len(V) - 1, -1, -1):
+        q = V[i]
+        for _ in range(2):
+            q = q - Q[:len(kept)].T @ (Q[:len(kept)] @ q)
+        size = np.linalg.norm(q)
+        if size > SECANT_FILTER * np.linalg.norm(V[i]):
+            Q[len(kept)] = q / size
+            kept.append(i)
+    return sorted(kept)
+
+
 class MeshTangledError(RuntimeError):
     """Outer iterate produced a non-invertible flow map."""
 
@@ -48,6 +90,17 @@ class MeshTangledError(RuntimeError):
 
 @dataclass
 class CouplingOptions:
+    """Settings of one coupled solve.
+
+    ``relaxation`` scales the first outer update, u + omega r.  With
+    ``quasi_newton`` (the default) every later update is the IQN-ILS step
+    h + W c; with it off every update relaxes, the plain Picard map whose
+    increment ratios measure the coupling's contraction (the ``probes``
+    scenario and the contraction tests use it).  ``fluid_tol`` is the floor
+    of the forced inner tolerance and the tolerance of the first outer
+    step and of the final refresh solve.
+    """
+
     relaxation: float = 1.0
     tol: float = 1e-9
     max_outer_iter: int = 50
@@ -55,6 +108,7 @@ class CouplingOptions:
     warm_start: bool = True
     fluid_tol: float = 1e-11
     fluid_max_iter: int = 50
+    quasi_newton: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.relaxation <= 1.0:
@@ -210,11 +264,17 @@ class FSISolver:
         omega = opts.relaxation
         projected = opts.traction_interpretation == "normal-projected"
         norm = self.norms_u.h1_norm
-        x_fluid, r_prev = None, None
-        per_step = []  # (fluid_iters, min_J, min_eig_A) of each outer step
+        x_fluid, r_prev, last = None, None, None
+        forcing = FORCING * SECANT_FORCING if opts.quasi_newton else FORCING
+        # secant differences of residuals (V) and responses (W), one row per
+        # step after the first, preallocated so the loop allocates no block
+        if opts.quasi_newton:
+            V = np.empty((opts.max_outer_iter, self.sspace.ndof))
+            W = np.empty_like(V)
+        per_step = []  # (fluid_iters, min_J, min_eig_A, secant_columns)
 
         def step(u):
-            nonlocal x_fluid, r_prev
+            nonlocal x_fluid, r_prev, last
             u_fn = FEFunction(self.sspace, u)
             ext = self.extension_of(u_fn)
             try:
@@ -224,7 +284,7 @@ class FSISolver:
             # inexact inner solve: the fluid need not be more accurate than
             # the outer iterate it feeds (Eisenstat-Walker forcing)
             fluid_tol = (opts.fluid_tol if r_prev is None
-                         else max(opts.fluid_tol, FORCING * r_prev))
+                         else max(opts.fluid_tol, forcing * r_prev))
             state, frep = self.fluid.solve(
                 fields, g,
                 tol=fluid_tol, max_iter=opts.fluid_max_iter,
@@ -232,10 +292,21 @@ class FSISolver:
             )
             x_fluid = state.stacked()
             t = self.tractor.evaluate(ext, state.p, projected)
-            du = self.solid.solve(traction=t).coefficients - u
+            h = self.solid.solve(traction=t).coefficients
+            du = h - u
+            kept = []
+            if last is None or not opts.quasi_newton:
+                u_new, dx = u + omega * du, omega * du
+            else:
+                k = len(per_step) - 1
+                V[k], W[k] = du - last[0], h - last[1]
+                kept = filter_secants(V[:k + 1])
+                c = np.linalg.lstsq(V[kept].T, -du, rcond=None)[0]
+                u_new = h + W[kept].T @ c
+                dx = u_new - u
+            last = du, h
             per_step.append((frep.iterations, float(fields.J.min()),
-                             float(fields.min_eig_A().min())))
-            u_new, dx = u + omega * du, omega * du
+                             float(fields.min_eig_A().min()), len(kept)))
             # the relative increment fixed_point tests against tol
             r_prev = norm(dx) / max(norm(u_new), 1e-30)
             return u_new, dx, r_prev
@@ -247,7 +318,7 @@ class FSISolver:
         log_rows = [(k + 1, inc, ratio, *extra) for (k, _, ratio), inc, extra
                     in zip(report.rows(), report.increments, per_step)]
         u = FEFunction(self.sspace, u)
-        # refresh the fluid state at the final relaxed displacement
+        # refresh the fluid state at the final displacement
         ext = self.extension_of(u)
         fields = transform_fields(self.vspace, ext)
         state, _ = self.fluid.solve(

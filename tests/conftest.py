@@ -65,6 +65,16 @@ def fsi_base(fsi_solver, operating_inflow):
     )
 
 
+@pytest.fixture(scope="session")
+def fsi_plain_base(fsi_solver, operating_inflow):
+    """The operating point by the plain relaxed map, whose increment ratios
+    measure its contraction."""
+    return fsi_solver.solve(
+        operating_inflow,
+        CouplingOptions(tol=1e-11, fluid_tol=1e-12, quasi_newton=False)
+    )
+
+
 def mirror_dof_error(space, coefs, height, arity):
     """Max deviation from mirror symmetry about the channel mid-line:
     x-components even, y-components odd under y -> H - y."""

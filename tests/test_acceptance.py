@@ -183,16 +183,18 @@ def test_04_mms_convergence():
              f"pressure L2 rate {rp:.3f} (2.0+-0.3), {dt:.1f}s (<=180s)")
 
 
-def test_05_contraction_regime(fsi_solver, op_base):
+def test_05_contraction_regime(fsi_solver, fsi_plain_base):
     t0 = time.time()
     H = fsi_solver.mesh.geometry.channel_height
     _, prep = fsi_solver.fluid.solve(None, InflowProfile(0.05, H))
     picard_ratio = max(prep.increment_ratios)
-    fsi_ratio = max(op_base.report.increment_ratios[1:])
+    # the ratios of the plain relaxed map measure its contraction
+    fsi_ratio = max(fsi_plain_base.report.increment_ratios[1:])
     sweep = []
     for mag in (0.02, 0.05, 0.08, 0.12):
         st = fsi_solver.solve(InflowProfile(mag, H),
-                              CouplingOptions(tol=1e-10, warm_start=False))
+                              CouplingOptions(tol=1e-10, warm_start=False,
+                                              quasi_newton=False))
         sweep.append(max(st.report.increment_ratios[1:]))
     monotone = all(b > a for a, b in zip(sweep, sweep[1:]))
     dt = time.time() - t0

@@ -9,6 +9,7 @@ from fsichannel.fsi import (
     FSISolver,
     OuterDivergenceError,
     TractionEvaluator,
+    filter_secants,
 )
 from fsichannel.geomap import identity_fields, interface_dofs
 from fsichannel.spaces import FEFunction
@@ -115,8 +116,9 @@ def test_zero_inflow_zero_state(fsi_solver):
     assert state.report.iterations <= 2
 
 
-def test_operating_point_contraction_and_symmetry(fsi_solver, fsi_base):
-    ratios = fsi_base.report.increment_ratios
+def test_operating_point_contraction_and_symmetry(fsi_solver, fsi_base,
+                                                  fsi_plain_base):
+    ratios = fsi_plain_base.report.increment_ratios
     assert ratios and max(ratios[1:]) <= 0.5
     H = fsi_solver.mesh.geometry.channel_height
     assert mirror_dof_error(fsi_solver.sspace, fsi_base.u.coefficients,
@@ -168,7 +170,8 @@ def test_contraction_monotone_in_inflow(fsi_solver):
     rates = []
     for mag in (0.02, 0.05, 0.08, 0.12):
         st = fsi_solver.solve(InflowProfile(mag, H),
-                              CouplingOptions(tol=1e-10, warm_start=False))
+                              CouplingOptions(tol=1e-10, warm_start=False,
+                                              quasi_newton=False))
         rates.append(max(st.report.increment_ratios[1:]))
     assert all(b > a for a, b in zip(rates, rates[1:]))
     assert rates[-1] < 1.0
@@ -177,7 +180,7 @@ def test_contraction_monotone_in_inflow(fsi_solver):
 def test_contraction_improves_with_stiffness(default_mesh, operating_inflow):
     soft = FSISolver(default_mesh, (1.0, 25.0), NU)
     stiff = FSISolver(default_mesh, (1.0, 200.0), NU)
-    opts = CouplingOptions(tol=1e-10, warm_start=False)
+    opts = CouplingOptions(tol=1e-10, warm_start=False, quasi_newton=False)
     r_soft = max(soft.solve(operating_inflow, opts).report.increment_ratios[1:])
     r_stiff = max(
         stiff.solve(operating_inflow, opts).report.increment_ratios[1:])
@@ -244,3 +247,60 @@ def test_one_shot_wrapper_matches_solver(coarse_mesh, operating_inflow):
     assert np.array_equal(a.u.coefficients, b.u.coefficients)
     r = FSISolver(coarse_mesh, LAME, NU).residual(a, operating_inflow)
     assert r <= 1e-7
+
+
+@pytest.mark.parametrize("mag", [0.05, 0.12])
+def test_quasi_newton_reaches_plain_fixed_point(fsi_solver, mag):
+    H = fsi_solver.mesh.geometry.channel_height
+    qn, plain = (
+        fsi_solver.solve(InflowProfile(mag, H), CouplingOptions(
+            tol=1e-11, fluid_tol=1e-12, quasi_newton=flag))
+        for flag in (True, False))
+    for a, b, norm in (
+        (qn.u, plain.u, fsi_solver.norms_u.h1_norm),
+        (qn.fluid.w, plain.fluid.w, fsi_solver.fluid.norms_v.h1_norm),
+        (qn.fluid.p, plain.fluid.p, fsi_solver.fluid.norms_p.l2),
+    ):
+        gap = norm(a.coefficients - b.coefficients)
+        assert gap <= 1e-10 * norm(b.coefficients)
+
+
+@pytest.mark.parametrize("mag, qn_max, plain_count", [(0.05, 9, 13),
+                                                       (0.12, 12, 28)])
+def test_quasi_newton_outer_counts(fsi_solver, mag, qn_max, plain_count):
+    # the seed-0 points of the operating-l0 and near-limit-l0 workloads
+    H = fsi_solver.mesh.geometry.channel_height
+    qn = fsi_solver.solve(InflowProfile(mag, H), CouplingOptions())
+    plain = fsi_solver.solve(InflowProfile(mag, H),
+                             CouplingOptions(quasi_newton=False))
+    assert qn.report.iterations <= qn_max
+    assert plain.report.iterations == plain_count
+    # the first step relaxes; each later one fits at most one secant
+    # difference per earlier step
+    columns = [row[6] for row in qn.log_rows]
+    assert columns[0] == 0 and all(0 < c <= k for k, c in
+                                   enumerate(columns) if k)
+    assert all(row[6] == 0 for row in plain.log_rows)
+
+
+@pytest.mark.parametrize("mag", [0.18, 0.3])
+def test_quasi_newton_converges_past_contraction(fsi_solver, mag):
+    g = InflowProfile(mag, fsi_solver.mesh.geometry.channel_height)
+    with pytest.raises(OuterDivergenceError):
+        fsi_solver.solve(g, CouplingOptions(relaxation=1.0,
+                                            quasi_newton=False))
+    state = fsi_solver.solve(g, CouplingOptions(relaxation=1.0))
+    assert state.report.converged
+    assert fsi_solver.residual(state, g) <= 1e-7
+
+
+def test_secant_filter_drops_zero_and_repeated_columns():
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 40))
+    # oldest first: a, zero, a again, b; the filter walks from the newest
+    V = np.stack([a, np.zeros(40), a, b])
+    kept = filter_secants(V)
+    assert kept == [2, 3]
+    c = np.linalg.lstsq(V[kept].T, -rng.standard_normal(40), rcond=None)[0]
+    assert np.isfinite(c).all()
+    assert filter_secants(np.zeros((3, 40))) == []

@@ -272,9 +272,10 @@ def test_probe_zero_at_rest(fsi_solver):
     assert max(estimates) <= 1e-12
 
 
-def test_probe_matches_outer_ratio(fsi_solver, fsi_base):
-    estimates = contraction_probe(fsi_solver, fsi_base, n_samples=2, iters=10)
-    observed = fsi_base.report.increment_ratios[-1]
+def test_probe_matches_outer_ratio(fsi_solver, fsi_plain_base):
+    estimates = contraction_probe(fsi_solver, fsi_plain_base, n_samples=2,
+                                  iters=10)
+    observed = fsi_plain_base.report.increment_ratios[-1]
     for est in estimates:
         assert abs(est - observed) <= 0.1 * observed
 
