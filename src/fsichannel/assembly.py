@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import edge_keys
 from .quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS, TRI_WEIGHTS
 from .spaces import FEFunction, Space, read_only
 
@@ -293,15 +294,6 @@ def _edge_trace_basis(order, t):
     return np.stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], axis=1)
 
 
-def _edge_dofs(space: Space, edges):
-    """Scalar dofs of each edge in trace-basis order, (E, 2 or 3)."""
-    dofs = [[space._vert_dof[int(u)], space._vert_dof[int(v)]] for u, v in edges]
-    if space.desc.order == 2:
-        for row, (u, v) in zip(dofs, edges):
-            row.append(space._edge_dof[(min(int(u), int(v)), max(int(u), int(v)))])
-    return np.asarray(dofs, dtype=np.int64)
-
-
 def assemble_boundary_mass(space: Space, tag):
     """Sparse M with M @ f.coefficients the surface integral of f . psi over
     the edges of ``tag``, for f in ``space``, componentwise."""
@@ -310,7 +302,7 @@ def assemble_boundary_mass(space: Space, tag):
     d = space.mesh.nodes[edges[:, 1]] - space.mesh.nodes[edges[:, 0]]
     length = np.hypot(d[:, 0], d[:, 1])
     elem = length[:, None, None] * ((EDGE_WEIGHTS[:, None] * N).T @ N)
-    dofs, c = _edge_dofs(space, edges), np.arange(space.desc.arity)
+    dofs, c = space.trace_dofs(edges), np.arange(space.desc.arity)
     rows = space.desc.arity * dofs[:, :, None, None] + c
     cols = space.desc.arity * dofs[:, None, :, None] + c
     elem = np.broadcast_to(elem[..., None], elem.shape + (len(c),))
@@ -332,7 +324,7 @@ def assemble_boundary_load(space: Space, tag, f):
     N = _edge_trace_basis(space.desc.order, t)
     arity = space.desc.arity
     out = np.zeros(space.ndof)
-    for (u, v), dofs in zip(edges, _edge_dofs(space, edges)):
+    for (u, v), dofs in zip(edges, space.trace_dofs(edges)):
         pu, pv = space.mesh.nodes[u], space.mesh.nodes[v]
         length = float(np.hypot(*(pv - pu)))
         xs = pu[None, :] + t[:, None] * (pv - pu)[None, :]
@@ -364,48 +356,39 @@ def assemble_rhs(vspace: Space, pspace: Space, f=None, f2=None, f3=None):
 # ---- norms ---------------------------------------------------------------
 
 class NormSet:
-    """Discrete H1 / L2 Gram matrices for a space (vector layouts expanded)."""
+    """Discrete H1 / L2 Gram matrices of a space's scalar layout; the norm
+    of a vector function sums the Gram forms of its components."""
 
     def __init__(self, space: Space):
-        M = assemble_mass(space)
-        S = assemble_scalar_stiffness(space)
-        if space.desc.arity == 2:
-            M = sp.kron(M, sp.eye(2), format="csr")
-            # kron ordering matches interleaved dofs: block (s, c) -> 2 s + c
-            S = sp.kron(S, sp.eye(2), format="csr")
-        self.mass = M
-        self.h1 = (M + S).tocsr()
+        self.arity = space.desc.arity
+        self.mass = assemble_mass(space)
+        self.h1 = (self.mass + assemble_scalar_stiffness(space)).tocsr()
+
+    def _norm(self, gram, vec):
+        # the rows of gram @ x, raveled, are those of the Gram matrix
+        # expanded to the interleaved layout, applied to vec
+        x = vec.reshape(-1, self.arity)
+        return float(np.sqrt(abs(vec @ (gram @ x).ravel())))
 
     def l2(self, vec):
-        return float(np.sqrt(abs(vec @ (self.mass @ vec))))
+        return self._norm(self.mass, vec)
 
     def h1_norm(self, vec):
-        return float(np.sqrt(abs(vec @ (self.h1 @ vec))))
+        return self._norm(self.h1, vec)
 
 
 # ---- tagged-edge element data (fluxes, traction) --------------------------
 
 def tagged_edge_elements(space: Space, tag):
-    """Per tagged edge: adjacent element (local index), oriented endpoints,
-    outward unit normal, and length.  Orientation is taken from the unique
-    adjacent triangle in this space's subdomain (CCW traversal)."""
-    edges = {tuple(sorted(map(int, e))) for e in space.tagged_entities(tag)}
+    """The tagged edges of this space's subdomain, one per adjacent element
+    in element order: (element (local index), start node, end node, outward
+    unit normal).  Orientation is taken from the element (CCW traversal)."""
+    nodes, n = space.mesh.nodes, space.mesh.num_nodes
+    edges = space.tagged_entities(tag)
     tris = space.mesh.triangles[space.tri_ids]
-    out = []
-    for e, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(int(u), int(v)), max(int(u), int(v)))
-            if key in edges:
-                pu, pv = space.mesh.nodes[u], space.mesh.nodes[v]
-                d = pv - pu
-                length = float(np.hypot(*d))
-                normal = np.array([d[1], -d[0]]) / length
-                out.append({
-                    "element": e,
-                    "start": int(u),
-                    "end": int(v),
-                    "normal": normal,
-                    "length": length,
-                })
-    return out
-
+    hit = np.isin(edge_keys(tris, n), edges.min(axis=1) * n + edges.max(axis=1))
+    element, local = np.nonzero(hit)
+    start, end = tris[element, local], tris[element, (local + 1) % 3]
+    d = nodes[end] - nodes[start]
+    normal = np.stack([d[:, 1], -d[:, 0]], axis=1) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    return element, start, end, normal

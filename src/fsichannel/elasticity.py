@@ -22,7 +22,6 @@ from .assembly import (
     assemble_elasticity,
     assemble_velocity_load,
 )
-from .geomap import interface_dofs
 from .linsolve import FrozenFactorization
 from .mesh import SOLID, TAG_CLAMPED, TAG_INTERFACE
 from .spaces import FEFunction, Space, make_space
@@ -48,7 +47,7 @@ class ElasticitySolver:
         self.lame = (lam, mu)
         self.matrix = assemble_elasticity(space, lam, mu).tocsc()
         self.clamped = space.boundary_dofs(TAG_CLAMPED)
-        self.iface = interface_dofs(space)
+        self.iface = space.interface_dofs
         # vector dofs of the interface, in trace order 2 m + c
         self.iface_vdofs = (2 * self.iface[:, None] + np.arange(2)).ravel()
         self._lu = FrozenFactorization(self.matrix, self.clamped)
@@ -65,7 +64,7 @@ class ElasticitySolver:
 
         ``traction`` is an array of shape (n_interface, 2) giving the load
         at the interface scalar dofs (vertices and edge midpoints), in the
-        canonical interface ordering of :func:`geomap.interface_dofs`.
+        canonical interface ordering of :attr:`Space.interface_dofs`.
         The traction enters as the weak Neumann load int_interface v . psi.
         """
         rhs = np.zeros(self.space.ndof)
@@ -92,4 +91,4 @@ def interface_trace(u: FEFunction) -> np.ndarray:
     returned rows are the nodal values at the interface vertices and edge
     midpoints, ordered canonically.
     """
-    return u.component_matrix()[interface_dofs(u.space)].copy()
+    return u.component_matrix()[u.space.interface_dofs].copy()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly as asm
-from .linsolve import FrozenFactorization
+from .linsolve import COLUMN_MIN_DEGREE, FrozenFactorization
 from .mesh import FLUID, TAG_INFLOW, TAG_INTERFACE, TAG_WALL
 from .spaces import FEFunction, Space, make_space
 
@@ -184,7 +184,8 @@ class PicardSolver:
         self.norms_v = asm.NormSet(vspace)
         self.norms_p = asm.NormSet(pspace)
         self._M_I = asm.transformed_oseen_system(vspace, pspace, None, nu)
-        self._lu = FrozenFactorization(self._M_I, dirichlet_dofs(vspace))
+        self._lu = FrozenFactorization(self._M_I, dirichlet_dofs(vspace),
+                                       options=COLUMN_MIN_DEGREE)
 
     def loads(self, f=None, f2=None, f3=None):
         return asm.assemble_rhs(self.vspace, self.pspace, f, f2, f3)
@@ -258,7 +259,8 @@ def solve_linearized(vspace, pspace, fields, base_w, dg=None, f=None, f2=None,
     prescribed = dirichlet_vector(vspace, pspace, dg)
     if mode == "direct":
         A = linearized_system(vspace, pspace, fields, base_w, nu)
-        x = FrozenFactorization(A, dirichlet_dofs(vspace)).solve(F, prescribed)
+        lu = FrozenFactorization(A, dirichlet_dofs(vspace), options=COLUMN_MIN_DEGREE)
+        x = lu.solve(F, prescribed)
         report = SolverReport(iterations=1, converged=True, mode="direct")
         return FEFunction(vspace, x[:n_v]), FEFunction(pspace, x[n_v:]), report
 
@@ -266,7 +268,7 @@ def solve_linearized(vspace, pspace, fields, base_w, dg=None, f=None, f2=None,
         raise ValueError(f"unknown mode {mode!r}")
 
     M_I = linearized_system(vspace, pspace, None, base_w, nu)
-    lu = FrozenFactorization(M_I, dirichlet_dofs(vspace))
+    lu = FrozenFactorization(M_I, dirichlet_dofs(vspace), options=COLUMN_MIN_DEGREE)
     M_full = linearized_system(vspace, pspace, fields, base_w, nu)
     D = M_full - M_I
 

@@ -36,7 +36,6 @@ from .geomap import (
     HarmonicExtender,
     TangledMeshError,
     cof2,
-    interface_dofs,
     transform_fields,
 )
 from .mesh import TAG_INTERFACE
@@ -147,41 +146,33 @@ class TractionEvaluator:
     symmetries.  Normals point out of the fluid, so a positive pressure
     pushes the solid away from it.
 
-    Every (dof, element) record is one sample point.  Three sparse matrices
-    built once carry the sampling: lift coefficients to lift gradients,
+    Every (dof, element) pair is one sample point; ``points`` holds, per
+    point, the dof's position in the interface order, the element (local
+    index) and the reference coordinates.  Three sparse matrices built once
+    carry the sampling: lift coefficients to lift gradients,
     pressure coefficients to pressures, and the per-dof average.
     """
 
     def __init__(self, vspace, pspace):
         self.vspace = vspace
         self.pspace = pspace
-        self.iface = interface_dofs(vspace)
-        edges = asm.tagged_edge_elements(vspace, TAG_INTERFACE)
-        per_dof = {}  # scalar dof -> list of (element, normal)
-        for edge in edges:
-            u, v = edge["start"], edge["end"]
-            du = vspace._vert_dof[u]
-            dv = vspace._vert_dof[v]
-            dm = vspace._edge_dof[(min(u, v), max(u, v))]
-            for d in (du, dv, dm):
-                per_dof.setdefault(d, []).append((edge["element"], edge["normal"]))
-        self.records = []
-        for d in self.iface:
-            ents = per_dof[int(d)]
-            normal = np.mean([n for _, n in ents], axis=0)
-            normal /= np.linalg.norm(normal)
-            x = vspace.dof_coords[d]
-            elems = sorted({e for e, _ in ents})
-            refs = [
-                np.einsum("ij,j->i", vspace.inv_jac[e], x - vspace.origin[e])
-                for e in elems
-            ]
-            self.records.append((int(d), elems, normal, refs))
-        self.normals = np.array([normal for _, _, normal, _ in self.records])
-        rec = np.array([k for k, (_, elems, _, _) in enumerate(self.records)
-                        for _ in elems])
-        elem = np.array([e for _, elems, _, _ in self.records for e in elems])
-        refs = np.array([r for _, _, _, refs in self.records for r in refs])
+        self.iface = vspace.interface_dofs
+        element, start, end, normal = asm.tagged_edge_elements(vspace, TAG_INTERFACE)
+        # each edge element samples the edge's start, end and midpoint dofs
+        where = np.full(vspace.n_scalar, -1)
+        where[self.iface] = np.arange(len(self.iface))
+        rec = where[vspace.trace_dofs(np.stack([start, end], axis=1))].ravel()
+        by_rec = np.argsort(rec, kind="stable")
+        first = np.searchsorted(rec[by_rec], np.arange(len(self.iface)))
+        mean = (np.add.reduceat(np.repeat(normal, 3, axis=0)[by_rec], first)
+                / np.bincount(rec)[:, None])
+        self.normals = np.array([n / np.linalg.norm(n) for n in mean])
+        # one sample point per (dof, element) pair, by dof, then element
+        pairs = np.unique(rec * len(vspace.tri_ids) + np.repeat(element, 3))
+        rec, elem = np.divmod(pairs, len(vspace.tri_ids))
+        x = vspace.dof_coords[self.iface[rec]] - vspace.origin[elem]
+        refs = np.einsum("pij,pj->pi", vspace.inv_jac[elem], x)
+        self.points = rec, elem, refs
         n_pts = len(rec)
         self._pair_normal = self.normals[rec, :, None]  # (pts, 2, 1)
         # lift gradient rows (point, l) from the scalar lift coefficients
@@ -196,7 +187,7 @@ class TractionEvaluator:
              (np.repeat(np.arange(n_pts), 3), pspace.elem_dofs[elem].ravel())),
             shape=(n_pts, pspace.ndof))
         self._sum = sp.csr_matrix((np.ones(n_pts), (rec, np.arange(n_pts))),
-                                  shape=(len(self.records), n_pts))
+                                  shape=(len(self.iface), n_pts))
         self._count = np.bincount(rec)[:, None]
 
     def _lift_grads(self, coefficients):

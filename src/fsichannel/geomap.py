@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import NonPositiveJacobianError, assemble_scalar_stiffness
-from .linsolve import FrozenFactorization
+from .linsolve import SYMMETRIC_MIN_DEGREE, FrozenFactorization
 from .mesh import ALL_TAGS, MeshError
 from .quadrature import TRI_POINTS
-from .spaces import FEFunction, Space, interface_scalar_maps
+from .spaces import FEFunction, Space
 
 
 class TangledMeshError(NonPositiveJacobianError):
@@ -74,12 +74,6 @@ class TransformDerivatives:
     dA: np.ndarray
 
 
-def interface_dofs(space: Space):
-    """Interface scalar dofs in the canonical (edge-list) entity order."""
-    dofs, _ = interface_scalar_maps(space, space)
-    return dofs
-
-
 class HarmonicExtender:
     """Factorized componentwise Laplace solver for interface lifts.
 
@@ -90,16 +84,15 @@ class HarmonicExtender:
     def __init__(self, vspace: Space):
         self.vspace = vspace
         S = assemble_scalar_stiffness(vspace)
-        self.iface = interface_dofs(vspace)
-        bdofs = set()
+        self.iface = vspace.interface_dofs
+        bdofs = []
         for tag in ALL_TAGS:
             try:
-                bdofs |= set(vspace.boundary_scalar_dofs(tag))
+                bdofs.append(vspace.boundary_scalar_dofs(tag))
             except MeshError:  # the tag does not touch this subdomain
                 continue
-        self.others = np.asarray(sorted(bdofs - set(self.iface)), dtype=np.int64)
-        cdofs = np.sort(np.concatenate([self.iface, self.others]))
-        self._fact = FrozenFactorization(S, cdofs)
+        cdofs = np.union1d(self.iface, np.concatenate(bdofs))
+        self._fact = FrozenFactorization(S, cdofs, options=SYMMETRIC_MIN_DEGREE)
         self._zero_rhs = np.zeros((vspace.n_scalar, 2))
 
     def extend(self, trace_values):

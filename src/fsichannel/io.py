@@ -133,9 +133,9 @@ def vertex_values(fefun):
     mesh = space.mesh
     arity = space.desc.arity
     out = np.zeros((len(mesh.nodes), arity) if arity > 1 else len(mesh.nodes))
-    cm = fefun.component_matrix()
-    for node, dof in space._vert_dof.items():
-        out[node] = cm[dof] if arity > 1 else cm[dof, 0]
+    nodes = np.flatnonzero(space.vertex_dofs >= 0)
+    vals = fefun.component_matrix()[space.vertex_dofs[nodes]]
+    out[nodes] = vals if arity > 1 else vals[:, 0]
     return out
 
 

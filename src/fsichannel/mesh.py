@@ -187,38 +187,26 @@ def build_channel_mesh(geom: ChannelGeometry) -> Mesh:
     ys = _breakpoints(0.0, H, req_y, pitch)
     nx, ny = len(xs), len(ys)
 
-    def nid(i, j):
-        return j * nx + i
-
     grid_nodes = np.empty((nx * ny, 2))
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     grid_nodes[:, 0] = gx.ravel()
     grid_nodes[:, 1] = gy.ravel()
 
-    tris, labels = [], []
-    outer = geom.outer_rect
-    inner = geom.inner_rect
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            cx = 0.5 * (xs[i] + xs[i + 1])
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            if inner is not None and inner[0] < cx < inner[1] and inner[2] < cy < inner[3]:
-                continue  # hole
-            if outer is not None and outer[0] < cx < outer[1] and outer[2] < cy < outer[3]:
-                lab = SOLID
-            else:
-                lab = FLUID
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            if cy < H / 2.0:
-                cell = [(a, b, d), (b, c, d)]
-            else:
-                cell = [(a, b, c), (a, c, d)]
-            tris.extend(cell)
-            labels.extend([lab, lab])
-
-    tris = np.asarray(tris, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int8)
+    # cells (j, i) in row-major order, lower-left node a, then b, c, d
+    # counter-clockwise; the diagonal depends on the side of the mid-line
+    cx = np.tile(0.5 * (xs[:-1] + xs[1:]), ny - 1)
+    cy = np.repeat(0.5 * (ys[:-1] + ys[1:]), nx - 1)
+    a = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).ravel()
+    b, c, d = a + 1, a + nx + 1, a + nx
+    cells = np.where((cy < H / 2.0)[:, None], np.stack([a, b, d, b, c, d], 1),
+                     np.stack([a, b, c, a, c, d], 1))
+    labels = np.full(len(a), FLUID, dtype=np.int8)
+    keep = np.ones(len(a), dtype=bool)
+    if geom.outer_rect is not None:
+        labels[(ox0 < cx) & (cx < ox1) & (oy0 < cy) & (cy < oy1)] = SOLID
+        keep = ~((ix0 < cx) & (cx < ix1) & (iy0 < cy) & (cy < iy1))  # the hole
+    tris = cells[keep].reshape(-1, 3)
+    labels = np.repeat(labels[keep], 2)
 
     # drop unused grid nodes (inside the hole)
     used = np.unique(tris)
@@ -235,74 +223,75 @@ def build_channel_mesh(geom: ChannelGeometry) -> Mesh:
     return mesh
 
 
-def _edge_incidence(triangles, tri_subdomain):
-    """Map undirected edge -> list of (triangle index, subdomain, oriented pair)."""
-    inc = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            inc.setdefault(key, []).append((t, int(tri_subdomain[t]), (u, v)))
-    return inc
+def edge_keys(triangles, n):
+    """Key min n + max of each half-edge (a, b), (b, c), (c, a) of each
+    triangle, (T, 3), for node indices below ``n``."""
+    u, v = triangles, np.roll(triangles, -1, axis=1)
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def number_by_first_use(keys):
+    """Number the distinct values of ``keys`` in the order they first occur:
+    returns (the distinct values in that order, the number of each entry)."""
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    met = np.argsort(first)
+    number = np.empty(len(met), dtype=np.int64)
+    number[met] = np.arange(len(met))
+    return uniq[met], number[inverse]
+
+
+def _edge_incidence(triangles, n):
+    """Undirected edges of a triangle list, sorted by key: the (min, max)
+    node rows, the edge of each flat half-edge, the first flat half-edge
+    of each edge, and its number of half-edges."""
+    keys, first, inverse, counts = np.unique(
+        edge_keys(triangles, n).ravel(), return_index=True,
+        return_inverse=True, return_counts=True)
+    return np.stack([keys // n, keys % n], axis=1), inverse, first, counts
+
+
+def _subdomain_sums(tri_subdomain, inverse):
+    """Per edge, the sum of the subdomain labels of its half-edges."""
+    return np.bincount(inverse, np.repeat(tri_subdomain, 3).astype(float))
 
 
 def _tag_edges(nodes, triangles, tri_subdomain, geom):
     L, H = geom.channel_length, geom.channel_height
-    inc = _edge_incidence(triangles, tri_subdomain)
-    edges, tags = [], []
-    for (u, v), ts in sorted(inc.items()):
-        if len(ts) == 1:
-            (x0, y0), (x1, y1) = nodes[u], nodes[v]
-            if x0 == 0.0 and x1 == 0.0:
-                tag = TAG_INFLOW
-            elif x0 == L and x1 == L:
-                tag = TAG_OUTFLOW
-            elif (y0 == 0.0 and y1 == 0.0) or (y0 == H and y1 == H):
-                tag = TAG_WALL
-            else:
-                tag = TAG_CLAMPED
-            edges.append((u, v))
-            tags.append(tag)
-        elif len(ts) == 2 and ts[0][1] != ts[1][1]:
-            edges.append((u, v))
-            tags.append(TAG_INTERFACE)
-    return np.asarray(edges, dtype=np.int64), np.asarray(tags, dtype=object)
+    edges, inverse, _, counts = _edge_incidence(triangles, len(nodes))
+    # an edge of two triangles is on the interface if their subdomains differ
+    interface = (counts == 2) & (_subdomain_sums(tri_subdomain, inverse) == FLUID + SOLID)
+    boundary = counts == 1
+    (x0, y0), (x1, y1) = nodes[edges[:, 0]].T, nodes[edges[:, 1]].T
+    tags = np.full(len(edges), TAG_CLAMPED, dtype=object)
+    tags[((y0 == 0.0) & (y1 == 0.0)) | ((y0 == H) & (y1 == H))] = TAG_WALL
+    tags[(x0 == L) & (x1 == L)] = TAG_OUTFLOW
+    tags[(x0 == 0.0) & (x1 == 0.0)] = TAG_INFLOW
+    tags[interface] = TAG_INTERFACE
+    keep = boundary | interface
+    return edges[keep], tags[keep]
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
-    """Red refinement: split every triangle into four; tags are inherited."""
-    nodes = mesh.nodes
-    tris = mesh.triangles
-    edge_mid = {}
-    new_nodes = [nodes]
-    next_id = len(nodes)
+    """Red refinement: split every triangle into four; tags are inherited.
 
-    def midpoint(u, v):
-        nonlocal next_id
-        key = (min(u, v), max(u, v))
-        if key not in edge_mid:
-            edge_mid[key] = next_id
-            new_nodes.append(0.5 * (nodes[u] + nodes[v])[None, :])
-            next_id += 1
-        return edge_mid[key]
-
-    child_tris, child_labels = [], []
-    for t, (a, b, c) in enumerate(tris):
-        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        child_tris.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
-        child_labels.extend([mesh.tri_subdomain[t]] * 4)
-
-    child_edges, child_tags = [], []
-    for (u, v), tag in zip(mesh.boundary_edges, mesh.edge_tags):
-        m = midpoint(u, v)
-        child_edges.extend([(u, m), (m, v)])
-        child_tags.extend([tag, tag])
-
+    The midpoint of each edge is numbered after the parent nodes in the
+    order the edges are first met: the triangles' half-edges, then the
+    boundary edges."""
+    nodes, tris, n = mesh.nodes, mesh.triangles, mesh.num_nodes
+    bnd = mesh.boundary_edges
+    edges, number = number_by_first_use(np.concatenate([
+        edge_keys(tris, n).ravel(), bnd.min(axis=1) * n + bnd.max(axis=1)]))
+    mid = n + number
+    u, v = edges // n, edges % n
+    (a, b, c), (mab, mbc, mca) = tris.T, mid[:tris.size].reshape(-1, 3).T
+    mb = mid[tris.size:]
     return Mesh(
-        np.vstack(new_nodes),
-        np.asarray(child_tris, dtype=np.int64),
-        np.asarray(child_labels, dtype=np.int8),
-        np.asarray(child_edges, dtype=np.int64),
-        np.asarray(child_tags, dtype=object),
+        np.vstack([nodes, 0.5 * (nodes[u] + nodes[v])]),
+        np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca],
+                 axis=1).reshape(-1, 3),
+        np.repeat(mesh.tri_subdomain, 4),
+        np.stack([bnd[:, 0], mb, mb, bnd[:, 1]], axis=1).reshape(-1, 2),
+        np.repeat(mesh.edge_tags, 2),
         mesh.geometry,
     )
 
@@ -327,6 +316,8 @@ def validate_mesh(mesh: Mesh) -> MeshReport:
     This walk is independent of the construction path in
     :func:`build_channel_mesh`: it rebuilds the edge incidence from the
     triangle list alone and compares against the stored boundary data.
+    Faults of one kind are reported in the order their edges are first
+    met in the triangle list.
     """
     msgs = []
     areas = mesh.triangle_areas()
@@ -334,50 +325,57 @@ def validate_mesh(mesh: Mesh) -> MeshReport:
         bad = int(np.argmin(areas))
         msgs.append(f"triangle {bad} is not positively oriented (area {areas[bad]:.3e})")
 
-    inc = _edge_incidence(mesh.triangles, mesh.tri_subdomain)
-    boundary, interface = [], []
-    for key, ts in inc.items():
-        if len(ts) == 1:
-            boundary.append(key)
-        elif len(ts) == 2:
-            # conforming & consistently oriented: the shared edge is traversed
-            # in opposite directions by its two triangles
-            if ts[0][2] == ts[1][2]:
-                msgs.append(f"edge {key} traversed twice in the same direction")
-            if ts[0][1] != ts[1][1]:
-                interface.append(key)
-        else:
-            msgs.append(f"edge {key} shared by {len(ts)} triangles")
+    n = mesh.num_nodes
+    edges, inverse, first, counts = _edge_incidence(mesh.triangles, n)
+    met = np.argsort(first)  # edges in the order first met
+    # conforming & consistently oriented: the two triangles of a shared edge
+    # traverse it in opposite directions, so their start nodes sum to u + v
+    starts = np.bincount(inverse, mesh.triangles.ravel().astype(float))
+    same_way = (counts == 2) & (starts != edges.sum(axis=1))
+    for e in met[same_way[met] | (counts[met] > 2)]:
+        key = tuple(edges[e].tolist())
+        msgs.append(f"edge {key} traversed twice in the same direction" if counts[e] == 2
+                    else f"edge {key} shared by {counts[e]} triangles")
+    boundary = met[counts[met] == 1]
+    on_iface = (counts == 2) & (_subdomain_sums(mesh.tri_subdomain, inverse)
+                                == FLUID + SOLID)
+    interface = met[on_iface[met]]
 
-    declared = {(min(u, v), max(u, v)): tag for (u, v), tag in zip(mesh.boundary_edges, mesh.edge_tags)}
-    expect = set(boundary) | set(interface)
+    keys = (edges[:, 0] * n + edges[:, 1]).tolist()
+    bnd = mesh.boundary_edges
+    declared = dict(zip((bnd.min(axis=1) * n + bnd.max(axis=1)).tolist(), mesh.edge_tags))
+    expect = {keys[e] for e in boundary} | {keys[e] for e in interface}
     if set(declared) != expect:
         msgs.append("tagged edges do not match the topological boundary plus interface")
-    for key in boundary:
-        if declared.get(key) == TAG_INTERFACE:
-            msgs.append(f"boundary edge {key} wrongly tagged interface")
-    for key in interface:
-        if declared.get(key) != TAG_INTERFACE:
-            msgs.append(f"interface edge {key} tagged {declared.get(key)!r}")
+    for e in boundary:
+        if declared.get(keys[e]) == TAG_INTERFACE:
+            msgs.append(f"boundary edge {tuple(edges[e].tolist())} wrongly tagged interface")
+    for e in interface:
+        if declared.get(keys[e]) != TAG_INTERFACE:
+            msgs.append(f"interface edge {tuple(edges[e].tolist())} "
+                        f"tagged {declared.get(keys[e])!r}")
 
     # boundary loops via half-edge walk over boundary + interface edges
-    num_loops = _count_loops(expect)
+    num_loops = _count_loops(edges[np.concatenate([boundary, interface])].tolist())
 
     V = mesh.num_nodes
-    E = len(inc)
+    E = len(edges)
     F = mesh.num_triangles
     tag_counts = {tag: int(np.sum(mesh.edge_tags == tag)) for tag in ALL_TAGS}
 
-    if mesh.geometry is not None:
+    if mesh.geometry is not None and declared:
         g = mesh.geometry
-        for (u, v), tag in declared.items():
-            x, y = mesh.nodes[[u, v], 0], mesh.nodes[[u, v], 1]
-            if tag == TAG_INFLOW and not np.all(x == 0.0):
-                msgs.append("inflow edge not bit-exact on x=0")
-            if tag == TAG_OUTFLOW and not np.all(x == g.channel_length):
-                msgs.append("outflow edge not bit-exact on x=L")
-            if tag == TAG_WALL and not (np.all(y == 0.0) or np.all(y == g.channel_height)):
-                msgs.append("wall edge not bit-exact on y=0 or y=H")
+        dk = np.fromiter(declared, dtype=np.int64, count=len(declared))
+        tag = np.array(list(declared.values()), dtype=object)
+        (xu, yu), (xv, yv) = mesh.nodes[dk // n].T, mesh.nodes[dk % n].T
+        faults = np.select(
+            [(tag == TAG_INFLOW) & ~((xu == 0.0) & (xv == 0.0)),
+             (tag == TAG_OUTFLOW) & ~((xu == g.channel_length) & (xv == g.channel_length)),
+             (tag == TAG_WALL) & ~(((yu == 0.0) & (yv == 0.0))
+                                   | ((yu == g.channel_height) & (yv == g.channel_height)))],
+            ["inflow edge not bit-exact on x=0", "outflow edge not bit-exact on x=L",
+             "wall edge not bit-exact on y=0 or y=H"], "")
+        msgs += [m for m in faults if m]
 
     return MeshReport(
         ok=not msgs,

@@ -33,7 +33,7 @@ from .fluid import (
 )
 from .fsi import FSISolver, FSIState, MeshTangledError, OuterDivergenceError
 from .geomap import TangledMeshError, transform_derivatives
-from .linsolve import FrozenFactorization
+from .linsolve import COLUMN_MIN_DEGREE, FrozenFactorization
 from .quadrature import TRI_POINTS
 from .spaces import FEFunction
 
@@ -133,7 +133,7 @@ class SensitivitySolver:
         V, Q = solver.vspace, solver.pspace
         self.nu = solver.nu
         A = linearized_system(V, Q, base.fields, base.fluid.w, solver.nu)
-        self._lu = FrozenFactorization(A, dirichlet_dofs(V))
+        self._lu = FrozenFactorization(A, dirichlet_dofs(V), options=COLUMN_MIN_DEGREE)
 
     def _linearized(self, dg=None, rhs_extra=None):
         """(dw, dp) of the linearized fluid problem at the base state."""

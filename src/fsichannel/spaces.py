@@ -13,7 +13,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import ALL_TAGS, TAG_PRIORITY, Mesh, MeshError
+from .mesh import (
+    ALL_TAGS,
+    TAG_INTERFACE,
+    TAG_PRIORITY,
+    Mesh,
+    MeshError,
+    edge_keys,
+    number_by_first_use,
+)
 from .quadrature import TRI_WEIGHTS
 
 SCALAR = 1
@@ -109,34 +117,24 @@ class Space:
         if len(tris) == 0:
             raise MeshError(f"mesh has no triangles in subdomain {sub}")
 
+        # vertex dofs in node order, then (order 2) the edge midpoints in
+        # the order the triangles first meet their edges
         verts = np.unique(tris)
-        self._vert_dof = {int(v): i for i, v in enumerate(verts)}
-        coords = [mesh.nodes[verts]]
-        n = len(verts)
-        self._edge_dof = {}
+        self.vertex_dofs = np.full(mesh.num_nodes, -1, dtype=np.int64)
+        self.vertex_dofs[verts] = np.arange(len(verts))
+        self.elem_dofs = self.vertex_dofs[tris]
+        self.dof_coords = mesh.nodes[verts]
         if desc.order == 2:
-            mids = []
-            for a, b, c in tris:
-                for u, v in ((a, b), (b, c), (c, a)):
-                    key = (min(u, v), max(u, v))
-                    if key not in self._edge_dof:
-                        self._edge_dof[key] = n
-                        mids.append(0.5 * (mesh.nodes[u] + mesh.nodes[v]))
-                        n += 1
-            if mids:
-                coords.append(np.asarray(mids))
-        self.n_scalar = n
-        self.dof_coords = np.vstack(coords)
-
-        nloc = 3 if desc.order == 1 else 6
-        self.elem_dofs = np.empty((len(tris), nloc), dtype=np.int64)
-        for t, (a, b, c) in enumerate(tris):
-            self.elem_dofs[t, 0] = self._vert_dof[int(a)]
-            self.elem_dofs[t, 1] = self._vert_dof[int(b)]
-            self.elem_dofs[t, 2] = self._vert_dof[int(c)]
-            if desc.order == 2:
-                for m, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                    self.elem_dofs[t, 3 + m] = self._edge_dof[(min(u, v), max(u, v))]
+            n = mesh.num_nodes
+            edges, number = number_by_first_use(edge_keys(tris, n).ravel())
+            self.elem_dofs = np.hstack([self.elem_dofs,
+                                        len(verts) + number.reshape(-1, 3)])
+            mids = 0.5 * (mesh.nodes[edges // n] + mesh.nodes[edges % n])
+            self.dof_coords = np.vstack([self.dof_coords, mids])
+            # edge keys in sorted order and their midpoint dofs, for lookups
+            by_key = np.argsort(edges)
+            self._edge_keys, self._edge_key_dofs = edges[by_key], len(verts) + by_key
+        self.n_scalar = len(self.dof_coords)
 
         # affine maps x = x0 + B xi
         p = mesh.nodes[tris]
@@ -152,7 +150,6 @@ class Space:
         self.inv_jac = invB
         self.origin = p[:, 0]
 
-        self._boundary_scalar_cache = {}
         self._grads = {}  # reference point bytes -> physical gradients
         self._grads_t = {}  # the same, in the layout of grads_by_basis
         # block kind, or the pressure Space of a mixed block -> assembly.Pattern
@@ -172,19 +169,42 @@ class Space:
             return scalar_dofs
         return 2 * scalar_dofs + comp
 
+    def trace_dofs(self, edges):
+        """Scalar dofs of mesh edges (E, 2) of this subdomain in trace-basis
+        order: start vertex, end vertex and, at order 2, the midpoint;
+        (E, 2) or (E, 3)."""
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        dofs = self.vertex_dofs[edges]
+        if self.desc.order == 2:
+            n = self.mesh.num_nodes
+            keys = edges.min(axis=1) * n + edges.max(axis=1)
+            pos = np.minimum(np.searchsorted(self._edge_keys, keys),
+                             len(self._edge_keys) - 1)
+            mid = np.where(self._edge_keys[pos] == keys, self._edge_key_dofs[pos], -1)
+            dofs = np.column_stack([dofs, mid])
+        if np.any(dofs < 0):
+            raise MeshError(f"edge not in subdomain {self.desc.subdomain}")
+        return dofs
+
+    def _adjacent(self, tag):
+        """Mesh edges of the given tag with both nodes in this subdomain."""
+        edges = self.mesh.edges_with_tag(tag)
+        return edges[np.all(self.vertex_dofs[edges] >= 0, axis=1)]
+
     def tagged_entities(self, tag):
         """Mesh edges of the given tag adjacent to this space's subdomain."""
-        edges = self.mesh.edges_with_tag(tag)
-        keep = [
-            (u, v)
-            for u, v in edges
-            if int(u) in self._vert_dof and int(v) in self._vert_dof
-        ]
-        if not keep:
+        edges = self._adjacent(tag)
+        if not len(edges):
             raise MeshError(
                 f"tag {tag!r} is not adjacent to subdomain {self.desc.subdomain}"
             )
-        return np.asarray(keep, dtype=np.int64)
+        return edges
+
+    @cached_property
+    def _boundary_scalar(self):
+        """Tag -> sorted scalar dofs on the tag's edges, read-only."""
+        return {tag: read_only(np.unique(self.trace_dofs(self._adjacent(tag))))
+                for tag in ALL_TAGS}
 
     def boundary_scalar_dofs(self, tag, exclusive=False):
         """Scalar dofs whose nodes lie on edges of the given tag.
@@ -195,31 +215,21 @@ class Space:
         """
         if tag not in ALL_TAGS:
             raise MeshError(f"unknown boundary tag {tag!r}")
-        if not self._boundary_scalar_cache:
-            per_tag = {t: set() for t in ALL_TAGS}
-            for t in ALL_TAGS:
-                edges = self.mesh.edges_with_tag(t)
-                for u, v in edges:
-                    u, v = int(u), int(v)
-                    if u not in self._vert_dof or v not in self._vert_dof:
-                        continue
-                    per_tag[t].add(self._vert_dof[u])
-                    per_tag[t].add(self._vert_dof[v])
-                    if self.desc.order == 2:
-                        per_tag[t].add(self._edge_dof[(min(u, v), max(u, v))])
-            self._boundary_scalar_cache = per_tag
-        per_tag = self._boundary_scalar_cache
-        if not per_tag[tag]:
+        dofs = self._boundary_scalar[tag]
+        if not len(dofs):
             raise MeshError(f"tag {tag!r} is not adjacent to subdomain {self.desc.subdomain}")
-        dofs = per_tag[tag]
         if exclusive:
-            higher = set()
-            for t in TAG_PRIORITY:
-                if t == tag:
-                    break
-                higher |= per_tag[t]
-            dofs = dofs - higher
-        return np.asarray(sorted(dofs), dtype=np.int64)
+            for higher in TAG_PRIORITY[:TAG_PRIORITY.index(tag)]:
+                dofs = np.setdiff1d(dofs, self._boundary_scalar[higher])
+        return np.array(dofs)
+
+    @cached_property
+    def interface_dofs(self):
+        """Interface scalar dofs in the canonical order, read-only: walking
+        the interface edges in mesh order, the trace dofs of each edge
+        (start, end, midpoint) that no earlier edge has."""
+        edges = self.mesh.edges_with_tag(TAG_INTERFACE)
+        return read_only(number_by_first_use(self.trace_dofs(edges).ravel())[0])
 
     def boundary_dofs(self, tag, exclusive=False):
         """Vector dofs (all components) on the given tag."""
@@ -311,38 +321,3 @@ class FEFunction:
         cm = self.component_matrix()[sp.elem_dofs]  # (T, nloc, arity)
         G = (cm.swapaxes(1, 2) @ gt).reshape(len(gt), -1, 2, len(ref_pts))
         return G.transpose(0, 3, 1, 2)
-
-
-def interface_scalar_maps(space_a: Space, space_b: Space):
-    """Aligned interface scalar dofs of two spaces sharing the interface.
-
-    Returns (dofs_a, dofs_b) ordered consistently by mesh entity; conforming
-    meshes make this an exact point-set identification.
-    """
-    from .mesh import TAG_INTERFACE
-
-    edges = space_a.mesh.edges_with_tag(TAG_INTERFACE)
-    ents = []
-    seen = set()
-    for u, v in edges:
-        for node in (int(u), int(v)):
-            if ("v", node) not in seen:
-                seen.add(("v", node))
-                ents.append(("v", node))
-        key = (min(int(u), int(v)), max(int(u), int(v)))
-        if ("e", key) not in seen:
-            seen.add(("e", key))
-            ents.append(("e", key))
-
-    def lookup(space, kind, ent):
-        if kind == "v":
-            return space._vert_dof[ent]
-        return space._edge_dof[ent]
-
-    dofs_a, dofs_b = [], []
-    for kind, ent in ents:
-        if kind == "e" and (space_a.desc.order == 1 or space_b.desc.order == 1):
-            continue
-        dofs_a.append(lookup(space_a, kind, ent))
-        dofs_b.append(lookup(space_b, kind, ent))
-    return np.asarray(dofs_a, dtype=np.int64), np.asarray(dofs_b, dtype=np.int64)

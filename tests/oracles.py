@@ -12,7 +12,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fsichannel.geomap import interface_dofs
 from fsichannel.spaces import FEFunction
 
 # quadrature: use a degree-6 rule written out independently (Gauss points
@@ -260,8 +259,8 @@ def _cof(M):
 
 def traction_by_loop(tractor, extension, pressure, dext=None, dp=None):
     """Nodal traction p cof(I + G) n per interface dof, averaged over the
-    dof's interface-edge elements, by a loop over the evaluator's
-    (dof, elements, normal, reference points) records.  With coefficient
+    dof's interface-edge elements, by a loop over the evaluator's sample
+    points (interface position, element, reference point).  With coefficient
     vectors ``dext`` and ``dp`` it returns the derivative
     dp cof(I + G) n + p cof(dG) n instead."""
     V, Q = tractor.vspace, tractor.pspace
@@ -270,10 +269,13 @@ def traction_by_loop(tractor, extension, pressure, dext=None, dp=None):
         cm = np.reshape(coefs, (-1, 2))[V.elem_dofs[elem]]  # (6, 2)
         return cm.T @ (p2_shape_grad(*ref) @ V.inv_jac[elem])
 
-    out = np.zeros((len(tractor.records), 2))
-    for k, (_, elems, normal, refs) in enumerate(tractor.records):
-        acc = np.zeros(2)
-        for elem, ref in zip(elems, refs):
+    out = np.zeros((len(tractor.iface), 2))
+    for k, normal in enumerate(tractor.normals):
+        acc, count = np.zeros(2), 0
+        for rec, elem, ref in zip(*tractor.points):
+            if rec != k:
+                continue
+            count += 1
             lam = p1_shape(*ref)
             pdofs = Q.elem_dofs[elem]
             p = lam @ pressure[pdofs]
@@ -283,7 +285,7 @@ def traction_by_loop(tractor, extension, pressure, dext=None, dp=None):
             else:
                 acc += (lam @ dp[pdofs]) * Kn \
                     + p * (_cof(lift_grad(dext, elem, ref)) @ normal)
-        out[k] = acc / len(elems)
+        out[k] = acc / count
     return out
 
 
@@ -292,7 +294,7 @@ def coupling_matrix_by_columns(sens):
     ``sens.apply_coupling_map`` per unit interface trace: rows and columns
     2 m + c for component c at interface position m."""
     S = sens.solver.sspace
-    scalar_if = interface_dofs(S)
+    scalar_if = S.interface_dofs
     vec_if = np.column_stack([2 * scalar_if, 2 * scalar_if + 1]).ravel()
     T = np.zeros((len(vec_if), len(vec_if)))
     for j, dof in enumerate(vec_if):
@@ -300,3 +302,171 @@ def coupling_matrix_by_columns(sens):
         e.coefficients[dof] = 1.0
         T[:, j] = sens.apply_coupling_map(e).coefficients[vec_if]
     return T
+
+
+# ---- mesh and dof bookkeeping by loops ------------------------------------
+# The package builds these with arrays (np.unique over edge keys); the loops
+# below number the same entities the way the package did before, with
+# dicts filled in traversal order, so equality pins the numbering down.
+
+def _loop_edges(tri):
+    a, b, c = (int(x) for x in tri)
+    return ((a, b), (b, c), (c, a))
+
+
+def tag_edges_by_loop(mesh):
+    """(boundary_edges, edge_tags) of a freshly built mesh: every edge of
+    one triangle by its coordinates, every edge of two triangles in
+    different subdomains as interface, in sorted edge order."""
+    g = mesh.geometry
+    inc = {}
+    for t, tri in enumerate(mesh.triangles):
+        for u, v in _loop_edges(tri):
+            inc.setdefault((min(u, v), max(u, v)), []).append(
+                int(mesh.tri_subdomain[t]))
+    edges, tags = [], []
+    for (u, v), subs in sorted(inc.items()):
+        if len(subs) == 1:
+            (x0, y0), (x1, y1) = mesh.nodes[u], mesh.nodes[v]
+            if x0 == 0.0 and x1 == 0.0:
+                tag = "inflow"
+            elif x0 == g.channel_length and x1 == g.channel_length:
+                tag = "outflow"
+            elif (y0 == 0.0 and y1 == 0.0) or (
+                    y0 == g.channel_height and y1 == g.channel_height):
+                tag = "wall"
+            else:
+                tag = "clamped"
+        elif len(subs) == 2 and subs[0] != subs[1]:
+            tag = "interface"
+        else:
+            continue
+        edges.append((u, v))
+        tags.append(tag)
+    return np.array(edges, dtype=np.int64), np.array(tags, dtype=object)
+
+
+def refine_by_loop(mesh):
+    """(nodes, triangles, subdomains, boundary edges, tags) of the red
+    refinement, midpoints numbered as the triangles, then the boundary
+    edges, first meet their edges."""
+    nodes = [p for p in mesh.nodes]
+    mid = {}
+
+    def midpoint(u, v):
+        key = (min(u, v), max(u, v))
+        if key not in mid:
+            mid[key] = len(nodes)
+            nodes.append(0.5 * (mesh.nodes[u] + mesh.nodes[v]))
+        return mid[key]
+
+    tris, subs = [], []
+    for t, tri in enumerate(mesh.triangles):
+        a, b, c = (int(x) for x in tri)
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        tris += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        subs += [mesh.tri_subdomain[t]] * 4
+    edges, tags = [], []
+    for (u, v), tag in zip(mesh.boundary_edges, mesh.edge_tags):
+        m = midpoint(int(u), int(v))
+        edges += [(int(u), m), (m, int(v))]
+        tags += [tag, tag]
+    return (np.array(nodes), np.array(tris, dtype=np.int64),
+            np.array(subs, dtype=np.int8), np.array(edges, dtype=np.int64),
+            np.array(tags, dtype=object))
+
+
+class LoopSpace:
+    """Scalar dof numbering of one (order, subdomain) space by loops:
+    vertex dofs in sorted node order, then edge midpoints in the order the
+    triangles first meet their edges."""
+
+    def __init__(self, mesh, order, subdomain):
+        self.mesh, self.order = mesh, order
+        self.tris = mesh.triangles[mesh.tri_subdomain == subdomain]
+        verts = sorted({int(v) for tri in self.tris for v in tri})
+        self.vert_dof = {v: i for i, v in enumerate(verts)}
+        coords = [mesh.nodes[v] for v in verts]
+        self.edge_dof = {}
+        if order == 2:
+            for tri in self.tris:
+                for u, v in _loop_edges(tri):
+                    key = (min(u, v), max(u, v))
+                    if key not in self.edge_dof:
+                        self.edge_dof[key] = len(coords)
+                        coords.append(0.5 * (mesh.nodes[u] + mesh.nodes[v]))
+        self.dof_coords = np.array(coords)
+        rows = []
+        for tri in self.tris:
+            row = [self.vert_dof[int(v)] for v in tri]
+            if order == 2:
+                row += [self.edge_dof[(min(u, v), max(u, v))]
+                        for u, v in _loop_edges(tri)]
+            rows.append(row)
+        self.elem_dofs = np.array(rows, dtype=np.int64)
+
+    def _edge_dofs(self, u, v):
+        """Scalar dofs of the edge (u, v): start, end, midpoint."""
+        out = [self.vert_dof[u], self.vert_dof[v]]
+        if self.order == 2:
+            out.append(self.edge_dof[(min(u, v), max(u, v))])
+        return out
+
+    def _tagged(self, tag):
+        return [(int(u), int(v)) for u, v in self.mesh.edges_with_tag(tag)
+                if int(u) in self.vert_dof and int(v) in self.vert_dof]
+
+    def boundary_scalar_dofs(self, tag, exclusive=False):
+        per_tag = {t: {d for u, v in self._tagged(t) for d in self._edge_dofs(u, v)}
+                   for t in ("wall", "inflow", "outflow", "interface", "clamped")}
+        dofs = per_tag[tag]
+        if exclusive:
+            for t in ("wall", "inflow", "outflow", "interface", "clamped"):
+                if t == tag:
+                    break
+                dofs = dofs - per_tag[t]
+        return np.array(sorted(dofs), dtype=np.int64)
+
+    def interface_dofs(self):
+        """Walking the interface edges in mesh order: start vertex, end
+        vertex and midpoint of each, the first time each is met."""
+        seen, out = set(), []
+        for u, v in self.mesh.edges_with_tag("interface"):
+            for d in self._edge_dofs(int(u), int(v)):
+                if d not in seen:
+                    seen.add(d)
+                    out.append(d)
+        return np.array(out, dtype=np.int64)
+
+    def tagged_edge_elements(self, tag):
+        """Per (element, local edge) on the tag, in element order: element,
+        start, end and outward unit normal, from the CCW traversal."""
+        edges = {(min(u, v), max(u, v)) for u, v in self._tagged(tag)}
+        out = []
+        for e, tri in enumerate(self.tris):
+            for u, v in _loop_edges(tri):
+                if (min(u, v), max(u, v)) in edges:
+                    d = self.mesh.nodes[v] - self.mesh.nodes[u]
+                    out.append((e, u, v, np.array([d[1], -d[0]]) / float(np.hypot(*d))))
+        return out
+
+
+def traction_points_by_loop(space, vspace):
+    """The traction evaluator's sample points (interface position, element,
+    reference point) and unit normals, from a :class:`LoopSpace` of the
+    fluid velocity and the geometry of the package space ``vspace``."""
+    per_dof = {}
+    for e, u, v, normal in space.tagged_edge_elements("interface"):
+        for d in space._edge_dofs(u, v):
+            per_dof.setdefault(d, []).append((e, normal))
+    recs, elems, refs, normals = [], [], [], []
+    for k, d in enumerate(space.interface_dofs()):
+        ents = per_dof[int(d)]
+        normal = np.mean([n for _, n in ents], axis=0)
+        normals.append(normal / np.linalg.norm(normal))
+        for e in sorted({e for e, _ in ents}):
+            recs.append(k)
+            elems.append(e)
+            refs.append(np.einsum("ij,j->i", vspace.inv_jac[e],
+                                  space.dof_coords[d] - vspace.origin[e]))
+    return np.array(recs), np.array(elems), np.array(refs), np.array(normals)

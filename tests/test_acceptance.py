@@ -32,7 +32,6 @@ from fsichannel.fsi import CouplingOptions, FSISolver
 from fsichannel.geomap import (
     HarmonicExtender,
     check_admissibility,
-    interface_dofs,
     piola_divergence,
     transform_fields,
 )
@@ -122,7 +121,7 @@ def test_01_identity_reduction_and_newton_oracle(big_mesh):
 def test_02_piola_identity_and_cofactor_affinity(default_mesh):
     t0 = time.time()
     V, _ = fluid_spaces(default_mesh)
-    iface = interface_dofs(V)
+    iface = V.interface_dofs
     xy = V.dof_coords[iface]
     rng = np.random.default_rng(11)
     extender = HarmonicExtender(V)
@@ -294,7 +293,7 @@ def test_08_sensitivity_vs_monolithic_oracle(coarse_mesh):
     sens = SensitivitySolver(solver, base)
     dg = InflowProfile(1.0, coarse_mesh.geometry.channel_height)
     S = solver.sspace
-    scalar_if = interface_dofs(S)
+    scalar_if = S.interface_dofs
     vec_if = np.column_stack([2 * scalar_if, 2 * scalar_if + 1]).ravel()
     _, dp0 = sens._linearized(dg=dg)
     dt0 = sens._traction_derivative(FEFunction.zeros(solver.vspace), dp0)

@@ -16,12 +16,16 @@ from fsichannel.geomap import (
     cof2,
     det2,
     identity_fields,
-    interface_dofs,
     transform_derivatives,
     transform_fields,
 )
-from fsichannel.fluid import dirichlet_dofs, fluid_spaces
-from fsichannel.linsolve import FrozenFactorization, SingularSystemError
+from fsichannel.fluid import dirichlet_dofs, fluid_spaces, linearized_system
+from fsichannel.linsolve import (
+    COLUMN_MIN_DEGREE,
+    SYMMETRIC_MIN_DEGREE,
+    FrozenFactorization,
+    SingularSystemError,
+)
 from fsichannel.mesh import FLUID, SOLID, build_channel_mesh, default_geometry
 from fsichannel.quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS, TRI_WEIGHTS
 from fsichannel.spaces import FEFunction, make_space, p1_basis, p2_basis
@@ -153,7 +157,7 @@ def _action_case(case, V):
         return None
     if case == "identity":
         return identity_fields(V)
-    xy = V.dof_coords[interface_dofs(V)]
+    xy = V.dof_coords[V.interface_dofs]
     ext = HarmonicExtender(V).extend(0.01 * np.column_stack(
         [np.sin(np.pi * xy[:, 0]), np.cos(np.pi * xy[:, 1])]))
     fields = transform_fields(V, ext)
@@ -283,6 +287,36 @@ def test_frozen_factorization_rejects_non_finite_result():
     lu = FrozenFactorization(sp.diags([1e-300, 1.0], format="csc"), [])
     with pytest.raises(SingularSystemError, match="non-finite"):
         lu.solve(np.array([1e10, 1.0]))
+
+
+@pytest.mark.parametrize("options", [SYMMETRIC_MIN_DEGREE, COLUMN_MIN_DEGREE],
+                         ids=["symmetric", "column"])
+def test_lu_options_keep_the_non_finite_check(options):
+    lu = FrozenFactorization(sp.diags([1e-300, 1.0], format="csc"), [],
+                             options=options)
+    with pytest.raises(SingularSystemError, match="non-finite"):
+        lu.solve(np.array([1e10, 1.0]))
+
+
+@pytest.mark.parametrize("kind", ["stokes", "harmonic", "linearized"])
+def test_lu_options_match_default_ordering(fsi_solver, fsi_base, kind):
+    """Each matrix kind solves with its fill-reducing options as with
+    SuperLU's defaults, on the level-0 matrices of the coupled solver."""
+    V, Q = fsi_solver.vspace, fsi_solver.pspace
+    if kind == "stokes":
+        A, cdofs = fsi_solver.fluid._M_I, dirichlet_dofs(V)
+        options = COLUMN_MIN_DEGREE
+    elif kind == "harmonic":
+        A, cdofs = asm.assemble_scalar_stiffness(V), fsi_solver.extender._fact.cdofs
+        options = SYMMETRIC_MIN_DEGREE
+    else:
+        A = linearized_system(V, Q, fsi_base.fields, fsi_base.fluid.w, fsi_solver.nu)
+        cdofs, options = dirichlet_dofs(V), COLUMN_MIN_DEGREE
+    rng = np.random.default_rng(0)
+    rhs, prescribed = rng.standard_normal((2, A.shape[0]))
+    x = FrozenFactorization(A, cdofs, options=options).solve(rhs, prescribed)
+    y = FrozenFactorization(A, cdofs).solve(rhs, prescribed)
+    assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_boundary_load_partition_of_unity(default_mesh):

@@ -16,7 +16,7 @@ from fsichannel.fluid import (
     solve_linearized,
     solve_navier_stokes,
 )
-from fsichannel.geomap import HarmonicExtender, interface_dofs, transform_fields
+from fsichannel.geomap import HarmonicExtender, transform_fields
 from fsichannel.linsolve import FrozenFactorization
 from fsichannel.mesh import FLUID, build_channel_mesh, straight_channel
 from fsichannel.spaces import FEFunction
@@ -26,7 +26,7 @@ from conftest import mirror_dof_error
 @pytest.fixture(scope="module")
 def deformed_fields(default_mesh):
     V, _ = fluid_spaces(default_mesh)
-    iface = interface_dofs(V)
+    iface = V.interface_dofs
     xy = V.dof_coords[iface]
     trace = 0.01 * np.column_stack(
         [np.sin(np.pi * xy[:, 0]), np.cos(np.pi * xy[:, 1])])

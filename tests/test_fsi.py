@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsichannel import fsi
+from fsichannel import cli, fsi
 from fsichannel.elasticity import interface_trace
 from fsichannel.fluid import FluidState, InflowProfile, fluid_spaces
 from fsichannel.fsi import (
@@ -11,7 +11,8 @@ from fsichannel.fsi import (
     TractionEvaluator,
     filter_secants,
 )
-from fsichannel.geomap import identity_fields, interface_dofs
+from fsichannel.geomap import identity_fields
+from fsichannel.sensitivity import SensitivitySolver
 from fsichannel.spaces import FEFunction
 from conftest import LAME, NU, mirror_dof_error
 from oracles import traction_by_loop
@@ -24,7 +25,7 @@ def _zero_extension(vspace):
 def test_traction_zero_pressure(default_mesh):
     V, Q = fluid_spaces(default_mesh)
     t = TractionEvaluator(V, Q).evaluate(_zero_extension(V), FEFunction.zeros(Q))
-    assert t.shape == (len(interface_dofs(V)), 2)
+    assert t.shape == (len(V.interface_dofs), 2)
     assert np.abs(t).max() == 0.0
 
 
@@ -41,7 +42,7 @@ def test_traction_constant_pressure_undeformed(default_mesh):
     # traction points from the dof toward the obstacle centroid side
     geo = default_mesh.geometry
     centroid = np.asarray(geo.obstacle_outer).mean(axis=0)
-    xy = V.dof_coords[interface_dofs(V)]
+    xy = V.dof_coords[V.interface_dofs]
     inward = centroid[None, :] - xy
     dots = np.einsum("ij,ij->i", t, inward)
     assert (dots > 0).all()
@@ -92,7 +93,7 @@ def test_traction_projected_flag(default_mesh, fsi_base):
     full = solver.tractor.evaluate(fsi_base.extension, fsi_base.fluid.p)
     proj = solver.tractor.evaluate(fsi_base.extension, fsi_base.fluid.p,
                                    projected=True)
-    for k, (_, _, normal, _) in enumerate(solver.tractor.records):
+    for k, normal in enumerate(solver.tractor.normals):
         assert np.abs(proj[k] - (full[k] @ normal) * normal).max() <= 1e-14
         # projected traction has no tangential part
         tang = np.array([-normal[1], normal[0]])
@@ -145,7 +146,7 @@ def test_residual_small_and_sensitive(fsi_solver, fsi_base, operating_inflow):
     assert r0 <= 1e-7
     bumped = FEFunction(fsi_base.u.space,
                         fsi_base.u.coefficients.copy())
-    iface = interface_dofs(fsi_base.u.space)
+    iface = fsi_base.u.space.interface_dofs
     bumped.coefficients[iface] += 1e-3
     from fsichannel.fsi import FSIState
 
@@ -304,3 +305,23 @@ def test_secant_filter_drops_zero_and_repeated_columns():
     c = np.linalg.lstsq(V[kept].T, -rng.standard_normal(40), rcond=None)[0]
     assert np.isfinite(c).all()
     assert filter_secants(np.zeros((3, 40))) == []
+
+
+def test_fresh_solvers_are_deterministic():
+    """Two solvers set up from scratch at the operating point number,
+    factorize and solve alike, bit for bit: no hash order or unstable sort
+    in the bookkeeping."""
+    cfg = cli.resolve_config({"mesh_level": 0, "g_magnitude": 0.05})
+    g, opts = cli._inflow(cfg), cli._coupling_options(cfg)
+    one, two = cli._fsi_solver(cfg), cli._fsi_solver(cfg)
+    for a, b in ((one.vspace, two.vspace), (one.pspace, two.pspace),
+                 (one.sspace, two.sspace)):
+        assert np.array_equal(a.elem_dofs, b.elem_dofs)
+    sa, sb = one.solve(g, opts), two.solve(g, opts)
+    factors = [(s.fluid._lu, s.extender._fact, s.solid._lu,
+                SensitivitySolver(s, base)._lu) for s, base in ((one, sa), (two, sb))]
+    for lu_a, lu_b in zip(*factors):
+        assert lu_a.lu.L.nnz + lu_a.lu.U.nnz == lu_b.lu.L.nnz + lu_b.lu.U.nnz
+    assert sa.report.iterations == sb.report.iterations
+    for x, y in ((sa.u, sb.u), (sa.fluid.w, sb.fluid.w), (sa.fluid.p, sb.fluid.p)):
+        assert np.array_equal(x.coefficients, y.coefficients)

@@ -11,7 +11,6 @@ from fsichannel.geomap import (
     check_admissibility,
     cof2,
     identity_fields,
-    interface_dofs,
     piola_divergence,
     transform_derivatives,
     transform_fields,
@@ -32,7 +31,7 @@ def extender(vspace):
 
 
 def smooth_trace(vspace, amplitude, k=0):
-    iface = interface_dofs(vspace)
+    iface = vspace.interface_dofs
     xy = vspace.dof_coords[iface]
     return amplitude * np.column_stack([
         np.sin((2 + k) * xy[:, 0]), np.cos((3 + k) * xy[:, 1]),
@@ -58,7 +57,7 @@ def test_harmonic_extension_against_dense_laplace(coarse_mesh):
     key = {tuple(np.round(c, 12)): i for i, c in enumerate(odofs.coords)}
     perm = np.array([key[tuple(np.round(c, 12))] for c in V.dof_coords])
 
-    iface = interface_dofs(V)
+    iface = V.interface_dofs
     boundary = set()
     for tag in ("inflow", "wall", "outflow", "interface"):
         boundary |= set(int(d) for d in V.boundary_scalar_dofs(tag))
@@ -150,7 +149,7 @@ def test_dJ_and_dK_linear_exact(vspace, extender):
 
 
 def test_tangling_detected(vspace, extender):
-    iface = interface_dofs(vspace)
+    iface = vspace.interface_dofs
     rng = np.random.default_rng(3)
     trace = 0.2 * rng.standard_normal((len(iface), 2))
     with pytest.raises(TangledMeshError):

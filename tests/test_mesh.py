@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,9 +143,7 @@ def test_union_of_tags_covers_boundary_dofs(default_mesh):
         default_mesh.triangles[default_mesh.tri_subdomain == FLUID])
     expected = set()
     for u, v in walked:
-        expected.add(V._vert_dof[u])
-        expected.add(V._vert_dof[v])
-        expected.add(V._edge_dof[(u, v)])
+        expected |= set(V.trace_dofs([u, v])[0].tolist())
     got = set()
     for tag in ("inflow", "wall", "outflow", "interface"):
         got |= set(int(d) for d in V.boundary_scalar_dofs(tag))
@@ -181,3 +181,62 @@ def test_random_geometries_validate(cx, half, inner, h):
     report = validate_mesh(mesh)
     assert report.ok
     assert report.euler_characteristic == 0
+
+
+def _corrupt(mesh, **fields):
+    """A copy of ``mesh`` with the given arrays replaced."""
+    return dataclasses.replace(mesh, **fields)
+
+
+def _faults(mesh):
+    report = validate_mesh(mesh)
+    assert not report.ok
+    return "\n".join(report.messages)
+
+
+def test_validator_catches_flipped_triangle(default_mesh):
+    tris = default_mesh.triangles.copy()
+    tris[40] = tris[40, [0, 2, 1]]
+    faults = _faults(_corrupt(default_mesh, triangles=tris))
+    assert "triangle 40 is not positively oriented" in faults
+    assert "traversed twice in the same direction" in faults
+
+
+def test_validator_catches_edge_of_three_triangles(default_mesh):
+    m = default_mesh
+    declared = {(min(u, v), max(u, v)) for u, v in m.boundary_edges.tolist()}
+    tri = m.triangles[40].tolist()
+    a, b = next((u, v) for u, v in zip(tri, tri[1:] + tri[:1])
+                if (min(u, v), max(u, v)) not in declared)
+    far = int(np.argmax(m.nodes[:, 0]))
+    tris = np.vstack([m.triangles, [[a, b, far]]])
+    sub = np.append(m.tri_subdomain, m.tri_subdomain[40])
+    faults = _faults(_corrupt(m, triangles=tris, tri_subdomain=sub))
+    assert f"edge {(min(a, b), max(a, b))} shared by 3 triangles" in faults
+
+
+def test_validator_catches_retagged_interface_edge(default_mesh):
+    tags = default_mesh.edge_tags.copy()
+    k = int(np.flatnonzero(tags == "interface")[0])
+    tags[k] = "wall"
+    u, v = (int(x) for x in default_mesh.boundary_edges[k])
+    faults = _faults(_corrupt(default_mesh, edge_tags=tags))
+    assert f"interface edge {(u, v)} tagged 'wall'" in faults
+    assert "wall edge not bit-exact on y=0 or y=H" in faults
+
+
+def test_validator_catches_missing_boundary_edge(default_mesh):
+    keep = np.arange(len(default_mesh.edge_tags)) != int(
+        np.flatnonzero(default_mesh.edge_tags == "wall")[0])
+    faults = _faults(_corrupt(default_mesh,
+                              boundary_edges=default_mesh.boundary_edges[keep],
+                              edge_tags=default_mesh.edge_tags[keep]))
+    assert "tagged edges do not match the topological boundary plus interface" in faults
+
+
+def test_validator_catches_inflow_node_off_the_inlet(default_mesh):
+    nodes = default_mesh.nodes.copy()
+    u = int(default_mesh.edges_with_tag("inflow")[3, 0])
+    nodes[u, 0] = 1e-3
+    assert _faults(_corrupt(default_mesh, nodes=nodes)) == (
+        "inflow edge not bit-exact on x=0\ninflow edge not bit-exact on x=0")

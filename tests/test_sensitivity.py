@@ -12,7 +12,6 @@ from fsichannel.fsi import (
 )
 from fsichannel.geomap import (
     TangledMeshError,
-    interface_dofs,
     transform_fields,
 )
 from fsichannel.sensitivity import (
@@ -33,7 +32,7 @@ def smooth_direction(solver, seed=0):
     solve under a smooth interface traction (random directions tangle the
     extension at finite step sizes)."""
     rng = np.random.default_rng(seed)
-    xy = solver.sspace.dof_coords[interface_dofs(solver.sspace)]
+    xy = solver.sspace.dof_coords[solver.sspace.interface_dofs]
     a, b = rng.uniform(0.5, 1.5, size=2)
     rows = np.column_stack([
         a * np.sin(2 * np.pi * xy[:, 0]),
@@ -147,7 +146,7 @@ def test_sensitivity_matches_monolithic_oracle(coarse_base):
     sens = SensitivitySolver(solver, base)
     dg = InflowProfile(1.0, solver.mesh.geometry.channel_height)
     S = solver.sspace
-    scalar_if = interface_dofs(S)
+    scalar_if = S.interface_dofs
     vec_if = np.column_stack([2 * scalar_if, 2 * scalar_if + 1]).ravel()
 
     _, dp0 = sens._linearized(dg=dg)
