@@ -154,16 +154,28 @@ def assemble_pressure_blocks(vspace: Space, pspace: Space, K=None):
     return A_vp, A_pv
 
 
+def _gram(space: Space, kind, build):
+    """The scalar Gram matrix ``kind`` of ``space``: ``build()`` on first
+    use, then the cached read-only matrix."""
+    if kind not in space.grams:
+        space.grams[kind] = build()
+        read_only(space.grams[kind].data)
+    return space.grams[kind]
+
+
 def assemble_mass(space: Space):
-    """Scalar mass matrix."""
-    phi = space.basis_at(TRI_POINTS)
-    return _pattern(space, "scalar").matrix(space.wdet @ _outer(phi))
+    """Scalar mass matrix, assembled once per space."""
+    return _gram(space, "mass", lambda: _pattern(space, "scalar").matrix(
+        space.wdet @ _outer(space.basis_at(TRI_POINTS))))
 
 
 def assemble_scalar_stiffness(space: Space):
-    g = space.grads_at(TRI_POINTS)
-    elem = _contract(space.wdet[..., None, None] * g, g)
-    return _pattern(space, "scalar").matrix(elem)
+    """Scalar stiffness matrix, assembled once per space."""
+    def build():
+        g = space.grads_at(TRI_POINTS)
+        elem = _contract(space.wdet[..., None, None] * g, g)
+        return _pattern(space, "scalar").matrix(elem)
+    return _gram(space, "stiffness", build)
 
 
 def assemble_elasticity(space: Space, lam, mu):
@@ -356,25 +368,26 @@ def assemble_rhs(vspace: Space, pspace: Space, f=None, f2=None, f3=None):
 # ---- norms ---------------------------------------------------------------
 
 class NormSet:
-    """Discrete H1 / L2 Gram matrices of a space's scalar layout; the norm
-    of a vector function sums the Gram forms of its components."""
+    """Discrete H1 / L2 norms by the Gram matrices of a space's scalar
+    layout, each built when a norm first needs it; the norm of a vector
+    function sums the Gram forms of its components."""
 
     def __init__(self, space: Space):
-        self.arity = space.desc.arity
-        self.mass = assemble_mass(space)
-        self.h1 = (self.mass + assemble_scalar_stiffness(space)).tocsr()
+        self.space = space
 
     def _norm(self, gram, vec):
         # the rows of gram @ x, raveled, are those of the Gram matrix
         # expanded to the interleaved layout, applied to vec
-        x = vec.reshape(-1, self.arity)
+        x = vec.reshape(-1, self.space.desc.arity)
         return float(np.sqrt(abs(vec @ (gram @ x).ravel())))
 
     def l2(self, vec):
-        return self._norm(self.mass, vec)
+        return self._norm(assemble_mass(self.space), vec)
 
     def h1_norm(self, vec):
-        return self._norm(self.h1, vec)
+        S = self.space
+        return self._norm(_gram(S, "h1", lambda: (
+            assemble_mass(S) + assemble_scalar_stiffness(S)).tocsr()), vec)
 
 
 # ---- tagged-edge element data (fluxes, traction) --------------------------

@@ -18,12 +18,7 @@ import sys
 import numpy as np
 
 from .elasticity import interface_trace
-from .fluid import (
-    ConvergenceError,
-    InflowProfile,
-    solve_linearized,
-    solve_navier_stokes,
-)
+from .fluid import ConvergenceError, InflowProfile, solve_navier_stokes
 from .fsi import CouplingOptions, FSISolver, MeshTangledError, OuterDivergenceError
 from .geomap import EllipticityError, TangledMeshError
 from .io import read_vtk, save_mesh, vertex_values, write_csv, write_json, write_vtk
@@ -348,12 +343,10 @@ def run_probes(cfg, out, seed):
     for mag in cfg["g_sweep"]:
         base = solver.solve(InflowProfile(float(mag), H), opts)
         outer = max(base.report.increment_ratios, default=0.0)
+        sens = SensitivitySolver(solver, base)
         power = max(contraction_probe(
-            solver, base, n_samples=int(cfg["probe_samples"]), seed=seed))
-        _, _, lrep = solve_linearized(
-            solver.vspace, solver.pspace, base.fields, base.fluid.w,
-            dg=InflowProfile(1.0, H), nu=solver.nu, mode="T-iteration",
-        )
+            sens, n_samples=int(cfg["probe_samples"]), seed=seed))
+        _, _, lrep = sens.linearized.t_iteration(InflowProfile(1.0, H))
         eta_T = max(lrep.increment_ratios, default=0.0)
         rows.append((float(mag), float(outer), float(power), float(eta_T)))
         etas.append(power)

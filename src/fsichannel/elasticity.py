@@ -8,7 +8,7 @@ shared with the fluid.  The constitutive law is isotropic Lame elasticity,
 
 and the solver returns the displacement of the weak problem
 
-    int sigma(u) : eps(psi) = int f1 . psi + int_interface v . psi
+    int sigma(u) : eps(psi) = int_interface v . psi
 
 with u = 0 on the clamped boundary.
 """
@@ -17,11 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import (
-    assemble_boundary_mass,
-    assemble_elasticity,
-    assemble_velocity_load,
-)
+from .assembly import assemble_boundary_mass, assemble_elasticity
 from .linsolve import FrozenFactorization
 from .mesh import SOLID, TAG_CLAMPED, TAG_INTERFACE
 from .spaces import FEFunction, Space, make_space
@@ -44,7 +40,6 @@ class ElasticitySolver:
             raise ValueError("elasticity needs a vector space on the solid")
         lam, mu = float(lame[0]), float(lame[1])
         self.space = space
-        self.lame = (lam, mu)
         self.matrix = assemble_elasticity(space, lam, mu).tocsc()
         self.clamped = space.boundary_dofs(TAG_CLAMPED)
         self.iface = space.interface_dofs
@@ -59,8 +54,8 @@ class ElasticitySolver:
         mass = assemble_boundary_mass(self.space, TAG_INTERFACE)
         return mass[:, self.iface_vdofs].tocsr()
 
-    def solve(self, f1=None, traction=None) -> FEFunction:
-        """Displacement for volume force f1 and interface traction values.
+    def solve(self, traction=None) -> FEFunction:
+        """Displacement for interface traction values (zero if ``None``).
 
         ``traction`` is an array of shape (n_interface, 2) giving the load
         at the interface scalar dofs (vertices and edge midpoints), in the
@@ -68,8 +63,6 @@ class ElasticitySolver:
         The traction enters as the weak Neumann load int_interface v . psi.
         """
         rhs = np.zeros(self.space.ndof)
-        if f1 is not None:
-            rhs += assemble_velocity_load(self.space, f1)
         if traction is not None:
             tr = np.asarray(traction, dtype=float)
             if tr.shape != (len(self.iface), 2):

@@ -59,29 +59,30 @@ FORCING = 0.1
 
 
 def fixed_point(step, x0, norm, tol, max_iter, mode, error=ConvergenceError):
-    """Iterate ``x, dx, residual = step(x)`` until norm(dx) <= tol * norm(x).
-
-    The step owns its arithmetic (relaxation included).  The driver records
-    each increment, its ratio to the previous positive one, and ``residual``
-    (the relative increment if ``None``); it raises ``error(message, report)``
+    """Iterate ``x, dx, residual = step(x, rel)`` until the relative
+    increment rel = norm(dx) / norm(x) <= tol; the step gets the previous
+    step's rel (``None`` at the first) and owns its arithmetic.  The driver
+    records each increment, its ratio to the previous positive one, and
+    ``residual`` (rel if ``None``); it raises ``error(message, report)``
     after DIVERGENCE_STREAK ratios >= 1 in a row, on a non-finite increment,
     or after ``max_iter`` steps.  Returns ``(x, SolverReport)``.
     """
     report = SolverReport(mode=mode)
-    x, prev_inc, bad_streak = x0, None, 0
+    x, prev_inc, bad_streak, rel = x0, None, 0, None
     for it in range(1, max_iter + 1):
-        x, dx, residual = step(x)
-        inc, scale = norm(dx), max(norm(x), 1e-30)
+        x, dx, residual = step(x, rel)
+        inc = norm(dx)
+        rel = inc / max(norm(x), 1e-30)
         if prev_inc is not None and prev_inc > 0:
             report.increment_ratios.append(inc / prev_inc)
             bad_streak = bad_streak + 1 if inc / prev_inc >= 1.0 else 0
         prev_inc = inc
         report.iterations = it
         report.increments.append(inc)
-        report.residual_history.append(inc / scale if residual is None else residual)
+        report.residual_history.append(rel if residual is None else residual)
         if not np.isfinite(inc):
             raise error(f"{mode}: non-finite increment at iteration {it}", report)
-        if inc / scale <= tol:
+        if rel <= tol:
             report.converged = True
             return x, report
         if bad_streak >= DIVERGENCE_STREAK:
@@ -147,6 +148,11 @@ def dirichlet_vector(vspace, pspace, g):
     return by_dof
 
 
+def _split(vspace, pspace, x):
+    """(velocity, pressure) functions of a stacked [v; p] vector."""
+    return FEFunction(vspace, x[:vspace.ndof]), FEFunction(pspace, x[vspace.ndof:])
+
+
 def _product_norm(norms_v, norms_p, n_v):
     """H1 x L2 norm of a stacked [v; p] vector."""
     return lambda x: float(np.hypot(norms_v.h1_norm(x[:n_v]), norms_p.l2(x[n_v:])))
@@ -201,23 +207,21 @@ class PicardSolver:
     def solve(self, fields=None, g=None, f=None, f2=None, f3=None,
               tol=1e-10, max_iter=50, initial=None):
         V, Q = self.vspace, self.pspace
-        n_v = V.ndof
         F = self.loads(f, f2, f3)
         prescribed = dirichlet_vector(V, Q, g)
         A, K = asm.coefficient_arrays(V, fields)
         x0 = np.zeros(V.ndof + Q.ndof) if initial is None else initial
         N = np.zeros_like(x0) if initial is None else self._action(x0, A, K)
 
-        def step(x):
+        def step(x, _):
             nonlocal N
             x_new = self._lu.solve(F - N + self._M_I @ x, prescribed)
             N = self._action(x_new, A, K)
             return x_new, x_new - x, _weak_residual(N - F, self._lu.cdofs, F)
 
-        norm = _product_norm(self.norms_v, self.norms_p, n_v)
+        norm = _product_norm(self.norms_v, self.norms_p, V.ndof)
         x, report = fixed_point(step, x0, norm, tol, max_iter, "picard")
-        state = FluidState(FEFunction(V, x[:n_v]), FEFunction(Q, x[n_v:]))
-        return state, report
+        return FluidState(*_split(V, Q, x)), report
 
 
 def solve_navier_stokes(mesh, fields=None, g=None, f=None, f2=None, f3=None,
@@ -236,48 +240,51 @@ def linearized_system(vspace, pspace, fields, base_w, nu):
     )
 
 
-def solve_linearized(vspace, pspace, fields, base_w, dg=None, f=None, f2=None,
-                     f3=None, rhs_extra=None, nu=1.0, mode="direct",
-                     tol=1e-12, max_iter=200):
-    """Linearized transformed solver around the state base_w.
+# stopping tolerance and step limit of the T-iteration
+T_ITERATION_TOL = 1e-12
+T_ITERATION_MAX_ITER = 200
 
-    mode "direct" assembles the linearized operator and solves once.
-    mode "T-iteration" runs the constant-coefficient fixed point
 
-        M_lin(I) x = F - (M_lin(A,K) - M_lin(I)) x_bar
+class LinearizedSolver:
+    """Linearized transformed Navier-Stokes at the state ``base_w``.
 
-    where M_lin(I) is the linearized operator with identity coefficients,
-    and reports the observed contraction ratios.  ``dg`` is the inflow
-    Dirichlet data of the linearized problem; ``rhs_extra`` is an optional
-    preassembled load (used for coefficient-derivative right-hand sides).
+    The operator M_lin(A, K) of :func:`linearized_system` is assembled and
+    factorized once; :meth:`solve` is one direct solve on it and
+    :meth:`t_iteration` the constant-coefficient fixed point
+
+        M_lin(I) x_new = F - (M_lin(A, K) - M_lin(I)) x
+
+    with M_lin(I) the linearized operator with identity coefficients,
+    which reports the observed contraction ratios.
     """
-    n_v = vspace.ndof
-    F = asm.assemble_rhs(vspace, pspace, f, f2, f3)
-    if rhs_extra is not None:
-        F = F + rhs_extra
 
-    prescribed = dirichlet_vector(vspace, pspace, dg)
-    if mode == "direct":
-        A = linearized_system(vspace, pspace, fields, base_w, nu)
-        lu = FrozenFactorization(A, dirichlet_dofs(vspace), options=COLUMN_MIN_DEGREE)
-        x = lu.solve(F, prescribed)
-        report = SolverReport(iterations=1, converged=True, mode="direct")
-        return FEFunction(vspace, x[:n_v]), FEFunction(pspace, x[n_v:]), report
+    def __init__(self, vspace, pspace, fields, base_w, nu):
+        self.vspace, self.pspace, self.base_w, self.nu = vspace, pspace, base_w, nu
+        self.matrix = linearized_system(vspace, pspace, fields, base_w, nu)
+        self._lu = FrozenFactorization(self.matrix, dirichlet_dofs(vspace),
+                                       options=COLUMN_MIN_DEGREE)
 
-    if mode != "T-iteration":
-        raise ValueError(f"unknown mode {mode!r}")
+    def solve(self, dg=None, rhs=None):
+        """(dw, dp) for the inflow Dirichlet data ``dg`` and the load
+        ``rhs`` (zero if ``None``)."""
+        V, Q = self.vspace, self.pspace
+        F = np.zeros(V.ndof + Q.ndof) if rhs is None else rhs
+        return _split(V, Q, self._lu.solve(F, dirichlet_vector(V, Q, dg)))
 
-    M_I = linearized_system(vspace, pspace, None, base_w, nu)
-    lu = FrozenFactorization(M_I, dirichlet_dofs(vspace), options=COLUMN_MIN_DEGREE)
-    M_full = linearized_system(vspace, pspace, fields, base_w, nu)
-    D = M_full - M_I
+    def t_iteration(self, dg):
+        """(dw, dp, report) of the T-iteration for the inflow data ``dg``."""
+        V, Q = self.vspace, self.pspace
+        M_I = linearized_system(V, Q, None, self.base_w, self.nu)
+        lu = FrozenFactorization(M_I, self._lu.cdofs, options=COLUMN_MIN_DEGREE)
+        D = self.matrix - M_I
+        F = np.zeros(V.ndof + Q.ndof)
+        prescribed = dirichlet_vector(V, Q, dg)
 
-    norm = _product_norm(asm.NormSet(vspace), asm.NormSet(pspace), n_v)
+        def step(x, _):
+            x_new = lu.solve(F - D @ x, prescribed)
+            return x_new, x_new - x, _weak_residual(self.matrix @ x_new - F, lu.cdofs, F)
 
-    def step(x):
-        x_new = lu.solve(F - D @ x, prescribed)
-        return x_new, x_new - x, _weak_residual(M_full @ x_new - F, lu.cdofs, F)
-
-    x, report = fixed_point(step, np.zeros(n_v + pspace.ndof), norm, tol, max_iter,
-                            "T-iteration")
-    return FEFunction(vspace, x[:n_v]), FEFunction(pspace, x[n_v:]), report
+        norm = _product_norm(asm.NormSet(V), asm.NormSet(Q), V.ndof)
+        x, report = fixed_point(step, np.zeros_like(F), norm, T_ITERATION_TOL,
+                                T_ITERATION_MAX_ITER, "T-iteration")
+        return (*_split(V, Q, x), report)

@@ -254,8 +254,7 @@ class FSISolver:
         opts = opts or CouplingOptions()
         omega = opts.relaxation
         projected = opts.traction_interpretation == "normal-projected"
-        norm = self.norms_u.h1_norm
-        x_fluid, r_prev, last = None, None, None
+        x_fluid, last = None, None
         forcing = FORCING * SECANT_FORCING if opts.quasi_newton else FORCING
         # secant differences of residuals (V) and responses (W), one row per
         # step after the first, preallocated so the loop allocates no block
@@ -264,8 +263,8 @@ class FSISolver:
             W = np.empty_like(V)
         per_step = []  # (fluid_iters, min_J, min_eig_A, secant_columns)
 
-        def step(u):
-            nonlocal x_fluid, r_prev, last
+        def step(u, rel):
+            nonlocal x_fluid, last
             u_fn = FEFunction(self.sspace, u)
             ext = self.extension_of(u_fn)
             try:
@@ -274,8 +273,8 @@ class FSISolver:
                 raise MeshTangledError(str(exc), u_fn) from exc
             # inexact inner solve: the fluid need not be more accurate than
             # the outer iterate it feeds (Eisenstat-Walker forcing)
-            fluid_tol = (opts.fluid_tol if r_prev is None
-                         else max(opts.fluid_tol, forcing * r_prev))
+            fluid_tol = (opts.fluid_tol if rel is None
+                         else max(opts.fluid_tol, forcing * rel))
             state, frep = self.fluid.solve(
                 fields, g,
                 tol=fluid_tol, max_iter=opts.fluid_max_iter,
@@ -298,12 +297,10 @@ class FSISolver:
             last = du, h
             per_step.append((frep.iterations, float(fields.J.min()),
                              float(fields.min_eig_A().min()), len(kept)))
-            # the relative increment fixed_point tests against tol
-            r_prev = norm(dx) / max(norm(u_new), 1e-30)
-            return u_new, dx, r_prev
+            return u_new, dx, None
 
         u, report = fixed_point(
-            step, np.zeros(self.sspace.ndof), norm,
+            step, np.zeros(self.sspace.ndof), self.norms_u.h1_norm,
             opts.tol, opts.max_outer_iter, "fsi-outer", OuterDivergenceError,
         )
         log_rows = [(k + 1, inc, ratio, *extra) for (k, _, ratio), inc, extra

@@ -24,16 +24,9 @@ import numpy as np
 
 from . import assembly as asm
 from .elasticity import interface_trace
-from .fluid import (
-    ConvergenceError,
-    SolverReport,
-    dirichlet_dofs,
-    dirichlet_vector,
-    linearized_system,
-)
+from .fluid import ConvergenceError, LinearizedSolver, SolverReport
 from .fsi import FSISolver, FSIState, MeshTangledError, OuterDivergenceError
 from .geomap import TangledMeshError, transform_derivatives
-from .linsolve import COLUMN_MIN_DEGREE, FrozenFactorization
 from .quadrature import TRI_POINTS
 from .spaces import FEFunction
 
@@ -64,7 +57,7 @@ class TaylorReport:
                         self.remainders_p))
 
 
-def coefficient_rhs(vspace, pspace, derivs, w_hat, p_hat):
+def coefficient_rhs(vspace, pspace, derivs, w_hat, p_hat, nu):
     """Right-hand side of the flow-map-direction linearized system.
 
     The coefficients (A, K) of the discrete residual are differentiated in
@@ -72,11 +65,10 @@ def coefficient_rhs(vspace, pspace, derivs, w_hat, p_hat):
     exactly -d/ds R(x_hat; A + s dA, K + s dK) at s = 0, the operator
     action with the derivative coefficients (the residual is linear in
     them), so the do-nothing outflow treatment of the nonlinear residual is
-    differentiated consistently without any surface assembly.  The
-    viscosity is folded into dA by the caller.
+    differentiated consistently without any surface assembly.
     """
     x_hat = np.concatenate([w_hat.coefficients, p_hat.coefficients])
-    return -asm.oseen_action(vspace, pspace, x_hat, derivs.dA, derivs.dK, 1.0)
+    return -asm.oseen_action(vspace, pspace, x_hat, derivs.dA, derivs.dK, nu)
 
 
 # relative 2-norm residual of the interface equation at which GMRES stops
@@ -122,51 +114,30 @@ def gmres(image, iface, c, n_image):
 class SensitivitySolver:
     """Derivative solves around one converged coupled state.
 
-    The linearized fluid operator at the base state is factorized once and
-    reused by every linearized solve: each GMRES product, the check step
-    and the inflow-direction solve cost one solve on it.
+    ``linearized`` holds the linearized fluid operator at the base state,
+    factorized once: each GMRES product, the check step and the
+    inflow-direction solve cost one solve on it.
     """
 
     def __init__(self, solver: FSISolver, base: FSIState):
         self.solver = solver
         self.base = base
-        V, Q = solver.vspace, solver.pspace
-        self.nu = solver.nu
-        A = linearized_system(V, Q, base.fields, base.fluid.w, solver.nu)
-        self._lu = FrozenFactorization(A, dirichlet_dofs(V), options=COLUMN_MIN_DEGREE)
+        self.linearized = LinearizedSolver(solver.vspace, solver.pspace,
+                                           base.fields, base.fluid.w, solver.nu)
 
-    def _linearized(self, dg=None, rhs_extra=None):
-        """(dw, dp) of the linearized fluid problem at the base state."""
-        V, Q = self.solver.vspace, self.solver.pspace
-        F = np.zeros(V.ndof + Q.ndof) if rhs_extra is None else rhs_extra
-        x = self._lu.solve(F, dirichlet_vector(V, Q, dg))
-        return FEFunction(V, x[:V.ndof]), FEFunction(Q, x[V.ndof:])
-
-    def _derivs_of(self, trace):
-        """Lift and transform-coefficient derivatives for an interface
-        trace, shape (n_interface, 2)."""
+    def _lift(self, trace):
+        """Lift of an interface trace, shape (n_interface, 2), and the
+        linearized right-hand side of its transform-coefficient derivatives."""
         dext = self.solver.extender.extend(trace)
         derivs = transform_derivatives(
             self.base.fields, dext.gradients_at(TRI_POINTS)
         )
-        return dext, derivs
-
-    def _scaled_rhs(self, derivs):
-        # viscosity enters only the viscous coefficient
-        nu_derivs = type(derivs)(
-            derivs.dDPhi, derivs.dJ, derivs.dK, self.nu * derivs.dA
-        )
-        return coefficient_rhs(
-            self.solver.vspace, self.solver.pspace, nu_derivs,
-            self.base.fluid.w, self.base.fluid.p,
-        )
-
-    def linearized_wrt_g(self, dg):
-        return self._linearized(dg=dg)
+        solver, fluid = self.solver, self.base.fluid
+        return dext, coefficient_rhs(solver.vspace, solver.pspace, derivs,
+                                     fluid.w, fluid.p, solver.nu)
 
     def linearized_wrt_u(self, du: FEFunction):
-        _, derivs = self._derivs_of(interface_trace(du))
-        return self._linearized(rhs_extra=self._scaled_rhs(derivs))
+        return self.linearized.solve(rhs=self._lift(interface_trace(du))[1])
 
     def _traction_derivative(self, dext, dp):
         """d(p K n) in a flow-map direction: dp K n + p_hat dK n, nodal,
@@ -184,7 +155,7 @@ class SensitivitySolver:
         report counts the coupled-step products, the check included, and
         holds the GMRES residuals followed by the check residual."""
         solid, iface = self.solver.solid, self.solver.solid.iface_vdofs
-        dw, dp = self._linearized(dg=dg)
+        dw, dp = self.linearized.solve(dg)
         dext = FEFunction.zeros(self.solver.vspace)
         u_g = solid.solve(traction=self._traction_derivative(dext, dp))
         c = u_g.coefficients[iface]
@@ -219,8 +190,8 @@ class SensitivitySolver:
     def _coupled_step(self, trace, dg):
         """Interface trace -> S(dg, dt[trace]) with its linearized fluid
         state: (du, dw, dp)."""
-        dext, derivs = self._derivs_of(trace)
-        dw, dp = self._linearized(dg=dg, rhs_extra=self._scaled_rhs(derivs))
+        dext, rhs = self._lift(trace)
+        dw, dp = self.linearized.solve(dg, rhs)
         dt = self._traction_derivative(dext, dp)
         return self.solver.solid.solve(traction=dt), dw, dp
 
@@ -235,17 +206,15 @@ def solve_fsi_sensitivity(solver: FSISolver, base: FSIState, dg,
     return SensitivitySolver(solver, base).solve(dg, tol=tol)
 
 
-def contraction_probe(solver: FSISolver, base: FSIState, n_samples=3,
-                      iters=12, seed=0):
-    """Power-iteration estimate of the interface coupling-map norm."""
-    sens = SensitivitySolver(solver, base)
+def contraction_probe(sens: SensitivitySolver, n_samples=3, iters=12, seed=0):
+    """Power-iteration estimate of the interface coupling-map norm at the
+    base state of ``sens``."""
+    S, norms = sens.solver.sspace, sens.solver.norms_u
     rng = np.random.default_rng(seed)
-    S = solver.sspace
-    norms = solver.norms_u
     estimates = []
     for _ in range(n_samples):
         v = rng.standard_normal(S.ndof)
-        v[solver.solid.clamped] = 0.0
+        v[sens.solver.solid.clamped] = 0.0
         n0 = norms.h1_norm(v)
         if n0 == 0:
             continue

@@ -154,6 +154,8 @@ class Space:
         self._grads_t = {}  # the same, in the layout of grads_by_basis
         # block kind, or the pressure Space of a mixed block -> assembly.Pattern
         self.patterns = {}
+        # "mass", "stiffness" or "h1" -> the scalar Gram matrix, see assembly._gram
+        self.grams = {}
 
     # ---- dof layout ----------------------------------------------------
     @property

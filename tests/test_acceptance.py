@@ -23,9 +23,9 @@ from oracles import (
 
 from fsichannel.fluid import (
     InflowProfile,
+    LinearizedSolver,
     PicardSolver,
     fluid_spaces,
-    solve_linearized,
     solve_navier_stokes,
 )
 from fsichannel.fsi import CouplingOptions, FSISolver
@@ -224,7 +224,7 @@ def test_06_linearized_fd_consistency(fsi_solver, op_base):
             ])))
         return fit_loglog(H_LIST, rem)
 
-    dw_g, dp_g = sens.linearized_wrt_g(InflowProfile(1.0, H))
+    dw_g, dp_g = sens.linearized.solve(InflowProfile(1.0, H))
     order_g = remainder_order(
         lambda h: fsi_solver.fluid.solve(
             op_base.fields, InflowProfile(0.05 + h, H), tol=1e-13)[0],
@@ -295,7 +295,7 @@ def test_08_sensitivity_vs_monolithic_oracle(coarse_mesh):
     S = solver.sspace
     scalar_if = S.interface_dofs
     vec_if = np.column_stack([2 * scalar_if, 2 * scalar_if + 1]).ravel()
-    _, dp0 = sens._linearized(dg=dg)
+    _, dp0 = sens.linearized.solve(dg)
     dt0 = sens._traction_derivative(FEFunction.zeros(solver.vspace), dp0)
     du0 = solver.solid.solve(traction=dt0)
     T = coupling_matrix_by_columns(sens)
@@ -318,10 +318,9 @@ def test_09_t_iteration_vs_direct(fsi_solver, op_base):
     t0 = time.time()
     V, Q = fsi_solver.vspace, fsi_solver.pspace
     dg = InflowProfile(1.0, fsi_solver.mesh.geometry.channel_height)
-    dw, dp, _ = solve_linearized(V, Q, op_base.fields, op_base.fluid.w,
-                                 dg=dg, nu=NU, mode="direct")
-    tw, tp, rep = solve_linearized(V, Q, op_base.fields, op_base.fluid.w,
-                                   dg=dg, nu=NU, mode="T-iteration")
+    linearized = LinearizedSolver(V, Q, op_base.fields, op_base.fluid.w, NU)
+    dw, dp = linearized.solve(dg)
+    tw, tp, rep = linearized.t_iteration(dg)
     gap = max(float(np.abs(tw.coefficients - dw.coefficients).max()),
               float(np.abs(tp.coefficients - dp.coefficients).max()))
     eta = max(rep.increment_ratios)

@@ -170,6 +170,6 @@ def test_trace_of_prolongation_identity(solver):
 
 def test_one_shot_wrapper(default_mesh, solver):
     tr = outward_traction(solver, 1e-3)
-    a = ElasticitySolver(solid_space(default_mesh), (1.0, 1.0)).solve(None, tr)
+    a = ElasticitySolver(solid_space(default_mesh), (1.0, 1.0)).solve(traction=tr)
     b = solver.solve(traction=tr)
     assert np.array_equal(a.coefficients, b.coefficients)

@@ -8,12 +8,12 @@ from fsichannel.fluid import (
     DIVERGENCE_STREAK,
     ConvergenceError,
     InflowProfile,
+    LinearizedSolver,
     PicardSolver,
     dirichlet_dofs,
     dirichlet_vector,
     fixed_point,
     fluid_spaces,
-    solve_linearized,
     solve_navier_stokes,
 )
 from fsichannel.geomap import HarmonicExtender, transform_fields
@@ -167,7 +167,7 @@ def test_picard_nonconvergence_reported(coarse_mesh):
 
 
 def _affine_step(a, b):
-    def step(x):
+    def step(x, _):
         x_new = a * x + b
         return x_new, x_new - x, None
     return step
@@ -200,7 +200,7 @@ def test_fixed_point_divergence_raises_given_error():
 
 
 def test_fixed_point_non_finite_step_raises_at_that_iteration():
-    def step(x):
+    def step(x, _):
         x_new = 0.5 * x + 1.0 if x[0] < 1.5 else np.full_like(x, np.nan)
         return x_new, x_new - x, None
 
@@ -245,7 +245,7 @@ def test_linearized_zero_data(default_mesh, deformed_fields):
     _, fields = deformed_fields
     V, Q = fluid_spaces(default_mesh)
     base = FEFunction.zeros(V)
-    zw, zp, _ = solve_linearized(V, Q, fields, base, nu=1.0)
+    zw, zp = LinearizedSolver(V, Q, fields, base, 1.0).solve()
     assert np.abs(zw.coefficients).max() == 0.0
     assert np.abs(zp.coefficients).max() == 0.0
 
@@ -254,8 +254,7 @@ def test_linearized_at_rest_is_stokes(default_mesh):
     V, Q = fluid_spaces(default_mesh)
     H = default_mesh.geometry.channel_height
     dg = InflowProfile(1.0, H)
-    zw, zp, _ = solve_linearized(V, Q, None, FEFunction.zeros(V), dg=dg,
-                                 nu=1.0, mode="direct")
+    zw, zp = LinearizedSolver(V, Q, None, FEFunction.zeros(V), 1.0).solve(dg)
     # plain Stokes: no advector and no reaction terms
     stokes = asm.transformed_oseen_system(V, Q, None, 1.0)
     x = FrozenFactorization(stokes, dirichlet_dofs(V)).solve(
@@ -273,7 +272,7 @@ def test_linearized_fd_consistency(default_mesh, operating_inflow,
     H = default_mesh.geometry.channel_height
     base, _ = solver.solve(fields, operating_inflow, tol=1e-13)
     dg = InflowProfile(1.0, H)
-    zw, zp, _ = solve_linearized(V, Q, fields, base.w, dg=dg, nu=1.0)
+    zw, zp = LinearizedSolver(V, Q, fields, base.w, 1.0).solve(dg)
     hs, rem = [], []
     for h in (1e-2, 3e-3, 1e-3):
         pert, _ = solver.solve(
@@ -294,17 +293,9 @@ def test_t_iteration_matches_direct(default_mesh, operating_inflow,
     solver = PicardSolver(V, Q, nu=1.0)
     base, _ = solver.solve(fields, operating_inflow, tol=1e-13)
     dg = InflowProfile(1.0, default_mesh.geometry.channel_height)
-    zw, zp, _ = solve_linearized(V, Q, fields, base.w, dg=dg, nu=1.0,
-                                 mode="direct")
-    tw, tp, rep = solve_linearized(V, Q, fields, base.w, dg=dg, nu=1.0,
-                                   mode="T-iteration")
+    linearized = LinearizedSolver(V, Q, fields, base.w, 1.0)
+    zw, zp = linearized.solve(dg)
+    tw, tp, rep = linearized.t_iteration(dg)
     assert np.abs(tw.coefficients - zw.coefficients).max() <= 1e-8
     assert np.abs(tp.coefficients - zp.coefficients).max() <= 1e-8
     assert max(rep.increment_ratios) < 1.0
-
-
-def test_solve_linearized_rejects_unknown_mode(default_mesh, deformed_fields):
-    _, fields = deformed_fields
-    V, Q = fluid_spaces(default_mesh)
-    with pytest.raises(ValueError):
-        solve_linearized(V, Q, fields, FEFunction.zeros(V), mode="magic")

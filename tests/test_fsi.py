@@ -319,7 +319,7 @@ def test_fresh_solvers_are_deterministic():
         assert np.array_equal(a.elem_dofs, b.elem_dofs)
     sa, sb = one.solve(g, opts), two.solve(g, opts)
     factors = [(s.fluid._lu, s.extender._fact, s.solid._lu,
-                SensitivitySolver(s, base)._lu) for s, base in ((one, sa), (two, sb))]
+                SensitivitySolver(s, base).linearized._lu) for s, base in ((one, sa), (two, sb))]
     for lu_a, lu_b in zip(*factors):
         assert lu_a.lu.L.nnz + lu_a.lu.U.nnz == lu_b.lu.L.nnz + lu_b.lu.U.nnz
     assert sa.report.iterations == sb.report.iterations

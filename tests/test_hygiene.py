@@ -1,7 +1,8 @@
 """Static checks on the package source: no blanket ``except Exception``
 outside the CLI's top-level handler, no unused module-level imports, no
 function, class or method that nothing references, one fixed-point loop,
-and two-operand assembly kernels."""
+LU factorizations only in the solver modules, and two-operand assembly
+kernels."""
 
 import ast
 from collections import Counter
@@ -111,6 +112,20 @@ def test_increment_ratios_appended_only_in_fixed_point():
                     found.append(f"{path.stem}.{fn.name}")
     assert found == ["fluid.fixed_point"], (
         f"increment ratios recorded outside the fixed-point driver: {found}")
+
+
+def test_factorizations_built_only_in_solver_modules():
+    """The fluid (Stokes and linearized operators), the harmonic extension
+    and the elasticity solver own every LU; the derivative and the probes
+    solve on the fluid's ``LinearizedSolver``."""
+    found = set()
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "FrozenFactorization"):
+                found.add(path.stem)
+    assert found == {"elasticity", "fluid", "geomap"}
 
 
 def test_assembly_kernel_shape():

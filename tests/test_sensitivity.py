@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from oracles import coupling_matrix_by_columns, fit_loglog
 
+from fsichannel import assembly as asm
+from fsichannel import cli
 from fsichannel.fluid import ConvergenceError, InflowProfile
 from fsichannel.fsi import (
     CouplingOptions,
@@ -14,6 +18,7 @@ from fsichannel.geomap import (
     TangledMeshError,
     transform_fields,
 )
+from fsichannel.linsolve import FrozenFactorization
 from fsichannel.sensitivity import (
     SensitivitySolver,
     contraction_probe,
@@ -56,13 +61,12 @@ def coarse_base(coarse_mesh):
 
 
 def test_coefficient_rhs_zero_direction(fsi_solver, fsi_base, sens):
-    _, derivs = sens._derivs_of(np.zeros((len(fsi_solver.solid.iface), 2)))
-    rhs = sens._scaled_rhs(derivs)
+    _, rhs = sens._lift(np.zeros((len(fsi_solver.solid.iface), 2)))
     assert np.abs(rhs).max() == 0.0
 
 
 def test_linearized_wrt_g_zero(sens):
-    dw, dp = sens.linearized_wrt_g(None)
+    dw, dp = sens.linearized.solve(None)
     assert np.abs(dw.coefficients).max() == 0.0
     assert np.abs(dp.coefficients).max() == 0.0
 
@@ -70,7 +74,7 @@ def test_linearized_wrt_g_zero(sens):
 def test_linearized_wrt_g_fd(fsi_solver, fsi_base, sens):
     H = fsi_solver.mesh.geometry.channel_height
     dg = InflowProfile(1.0, H)
-    dw, dp = sens.linearized_wrt_g(dg)
+    dw, dp = sens.linearized.solve(dg)
     base, _ = fsi_solver.fluid.solve(
         fsi_base.fields, InflowProfile(0.05, H), tol=1e-13)
     hs, rem = [], []
@@ -93,27 +97,33 @@ def test_linearized_wrt_u_zero(fsi_solver, sens):
     assert np.abs(dp.coefficients).max() == 0.0
 
 
-def test_linearized_wrt_u_fd(fsi_solver, fsi_base, sens):
+def test_linearized_wrt_u_fd(default_mesh, fsi_solver, fsi_base, sens):
+    # also at nu = 0.3, where a viscosity missing from (or applied twice
+    # to) the dA part of the flow-map right-hand side would show; at
+    # nu = 1 it cannot
     H = fsi_solver.mesh.geometry.channel_height
     g = InflowProfile(0.05, H)
-    du = smooth_direction(fsi_solver, seed=1)
-    dw, dp = sens.linearized_wrt_u(du)
-    base, _ = fsi_solver.fluid.solve(fsi_base.fields, g, tol=1e-13)
-    hs, rem = [], []
-    for h in (1e-2, 3e-3, 1e-3):
-        u_h = FEFunction(
-            fsi_solver.sspace,
-            fsi_base.u.coefficients + h * du.coefficients)
-        ext_h = fsi_solver.extension_of(u_h)
-        fields_h = transform_fields(fsi_solver.vspace, ext_h)
-        pert, _ = fsi_solver.fluid.solve(fields_h, g, tol=1e-13)
-        r = np.linalg.norm(np.concatenate([
-            pert.w.coefficients - base.w.coefficients - h * dw.coefficients,
-            pert.p.coefficients - base.p.coefficients - h * dp.coefficients,
-        ]))
-        hs.append(h)
-        rem.append(r)
-    assert fit_loglog(hs, rem) >= 1.8
+    viscous = FSISolver(default_mesh, LAME, 0.3)
+    viscous_base = viscous.solve(g, TIGHT)
+    for solver, state, derivative in (
+            (fsi_solver, fsi_base, sens),
+            (viscous, viscous_base, SensitivitySolver(viscous, viscous_base))):
+        du = smooth_direction(solver, seed=1)
+        dw, dp = derivative.linearized_wrt_u(du)
+        base, _ = solver.fluid.solve(state.fields, g, tol=1e-13)
+        hs, rem = [], []
+        for h in (1e-2, 3e-3, 1e-3):
+            u_h = FEFunction(
+                solver.sspace, state.u.coefficients + h * du.coefficients)
+            fields_h = transform_fields(solver.vspace, solver.extension_of(u_h))
+            pert, _ = solver.fluid.solve(fields_h, g, tol=1e-13)
+            r = np.linalg.norm(np.concatenate([
+                pert.w.coefficients - base.w.coefficients - h * dw.coefficients,
+                pert.p.coefficients - base.p.coefficients - h * dp.coefficients,
+            ]))
+            hs.append(h)
+            rem.append(r)
+        assert fit_loglog(hs, rem) >= 1.8, solver.nu
 
 
 def test_sensitivity_zero_direction(fsi_solver, fsi_base):
@@ -149,7 +159,7 @@ def test_sensitivity_matches_monolithic_oracle(coarse_base):
     scalar_if = S.interface_dofs
     vec_if = np.column_stack([2 * scalar_if, 2 * scalar_if + 1]).ravel()
 
-    _, dp0 = sens._linearized(dg=dg)
+    _, dp0 = sens.linearized.solve(dg)
     dext0 = FEFunction.zeros(solver.vspace)
     dt0 = sens._traction_derivative(dext0, dp0)
     du0 = solver.solid.solve(traction=dt0)
@@ -198,7 +208,7 @@ def test_krylov_at_rest_stops_after_one_product(fsi_solver):
     sens = SensitivitySolver(fsi_solver, rest)
     dg = InflowProfile(1.0, H)
     state = sens.solve(dg, tol=1e-12)
-    _, dp = sens._linearized(dg=dg)
+    _, dp = sens.linearized.solve(dg)
     u_g = fsi_solver.solid.solve(traction=sens._traction_derivative(
         FEFunction.zeros(fsi_solver.vspace), dp))
     assert np.abs(u_g.coefficients).max() > 0.0
@@ -267,13 +277,14 @@ def test_taylor_drops_only_typed_solver_errors(fsi_solver, fsi_base, monkeypatch
 
 def test_probe_zero_at_rest(fsi_solver):
     rest = fsi_solver.solve(None, CouplingOptions(tol=1e-12))
-    estimates = contraction_probe(fsi_solver, rest, n_samples=2, iters=4)
+    estimates = contraction_probe(SensitivitySolver(fsi_solver, rest),
+                                  n_samples=2, iters=4)
     assert max(estimates) <= 1e-12
 
 
 def test_probe_matches_outer_ratio(fsi_solver, fsi_plain_base):
-    estimates = contraction_probe(fsi_solver, fsi_plain_base, n_samples=2,
-                                  iters=10)
+    estimates = contraction_probe(SensitivitySolver(fsi_solver, fsi_plain_base),
+                                  n_samples=2, iters=10)
     observed = fsi_plain_base.report.increment_ratios[-1]
     for est in estimates:
         assert abs(est - observed) <= 0.1 * observed
@@ -284,13 +295,35 @@ def test_probe_matches_dense_spectrum(coarse_base):
     # dense interface coupling matrix in the H1 geometry
     solver, g, base = coarse_base
     sens = SensitivitySolver(solver, base)
-    est = max(contraction_probe(solver, base, n_samples=2, iters=25))
+    est = max(contraction_probe(sens, n_samples=2, iters=25))
 
     # the coupling map reads only the interface trace, so its spectrum is
     # that of the dense interface restriction
     T = coupling_matrix_by_columns(sens)
     lam = np.abs(np.linalg.eigvals(T)).max()
     assert abs(est - lam) <= 0.1 * max(lam, 1e-30)
+
+
+def test_probes_point_factorizes_two_linearized_operators(
+        fsi_solver, monkeypatch, tmp_path):
+    # one sweep point on a solver set up beforehand: the derivative's
+    # operator M_lin(A, K) serves the power probe and the T-iteration,
+    # which adds only M_lin(I); each is assembled and factorized once
+    counts = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    monkeypatch.setattr(cli, "_fsi_solver", lambda cfg: fsi_solver)
+    count(FrozenFactorization, "__init__")
+    count(asm, "transformed_oseen_system")
+    cli.run("probes", {"g_sweep": [0.05], "probe_samples": 1}, str(tmp_path))
+    assert counts == {"__init__": 2, "transformed_oseen_system": 2}
 
 
 def test_stiff_solid_approaches_frozen_interface(coarse_mesh):
@@ -305,7 +338,7 @@ def test_stiff_solid_approaches_frozen_interface(coarse_mesh):
         base = solver.solve(g, TIGHT)
         sens = SensitivitySolver(solver, base)
         coupled = sens.solve(dg, tol=1e-12)
-        frozen_w, _ = sens.linearized_wrt_g(dg)
+        frozen_w, _ = sens.linearized.solve(dg)
         num = solver.fluid.norms_v.h1_norm(
             coupled.dw.coefficients - frozen_w.coefficients)
         den = solver.fluid.norms_v.h1_norm(frozen_w.coefficients)
