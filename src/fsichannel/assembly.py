@@ -23,22 +23,10 @@ from .quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS, TRI_WEIGHTS
 from .spaces import FEFunction, Space, read_only
 
 
-class NonPositiveJacobianError(ValueError):
-    """A transform field carries a non-positive volume ratio."""
-
-    def __init__(self, element_id, value):
-        self.element_id = int(element_id)
-        self.value = float(value)
-        super().__init__(f"J = {value:.6e} <= 0 in element {element_id}")
-
-
 def coefficient_arrays(space, fields):
     """(A, K) arrays of a transform-fields object; (None, None) for None."""
     if fields is None:
         return None, None
-    if np.any(fields.J <= 0.0):
-        e, q = np.unravel_index(np.argmin(fields.J), fields.J.shape)
-        raise NonPositiveJacobianError(space.tri_ids[e], fields.J[e, q])
     return fields.A, fields.K
 
 
@@ -324,13 +312,8 @@ def assemble_boundary_mass(space: Space, tag):
 def assemble_boundary_load(space: Space, tag, f):
     """Surface integral of f . psi over edges of the given tag.
 
-    ``f`` is an FEFunction of ``space``, a callable (x, y) -> value with the
-    space's arity, or constant.
+    ``f`` is a callable (x, y) -> value with the space's arity, or constant.
     """
-    if isinstance(f, FEFunction):
-        if f.space is not space:
-            raise ValueError("boundary data must live in the test space")
-        return assemble_boundary_mass(space, tag) @ f.coefficients
     edges = space.tagged_entities(tag)
     t = EDGE_POINTS
     N = _edge_trace_basis(space.desc.order, t)

@@ -5,8 +5,8 @@ Usage:
     fsichannel describe <scenario>
     fsichannel compare <dir_a> <dir_b> [--tol T]
 
-Exit codes: 0 success, 1 scenario checks failed, 2 invalid configuration,
-3 solver divergence, 4 internal error.
+Exit codes: 0 success, 1 scenario checks failed, 2 invalid input (a
+``ValueError``), 3 solver failure (a ``linsolve.SolverError``), 4 internal error.
 """
 
 import argparse
@@ -18,14 +18,12 @@ import sys
 import numpy as np
 
 from .elasticity import interface_trace
-from .fluid import ConvergenceError, InflowProfile, solve_navier_stokes
-from .fsi import CouplingOptions, FSISolver, MeshTangledError, OuterDivergenceError
-from .geomap import EllipticityError, TangledMeshError
+from .fluid import InflowProfile, solve_navier_stokes
+from .fsi import CouplingOptions, FSISolver
 from .io import read_vtk, save_mesh, vertex_values, write_csv, write_json, write_vtk
+from .linsolve import SolverError
 from .mesh import (
     ChannelGeometry,
-    GeometryError,
-    MeshError,
     build_channel_mesh,
     rect_polygon,
     refine_uniform,
@@ -371,7 +369,6 @@ def run(name, cfg_raw, out, seed=0):
         raise ConfigError(f"unknown scenario {name!r}")
     cfg = resolve_config(cfg_raw)
     os.makedirs(out, exist_ok=True)
-    np.random.seed(seed)
     checks, ok = SCENARIOS[name]["runner"](cfg, out, seed)
     artifacts = {}
     for fname in sorted(os.listdir(out)):
@@ -579,12 +576,11 @@ def main(argv=None):
             with open(args.config) as fh:
                 cfg_raw = json.load(fh)
         return run(args.command, cfg_raw, args.out, args.seed)
-    except (ConfigError, GeometryError, MeshError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, GeometryError, MeshError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, OuterDivergenceError, MeshTangledError,
-            TangledMeshError, EllipticityError) as exc:
-        print(f"solver divergence: {exc}", file=sys.stderr)
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

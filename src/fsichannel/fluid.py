@@ -16,15 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly as asm
-from .linsolve import COLUMN_MIN_DEGREE, FrozenFactorization
+from .linsolve import COLUMN_MIN_DEGREE, FrozenFactorization, SolverError
 from .mesh import FLUID, TAG_INFLOW, TAG_INTERFACE, TAG_WALL
 from .spaces import FEFunction, Space, make_space
 
 
-class ConvergenceError(RuntimeError):
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
+class ConvergenceError(SolverError):
+    """A fixed point stopped without converging."""
 
 
 @dataclass
@@ -65,12 +63,17 @@ def fixed_point(step, x0, norm, tol, max_iter, mode, error=ConvergenceError):
     records each increment, its ratio to the previous positive one, and
     ``residual`` (rel if ``None``); it raises ``error(message, report)``
     after DIVERGENCE_STREAK ratios >= 1 in a row, on a non-finite increment,
-    or after ``max_iter`` steps.  Returns ``(x, SolverReport)``.
+    or after ``max_iter`` steps; a :class:`SolverError` of the step without a
+    report leaves with this one.  Returns ``(x, SolverReport)``.
     """
     report = SolverReport(mode=mode)
     x, prev_inc, bad_streak, rel = x0, None, 0, None
     for it in range(1, max_iter + 1):
-        x, dx, residual = step(x, rel)
+        try:
+            x, dx, residual = step(x, rel)
+        except SolverError as exc:
+            exc.report = exc.report or report
+            raise
         inc = norm(dx)
         rel = inc / max(norm(x), 1e-30)
         if prev_inc is not None and prev_inc > 0:
@@ -252,17 +255,18 @@ class LinearizedSolver:
     factorized once; :meth:`solve` is one direct solve on it and
     :meth:`t_iteration` the constant-coefficient fixed point
 
-        M_lin(I) x_new = F - (M_lin(A, K) - M_lin(I)) x
+        M_lin(I) x_new = F - M_lin(A, K) x + M_lin(I) x
 
     with M_lin(I) the linearized operator with identity coefficients,
-    which reports the observed contraction ratios.
+    which reports the observed contraction ratios.  Both read M_lin(A, K) x
+    only on the free rows, which the factorization's blocks give.
     """
 
     def __init__(self, vspace, pspace, fields, base_w, nu):
         self.vspace, self.pspace, self.base_w, self.nu = vspace, pspace, base_w, nu
-        self.matrix = linearized_system(vspace, pspace, fields, base_w, nu)
-        self._lu = FrozenFactorization(self.matrix, dirichlet_dofs(vspace),
-                                       options=COLUMN_MIN_DEGREE)
+        self._lu = FrozenFactorization(
+            linearized_system(vspace, pspace, fields, base_w, nu),
+            dirichlet_dofs(vspace), options=COLUMN_MIN_DEGREE)
 
     def solve(self, dg=None, rhs=None):
         """(dw, dp) for the inflow Dirichlet data ``dg`` and the load
@@ -276,13 +280,15 @@ class LinearizedSolver:
         V, Q = self.vspace, self.pspace
         M_I = linearized_system(V, Q, None, self.base_w, self.nu)
         lu = FrozenFactorization(M_I, self._lu.cdofs, options=COLUMN_MIN_DEGREE)
-        D = self.matrix - M_I
         F = np.zeros(V.ndof + Q.ndof)
         prescribed = dirichlet_vector(V, Q, dg)
+        Mx = np.zeros_like(F)  # M_lin(A, K) x at x = 0
 
         def step(x, _):
-            x_new = lu.solve(F - D @ x, prescribed)
-            return x_new, x_new - x, _weak_residual(self.matrix @ x_new - F, lu.cdofs, F)
+            nonlocal Mx
+            x_new = lu.solve(F - Mx + M_I @ x, prescribed)
+            Mx = self._lu.product(x_new)
+            return x_new, x_new - x, _weak_residual(Mx - F, lu.cdofs, F)
 
         norm = _product_norm(asm.NormSet(V), asm.NormSet(Q), V.ndof)
         x, report = fixed_point(step, np.zeros_like(F), norm, T_ITERATION_TOL,

@@ -38,14 +38,13 @@ from .geomap import (
     cof2,
     transform_fields,
 )
+from .linsolve import SolverError
 from .mesh import TAG_INTERFACE
 from .spaces import FEFunction, p1_basis, p2_grads
 
 
-class OuterDivergenceError(RuntimeError):
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
+class OuterDivergenceError(SolverError):
+    """The outer coupling iteration stopped without converging."""
 
 
 # a secant difference whose part orthogonal to the newer kept ones is at
@@ -79,12 +78,8 @@ def filter_secants(V):
     return sorted(kept)
 
 
-class MeshTangledError(RuntimeError):
+class MeshTangledError(SolverError):
     """Outer iterate produced a non-invertible flow map."""
-
-    def __init__(self, message, displacement):
-        super().__init__(message)
-        self.displacement = displacement
 
 
 @dataclass
@@ -265,12 +260,11 @@ class FSISolver:
 
         def step(u, rel):
             nonlocal x_fluid, last
-            u_fn = FEFunction(self.sspace, u)
-            ext = self.extension_of(u_fn)
+            ext = self.extension_of(FEFunction(self.sspace, u))
             try:
                 fields = transform_fields(self.vspace, ext)
             except TangledMeshError as exc:
-                raise MeshTangledError(str(exc), u_fn) from exc
+                raise MeshTangledError(str(exc)) from exc
             # inexact inner solve: the fluid need not be more accurate than
             # the outer iterate it feeds (Eisenstat-Walker forcing)
             fluid_tol = (opts.fluid_tol if rel is None

@@ -14,18 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import NonPositiveJacobianError, assemble_scalar_stiffness
-from .linsolve import SYMMETRIC_MIN_DEGREE, FrozenFactorization
+from .assembly import assemble_scalar_stiffness
+from .linsolve import SYMMETRIC_MIN_DEGREE, FrozenFactorization, SolverError
 from .mesh import ALL_TAGS, MeshError
 from .quadrature import TRI_POINTS
 from .spaces import FEFunction, Space
 
 
-class TangledMeshError(NonPositiveJacobianError):
+class TangledMeshError(SolverError):
     """The displaced flow map is not orientation preserving."""
 
+    def __init__(self, element_id, value):
+        super().__init__(f"J = {value:.6e} <= 0 in element {element_id}")
 
-class EllipticityError(ValueError):
+
+class EllipticityError(SolverError):
     """The diffusion matrix dropped below the admissibility floor."""
 
 

@@ -25,7 +25,15 @@ SYMMETRIC_MIN_DEGREE = MappingProxyType(
 COLUMN_MIN_DEGREE = MappingProxyType({"permc_spec": "COLAMD", "diag_pivot_thresh": 0.01})
 
 
-class SingularSystemError(RuntimeError):
+class SolverError(RuntimeError):
+    """A solve failed on its data; ``report`` is its loop's, if any."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
+
+
+class SingularSystemError(SolverError):
     """A direct solve failed: singular factorization, non-finite result or
     residual above ``RESIDUAL_RTOL``."""
 
@@ -35,20 +43,16 @@ class FrozenFactorization:
 
     The rows and columns of the constrained dofs ``cdofs`` are removed and
     the free block is factorized once with the SuperLU ``options``
-    (SuperLU's defaults if ``None``).  ``cvals`` are the default prescribed
-    values (zeros if ``None``).  Every solve returns the full vector with the
-    prescribed values set bit-exactly.  A solve of finite data raises
+    (SuperLU's defaults if ``None``).  Every solve returns the full vector
+    with the prescribed values set bit-exactly.  A solve of finite data raises
     :class:`SingularSystemError` if the free-row result is non-finite or its
     relative residual exceeds ``RESIDUAL_RTOL``.
     """
 
-    def __init__(self, A, cdofs, cvals=None, options=None):
+    def __init__(self, A, cdofs, options=None):
         A = A.tocsc()
         self.n = A.shape[0]
         self.cdofs = np.asarray(cdofs, dtype=np.int64)
-        if cvals is None:
-            cvals = np.zeros(len(self.cdofs))
-        self.cvals = np.asarray(cvals, dtype=float)
         mask = np.ones(self.n, dtype=bool)
         mask[self.cdofs] = False
         self.free = np.flatnonzero(mask)
@@ -60,15 +64,21 @@ class FrozenFactorization:
         except RuntimeError as exc:  # SuperLU reports exact singularity here
             raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
 
+    def product(self, x):
+        """A x on the free rows, zeros on the constrained ones."""
+        y = np.zeros(self.n)
+        y[self.free] = self.A_ff @ x[self.free] + self.A_fc @ x[self.cdofs]
+        return y
+
     def solve(self, rhs, prescribed=None):
-        """Solve with the full-length ``rhs``; ``prescribed`` is an optional
-        full-length vector whose entries at ``cdofs`` replace ``cvals``.  An
+        """Solve with the full-length ``rhs``; the optional full-length
+        ``prescribed`` holds the values at ``cdofs`` (zeros if ``None``).  An
         (n, k) ``rhs`` and ``prescribed`` solve k systems at once, and each
         column is checked on its own."""
         x = np.zeros(rhs.shape)
         cols = x.reshape(self.n, -1)  # a view, one column per system
-        cols[self.cdofs] = (self.cvals[:, None] if prescribed is None
-                            else np.reshape(prescribed, cols.shape)[self.cdofs])
+        if prescribed is not None:
+            cols[self.cdofs] = np.reshape(prescribed, cols.shape)[self.cdofs]
         b = rhs.reshape(cols.shape)[self.free] - self.A_fc @ cols[self.cdofs]
         cols[self.free] = xf = self.lu.solve(b)
         # non-finite data comes from a diverging caller, whose own loop

@@ -25,8 +25,9 @@ import numpy as np
 from . import assembly as asm
 from .elasticity import interface_trace
 from .fluid import ConvergenceError, LinearizedSolver, SolverReport
-from .fsi import FSISolver, FSIState, MeshTangledError, OuterDivergenceError
-from .geomap import TangledMeshError, transform_derivatives
+from .fsi import FSISolver, FSIState
+from .geomap import transform_derivatives
+from .linsolve import SolverError
 from .quadrature import TRI_POINTS
 from .spaces import FEFunction
 
@@ -37,7 +38,7 @@ class SensitivityState:
     dw: FEFunction
     dp: FEFunction
     report: SolverReport
-    # largest |Ritz value| of T from the GMRES solve; 0 without a product
+    # spectral radius of T on the Krylov space of c(dg); 0 without a product
     ritz_radius: float = 0.0
 
 
@@ -249,8 +250,7 @@ def taylor_test(solver: FSISolver, g_of, dg_of, h_list, opts=None,
     for h in h_list:
         try:
             state_h = solver.solve(g_of(h), opts)
-        except (ConvergenceError, OuterDivergenceError, MeshTangledError,
-                TangledMeshError):
+        except SolverError:
             dropped.append(h)
             continue
         hs.append(h)
@@ -264,8 +264,7 @@ def taylor_test(solver: FSISolver, g_of, dg_of, h_list, opts=None,
             state_h.fluid.p.coefficients - base.fluid.p.coefficients
             - h * sens.dp.coefficients))
     if len(hs) < 3:
-        raise ConvergenceError("fewer than 3 valid h values in taylor_test",
-                               None)
+        raise ConvergenceError("fewer than 3 valid h values in taylor_test")
     report = TaylorReport(hs, ru, rw, rp, dropped=dropped)
     from .verification import fit_rate
 

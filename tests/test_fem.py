@@ -249,7 +249,9 @@ def test_solve_sparse_matches_dense_oracle():
     M = sp.bmat([[sp.csr_matrix(A), sp.csr_matrix(B)],
                  [sp.csr_matrix(B.T), sp.csr_matrix(C)]], format="csr")
     cdofs = [2, 5]
-    x = FrozenFactorization(M, cdofs, [0.3, -0.1]).solve(rhs)
+    fixed = np.zeros(n + m)
+    fixed[cdofs] = [0.3, -0.1]
+    x = FrozenFactorization(M, cdofs).solve(rhs, fixed)
     full = np.block([[A, B], [B.T, C]])
     free = np.setdiff1d(np.arange(n + m), cdofs)
 
@@ -265,10 +267,9 @@ def test_solve_sparse_matches_dense_oracle():
     assert np.abs(x - dense_oracle(rhs, [0.3, -0.1])).max() <= 1e-10
     assert x[2] == 0.3 and x[5] == -0.1
 
-    # two solves on one factorization: the default values, then new data
-    # read from a full-length prescribed vector (the solvers' per-solve path)
-    lu = FrozenFactorization(M, cdofs, [0.3, -0.1])
-    assert np.array_equal(lu.solve(rhs), x)
+    # two solves on one factorization: the same values, then new data
+    lu = FrozenFactorization(M, cdofs)
+    assert np.array_equal(lu.solve(rhs, fixed), x)
     rhs2 = rng.standard_normal(n + m)
     prescribed = rng.standard_normal(n + m)
     x2 = lu.solve(rhs2, prescribed)
@@ -280,7 +281,7 @@ def test_solve_sparse_matches_dense_oracle():
     x_block = lu.solve(rhs_block, np.column_stack([prescribed, prescribed[::-1]]))
     assert np.array_equal(x_block[:, 0], x2)
     assert np.array_equal(x_block[:, 1], lu.solve(rhs, prescribed[::-1]))
-    assert np.array_equal(lu.solve(rhs_block)[:, 1], x)
+    assert np.array_equal(lu.solve(rhs_block, np.column_stack([fixed, fixed]))[:, 1], x)
 
 
 def test_frozen_factorization_rejects_non_finite_result():

@@ -10,6 +10,7 @@ from fsichannel.fluid import (
     InflowProfile,
     LinearizedSolver,
     PicardSolver,
+    SolverReport,
     dirichlet_dofs,
     dirichlet_vector,
     fixed_point,
@@ -17,7 +18,7 @@ from fsichannel.fluid import (
     solve_navier_stokes,
 )
 from fsichannel.geomap import HarmonicExtender, transform_fields
-from fsichannel.linsolve import FrozenFactorization
+from fsichannel.linsolve import FrozenFactorization, SingularSystemError
 from fsichannel.mesh import FLUID, build_channel_mesh, straight_channel
 from fsichannel.spaces import FEFunction
 from conftest import mirror_dof_error
@@ -197,6 +198,28 @@ def test_fixed_point_divergence_raises_given_error():
     assert len(ratios) == DIVERGENCE_STREAK == 5
     assert all(r >= 1.0 for r in ratios[-5:])
     assert not err.value.report.converged
+
+
+def test_fixed_point_attaches_its_report_to_a_step_failure():
+    inner = SolverReport(mode="inner")
+
+    def step(failure):
+        def run(x, _):
+            if x[0] >= 1.5:
+                raise failure
+            x_new = 0.5 * x + 1.0
+            return x_new, x_new - x, None
+        return run
+
+    with pytest.raises(SingularSystemError) as err:
+        fixed_point(step(SingularSystemError("stub")), np.zeros(2),
+                    np.linalg.norm, 1e-12, 100, "outer")
+    assert (err.value.report.mode, err.value.report.iterations) == ("outer", 2)
+    # a failure that carries its own loop's report keeps it
+    with pytest.raises(ConvergenceError) as err:
+        fixed_point(step(ConvergenceError("stub", inner)), np.zeros(2),
+                    np.linalg.norm, 1e-12, 100, "outer")
+    assert err.value.report is inner
 
 
 def test_fixed_point_non_finite_step_raises_at_that_iteration():

@@ -7,11 +7,13 @@ from fsichannel.fluid import FluidState, InflowProfile, fluid_spaces
 from fsichannel.fsi import (
     CouplingOptions,
     FSISolver,
+    MeshTangledError,
     OuterDivergenceError,
     TractionEvaluator,
     filter_secants,
 )
 from fsichannel.geomap import identity_fields
+from fsichannel.linsolve import SolverError
 from fsichannel.sensitivity import SensitivitySolver
 from fsichannel.spaces import FEFunction
 from conftest import LAME, NU, mirror_dof_error
@@ -193,11 +195,24 @@ def test_divergence_raises(default_mesh):
     # divergence rather than loop forever
     H = default_mesh.geometry.channel_height
     solver = FSISolver(default_mesh, (1.0, 5.0), NU)
-    with pytest.raises(Exception) as err:
+    with pytest.raises(SolverError) as err:
         solver.solve(InflowProfile(0.6, H),
                      CouplingOptions(max_outer_iter=40, warm_start=False))
     assert err.typename in ("OuterDivergenceError", "MeshTangledError",
                             "ConvergenceError")
+
+
+@pytest.mark.parametrize("magnitude", [0.6, 1.5])
+def test_tangled_outer_step_carries_the_outer_report(default_mesh, magnitude):
+    # the soft solid's first quasi-Newton update tangles the flow map; the
+    # error leaves the outer loop with that loop's report
+    H = default_mesh.geometry.channel_height
+    solver = FSISolver(default_mesh, (1.0, 5.0), NU)
+    with pytest.raises(MeshTangledError) as err:
+        solver.solve(InflowProfile(magnitude, H))
+    report = err.value.report
+    assert (report.mode, report.iterations, report.converged) == (
+        "fsi-outer", 1, False)
 
 
 def test_options_validation():

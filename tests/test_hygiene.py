@@ -1,14 +1,18 @@
 """Static checks on the package source: no blanket ``except Exception``
 outside the CLI's top-level handler, no unused module-level imports, no
 function, class or method that nothing references, one fixed-point loop,
-LU factorizations only in the solver modules, and two-operand assembly
-kernels."""
+LU factorizations only in the solver modules, two-operand assembly
+kernels, and exception classes that are either bad input or a failed
+solve."""
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
 import fsichannel
+from fsichannel.linsolve import SolverError
 
 SRC = Path(fsichannel.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -126,6 +130,20 @@ def test_factorizations_built_only_in_solver_modules():
                     == "FrozenFactorization"):
                 found.add(path.stem)
     assert found == {"elasticity", "fluid", "geomap"}
+
+
+def test_exceptions_are_bad_input_or_solver_failures():
+    """Every exception class of the package derives from ``ValueError``
+    (the CLI exits 2) or ``SolverError`` (it exits 3)."""
+    found = []
+    for path in MODULES:
+        module = importlib.import_module(f"fsichannel.{path.stem}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if (cls.__module__ == module.__name__
+                    and issubclass(cls, BaseException)
+                    and not issubclass(cls, (ValueError, SolverError))):
+                found.append(f"{path.stem}.{name}")
+    assert not found, f"exceptions outside the two roots: {found}"
 
 
 def test_assembly_kernel_shape():

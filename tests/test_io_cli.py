@@ -12,6 +12,8 @@ from fsichannel.cli import (
     DEFAULTS,
     EXIT_CHECKS_FAILED,
     EXIT_CONFIG,
+    EXIT_DIVERGED,
+    EXIT_INTERNAL,
     SCENARIOS,
     ConfigError,
     compare,
@@ -28,7 +30,11 @@ from fsichannel.io import (
     write_json,
     write_vtk,
 )
-from fsichannel.fluid import fluid_spaces
+from fsichannel.fluid import ConvergenceError, fluid_spaces
+from fsichannel.fsi import MeshTangledError, OuterDivergenceError
+from fsichannel.geomap import EllipticityError, TangledMeshError
+from fsichannel.linsolve import SingularSystemError, SolverError
+from fsichannel.mesh import GeometryError, MeshError
 from fsichannel.sensitivity import TaylorReport
 from fsichannel.spaces import FEFunction
 
@@ -124,6 +130,30 @@ def test_cli_exit_codes(tmp_path):
     assert main(["mesh", "--config", str(cfg),
                  "--out", str(tmp_path / "b")]) == EXIT_CONFIG
     assert main([]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("failure, code", [
+    (SolverError("stub"), EXIT_DIVERGED),
+    (SingularSystemError("stub"), EXIT_DIVERGED),
+    (ConvergenceError("stub"), EXIT_DIVERGED),
+    (OuterDivergenceError("stub"), EXIT_DIVERGED),
+    (MeshTangledError("stub"), EXIT_DIVERGED),
+    (TangledMeshError(0, -1.0), EXIT_DIVERGED),
+    (EllipticityError("stub"), EXIT_DIVERGED),
+    (ConfigError("stub"), EXIT_CONFIG),
+    (GeometryError("stub"), EXIT_CONFIG),
+    (MeshError("stub"), EXIT_CONFIG),
+    (ValueError("stub"), EXIT_CONFIG),
+    (RuntimeError("stub"), EXIT_INTERNAL),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_cli_exit_code_per_failure_type(tmp_path, monkeypatch, failure, code):
+    """Every solver failure exits 3 and every bad input 2, whatever the
+    scenario raising it."""
+    def runner(cfg, out, seed):
+        raise failure
+
+    monkeypatch.setitem(SCENARIOS["mesh"], "runner", runner)
+    assert main(["mesh", "--out", str(tmp_path)]) == code
 
 
 def test_compare_identical_and_differing(tmp_path):
