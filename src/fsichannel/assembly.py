@@ -23,7 +23,7 @@ from .quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS, TRI_WEIGHTS
 from .spaces import FEFunction, Space, read_only
 
 
-def coefficient_arrays(space, fields):
+def coefficient_arrays(fields):
     """(A, K) arrays of a transform-fields object; (None, None) for None."""
     if fields is None:
         return None, None
@@ -201,7 +201,7 @@ def transformed_oseen_system(
     """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
-    A, K = coefficient_arrays(vspace, fields)
+    A, K = coefficient_arrays(fields)
     A_vv = assemble_viscous(vspace, A, nu)
     if advector is not None:
         A_vv = A_vv + assemble_convection(vspace, advector, K)

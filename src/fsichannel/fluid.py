@@ -204,7 +204,7 @@ class PicardSolver:
 
     def residual(self, x, fields, F):
         """Free-dof norm of the nonlinear weak-form residual at x."""
-        N = self._action(x, *asm.coefficient_arrays(self.vspace, fields))
+        N = self._action(x, *asm.coefficient_arrays(fields))
         return _weak_residual(N - F, self._lu.cdofs, F)
 
     def solve(self, fields=None, g=None, f=None, f2=None, f3=None,
@@ -212,7 +212,7 @@ class PicardSolver:
         V, Q = self.vspace, self.pspace
         F = self.loads(f, f2, f3)
         prescribed = dirichlet_vector(V, Q, g)
-        A, K = asm.coefficient_arrays(V, fields)
+        A, K = asm.coefficient_arrays(fields)
         x0 = np.zeros(V.ndof + Q.ndof) if initial is None else initial
         N = np.zeros_like(x0) if initial is None else self._action(x0, A, K)
 

@@ -13,9 +13,9 @@ coupling map on traces.  It is solved by unrestarted GMRES (Saad & Schultz
 lift, transform-coefficient derivatives, one linearized fluid solve, the
 traction derivative and one elastic solve.  The solution exists wherever
 I - T is invertible, also where the fixed point would not contract.  One
-more coupled step at the result gives the fixed-point residual, an
-a-posteriori check on every solve; the derivative is validated externally
-by Taylor-remainder tests.
+more coupled step at the result gives the fixed-point residual, a check on
+every solve.  The same Arnoldi loop, run on T from a random trace,
+estimates rho(T) (Saad 2011), the plain coupling iteration's contraction.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +30,7 @@ from .geomap import transform_derivatives
 from .linsolve import SolverError
 from .quadrature import TRI_POINTS
 from .spaces import FEFunction
+from .verification import fit_rate
 
 
 @dataclass
@@ -38,7 +39,8 @@ class SensitivityState:
     dw: FEFunction
     dp: FEFunction
     report: SolverReport
-    # spectral radius of T on the Krylov space of c(dg); 0 without a product
+    # largest |Ritz value| of T on the Krylov space of c(dg), 0 without a
+    # product; a mirror-symmetric dg reads T's second eigenvalue (README)
     ritz_radius: float = 0.0
 
 
@@ -74,6 +76,30 @@ def coefficient_rhs(vspace, pspace, derivs, w_hat, p_hat, nu):
 
 # relative 2-norm residual of the interface equation at which GMRES stops
 KRYLOV_TOL = 1e-13
+# relative residual of the dominant Ritz pair at which the rho(T) estimate
+# stops (its Ritz value is not monotone, so a fixed count reads worse)
+RITZ_TOL = 1e-4
+
+
+def arnoldi(operator, v0):
+    """Arnoldi with modified Gram-Schmidt from v0, ``operator(k, v)`` the
+    k-th product: yields H[:k+2, :k+1] after each of at most len(v0)
+    products and returns after an exact breakdown."""
+    m = len(v0)
+    # one block each for the basis here and its images in gmres: per-product
+    # arrays that outlive the product fragment the heap (+10 % RSS at level 1)
+    H, V = np.zeros((m + 1, m)), np.empty((m + 1, m))
+    V[0] = v0 / np.linalg.norm(v0)
+    for k in range(m):
+        w = operator(k, V[k])
+        for j in range(k + 1):
+            H[j, k] = V[j] @ w
+            w -= H[j, k] * V[j]
+        H[k + 1, k] = np.linalg.norm(w)
+        yield H[:k + 2, :k + 1]
+        if H[k + 1, k] == 0.0:
+            return
+        V[k + 1] = w / H[k + 1, k]
 
 
 def gmres(image, iface, c, n_image):
@@ -85,31 +111,23 @@ def gmres(image, iface, c, n_image):
     an exact breakdown or after len(c) products.  Returns (U y, the
     relative residual after each product, the largest |Ritz value| of T).
     """
-    m, beta = len(c), np.linalg.norm(c)
-    # one block each for the basis and its images: per-product arrays that
-    # outlive the product fragment the heap (peak RSS +10 % at mesh level 1)
-    H, V = np.zeros((m + 1, m)), np.empty((m + 1, m))
-    U = np.empty((m, n_image))
-    V[0] = c / beta
+    beta = np.linalg.norm(c)
+    U = np.empty((len(c), n_image))
+
+    def operator(k, v):
+        U[k] = image(v)
+        return v - U[k, iface]
+
     residuals = []
-    for k in range(m):
-        U[k] = image(V[k])
-        w = V[k] - U[k, iface]
-        for j in range(k + 1):  # modified Gram-Schmidt
-            H[j, k] = V[j] @ w
-            w -= H[j, k] * V[j]
-        H[k + 1, k] = np.linalg.norm(w)
-        e1 = np.zeros(k + 2)
-        e1[0] = beta
-        y = np.linalg.lstsq(H[:k + 2, :k + 1], e1, rcond=None)[0]
-        residuals.append(
-            float(np.linalg.norm(e1 - H[:k + 2, :k + 1] @ y) / beta))
-        if residuals[-1] <= KRYLOV_TOL or H[k + 1, k] == 0.0:
+    for H in arnoldi(operator, c):
+        e1 = beta * np.eye(len(H))[0]
+        y = np.linalg.lstsq(H, e1, rcond=None)[0]
+        residuals.append(float(np.linalg.norm(e1 - H @ y) / beta))
+        if residuals[-1] <= KRYLOV_TOL:
             break
-        V[k + 1] = w / H[k + 1, k]
-    # H[:k+1, :k+1] is I - T on the Krylov space
-    ritz = np.abs(1.0 - np.linalg.eigvals(H[:k + 1, :k + 1])).max()
-    return y @ U[:k + 1], residuals, float(ritz)
+    # H[:-1] is I - T on the Krylov space
+    ritz = np.abs(1.0 - np.linalg.eigvals(H[:-1])).max()
+    return y @ U[:len(y)], residuals, float(ritz)
 
 
 class SensitivitySolver:
@@ -165,14 +183,10 @@ class SensitivitySolver:
                                   converged=True, mode="krylov")
             return SensitivityState(u_g, dw, dp, report)
 
-        def image(v):
-            return self._coupled_step(v.reshape(-1, 2), None)[0].coefficients
-
-        U_y, history, ritz = gmres(image, iface, c, solid.space.ndof)
+        U_y, history, ritz = gmres(self._response, iface, c, solid.space.ndof)
         du = FEFunction(solid.space, u_g.coefficients + U_y)
 
-        du_check, dw, dp = self._coupled_step(
-            du.coefficients[iface].reshape(-1, 2), dg)
+        du_check, dw, dp = self._coupled_step(du.coefficients[iface], dg)
         du_check = du_check.coefficients
         norm = self.solver.norms_u.h1_norm
         history.append(
@@ -188,10 +202,28 @@ class SensitivitySolver:
                 f"derivative exceeds {tol:.1e}", report)
         return SensitivityState(du, dw, dp, report, ritz)
 
+    def coupling_spectral_radius(self, seed=0):
+        """(rho(T), products) by Arnoldi on T from a seeded random trace,
+        which excites T's dominant mode (a mirror-symmetric c(dg) does not),
+        until the dominant Ritz pair (theta, y) has |h_{k+1,k} y_k| / |theta|
+        <= RITZ_TOL; at T = 0 the first product breaks down exactly."""
+        iface = self.solver.solid.iface_vdofs
+        v0 = np.random.default_rng(seed).standard_normal(len(iface))
+        for H in arnoldi(lambda k, v: self._response(v)[iface], v0):
+            theta, Y = np.linalg.eig(H[:-1])
+            i = np.abs(theta).argmax()
+            if abs(H[-1, -1] * Y[-1, i]) <= RITZ_TOL * abs(theta[i]):
+                break
+        return float(abs(theta[i])), H.shape[1]
+
+    def _response(self, v):
+        """Full solid response S(0, dt[v]) to the interface trace v."""
+        return self._coupled_step(v, None)[0].coefficients
+
     def _coupled_step(self, trace, dg):
         """Interface trace -> S(dg, dt[trace]) with its linearized fluid
         state: (du, dw, dp)."""
-        dext, rhs = self._lift(trace)
+        dext, rhs = self._lift(trace.reshape(-1, 2))
         dw, dp = self.linearized.solve(dg, rhs)
         dt = self._traction_derivative(dext, dp)
         return self.solver.solid.solve(traction=dt), dw, dp
@@ -205,32 +237,6 @@ class SensitivitySolver:
 def solve_fsi_sensitivity(solver: FSISolver, base: FSIState, dg,
                           tol=1e-10) -> SensitivityState:
     return SensitivitySolver(solver, base).solve(dg, tol=tol)
-
-
-def contraction_probe(sens: SensitivitySolver, n_samples=3, iters=12, seed=0):
-    """Power-iteration estimate of the interface coupling-map norm at the
-    base state of ``sens``."""
-    S, norms = sens.solver.sspace, sens.solver.norms_u
-    rng = np.random.default_rng(seed)
-    estimates = []
-    for _ in range(n_samples):
-        v = rng.standard_normal(S.ndof)
-        v[sens.solver.solid.clamped] = 0.0
-        n0 = norms.h1_norm(v)
-        if n0 == 0:
-            continue
-        v /= n0
-        est = 0.0
-        for _ in range(iters):
-            w = sens.apply_coupling_map(FEFunction(S, v)).coefficients
-            nw = norms.h1_norm(w)
-            if nw == 0:
-                est = 0.0
-                break
-            est = nw
-            v = w / nw
-        estimates.append(est)
-    return estimates
 
 
 def taylor_test(solver: FSISolver, g_of, dg_of, h_list, opts=None,
@@ -265,11 +271,6 @@ def taylor_test(solver: FSISolver, g_of, dg_of, h_list, opts=None,
             - h * sens.dp.coefficients))
     if len(hs) < 3:
         raise ConvergenceError("fewer than 3 valid h values in taylor_test")
-    report = TaylorReport(hs, ru, rw, rp, dropped=dropped)
-    from .verification import fit_rate
-
-    report.slope_u = fit_rate(hs, ru)
-    report.slope_w = fit_rate(hs, rw)
-    report.slope_p = fit_rate(hs, rp)
-    return report
+    return TaylorReport(hs, ru, rw, rp, fit_rate(hs, ru), fit_rate(hs, rw),
+                        fit_rate(hs, rp), dropped)
 

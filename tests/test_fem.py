@@ -185,7 +185,7 @@ def test_oseen_action_matches_assembled_product(default_mesh, case):
     x = np.random.default_rng(2).standard_normal(V.ndof + Q.ndof)
     w = FEFunction(V, x[:V.ndof])
     ref = asm.transformed_oseen_system(V, Q, fields, 0.7, advector=w) @ x
-    A, K = asm.coefficient_arrays(V, fields)
+    A, K = asm.coefficient_arrays(fields)
     got = asm.oseen_action(V, Q, x, A, K, 0.7)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
