@@ -9,8 +9,11 @@ since multiplying by 1 and adding 0 is exact.
 Every kernel contracts at most two operands at a time (batched ``matmul``)
 against the geometry its ``Space`` caches, and sums its element entries
 with one ``bincount`` into a CSR pattern fixed per space and block kind.
-``oseen_action`` applies the Navier-Stokes operator to a state the same
-way, summing element vectors into dof vectors, with no matrix at all.
+``oseen_action`` applies the Navier-Stokes operator to a state with no
+matrix, on the reference cell (Kronbichler & Kormann 2012): geometry and
+weights sit in per-point coefficients built once per field, and an action
+is a GEMM against a fixed table of reference gradients and values, 2 x 2
+products on (q, T) planes, a GEMM back and a ``bincount``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import scipy.sparse as sp
 
 from .mesh import edge_keys
 from .quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS, TRI_WEIGHTS
-from .spaces import FEFunction, Space, read_only
+from .spaces import FEFunction, Space, p2_basis, p2_grads, read_only
 
 
 def coefficient_arrays(fields):
@@ -212,41 +215,55 @@ def transformed_oseen_system(
     return sp.bmat([[A_vv, A_vp], [A_pv, A_pp]], format="csr")
 
 
-def oseen_action(vspace: Space, pspace: Space, x, A=None, K=None, nu=1.0):
+def action_coefficients(vspace: Space, A=None, K=None, nu=1.0):
+    """The fields (A, K) of :func:`oseen_action` (``None``: the identity) in
+    reference coordinates, weights and nu folded in: a = nu wdet B^-1 A B^-T
+    and k = wdet K B^-T, B the element Jacobian, as contiguous (q, T) planes
+    a[m, n] = a_mn and k[m, :, i] = k_im, built once per field."""
+    nt, nq = vspace.wdet.shape
+    Bi = np.ascontiguousarray(vspace.inv_jac.transpose(1, 2, 0))  # [m, l], (T,)
+    w, flat = vspace.wdet.T, np.eye(2).reshape(1, 1, 4)
+    # per element, flattened fields times (k l, m n) = B^-1_mk B^-1_nl and
+    # (j l, m i) = delta_ij B^-1_ml give B^-1 A B^-T and K B^-T
+    both = (Bi[:, None, :, None] * Bi[None, :, None, :]).reshape(4, 4, nt).T
+    right = (Bi[:, None, None] * np.eye(2)[:, :, None, None]).reshape(4, 4, nt).T
+    a = ((flat if A is None else A.reshape(nt, nq, 4)) @ both).reshape(nt, -1, 2, 2)
+    k = ((flat if K is None else K.reshape(nt, nq, 4)) @ right).reshape(nt, -1, 2, 2)
+    return (np.multiply(a.transpose(2, 3, 1, 0), nu * w, out=np.empty((2, 2, nq, nt))),
+            np.multiply(k.transpose(2, 1, 3, 0), w[:, None], out=np.empty((2, nq, 2, nt))))
+
+
+# rows m q + k: P2 reference d_m psi_a (m = 0, 1), psi_a (m = 2) at point k
+_P2_TABLE = read_only(np.vstack([*p2_grads(TRI_POINTS).transpose(2, 0, 1),
+                                 p2_basis(TRI_POINTS)]))
+
+
+def oseen_action(vspace: Space, pspace: Space, x, coefficients):
     """N(x) = M(A, K) x + C(w; K) x on the stacked [v; p] dofs, w the
     velocity of x, without assembling a matrix.
 
     Equals ``transformed_oseen_system(vspace, pspace, fields, nu,
-    advector=w) @ x`` for fields with coefficients (A, K); ``None`` is the
-    identity.  At each point the velocity rows integrate
-    d_k psi_a (nu (G A^T) - p K)_ik + psi_a (G K^T w)_i and the pressure
-    rows q_c K : G, with G = grad w; the 2 x 2 products are written out.
+    advector=w) @ x`` for ``coefficients = action_coefficients(vspace, A, K,
+    nu)``, (A, K) the fields' coefficients.  With H = grad_xi w, the velocity
+    rows integrate d_m psi_a (H a^T - p k)_im + psi_a (H k^T w)_i and the
+    pressure rows q_c k : H on the reference cell.
     """
-    n_v, wdet = vspace.ndof, vspace.wdet
-    nt, nq = wdet.shape
-    eye = np.broadcast_to(np.eye(2), (nt, nq, 2, 2))
-    # coefficient entries [k, l] as (T, q) planes; nu and the weights in A
-    a = (eye if A is None else A).transpose(2, 3, 0, 1) * (nu * wdet)
-    Kc = (eye if K is None else K).transpose(2, 3, 0, 1)
-    cm = x[vspace.elem_vdofs]  # (T, a, i)
-    gt, phi = vspace.grads_by_basis(TRI_POINTS), vspace.basis_at(TRI_POINTS)
-    G = (cm.swapaxes(1, 2) @ gt).reshape(nt, 2, 2, nq).transpose(1, 2, 0, 3)
-    G = np.ascontiguousarray(G)  # [i, l] = d_l w_i
-    W = (phi @ cm).transpose(2, 0, 1)  # w_i
-    qb = pspace.basis_at(TRI_POINTS)
-    Pw = wdet * (x[n_v:][pspace.elem_dofs] @ qb.T)
-    # [k, i] = (nu G A^T - p K)_ik, (G K^T w)_i and K : G, weighted
-    flux = np.stack([G[:, 0] * a[k, 0] + G[:, 1] * a[k, 1] - Pw * Kc[:, k]
-                     for k in range(2)])
-    Ktw = W[0] * Kc[0] + W[1] * Kc[1]
-    conv = wdet * (G[:, 0] * Ktw[0] + G[:, 1] * Ktw[1])
-    div = wdet * np.sum(Kc * G, axis=(0, 1))
-    rv = gt @ flux.transpose(2, 0, 3, 1).reshape(nt, -1, 2)
-    rv += phi.T @ conv.transpose(1, 2, 0)  # (T, a, i)
+    a, k = coefficients
+    vd, pd, qb = vspace.gather_vdofs, pspace.elem_dofs.T, pspace.basis_at(TRI_POINTS)
+    nq, nt = k.shape[1], k.shape[3]
+    # [m, point, i, element]: H_im for m = 0, 1 and w_i for m = 2
+    D = (_P2_TABLE @ x[vd].reshape(len(vd), -1)).reshape(3, nq, 2, nt)
+    P = qb @ x[vspace.ndof:][pd]
+    Y = np.empty_like(D)
+    np.einsum("nqie,mnqe->mqie", D[:2], a, out=Y[:2])  # (H a^T)_im
+    Y[:2] -= P[:, None] * k
+    kw = np.einsum("mqie,qie->mqe", k, D[2])  # (k^T w)_m
+    np.einsum("mqie,mqe->qie", D[:2], kw, out=Y[2])
+    div = np.einsum("mqie,mqie->qe", k, D[:2])
+    rv = _P2_TABLE.T @ Y.reshape(3 * nq, -1)
     return np.concatenate([
-        np.bincount(vspace.elem_vdofs.ravel(), rv.ravel(), minlength=n_v),
-        np.bincount(pspace.elem_dofs.ravel(), (div @ qb).ravel(),
-                    minlength=pspace.ndof)])
+        np.bincount(vd.ravel(), rv.ravel(), minlength=vspace.ndof),
+        np.bincount(pd.ravel(), (qb.T @ div).ravel(), minlength=pspace.ndof)])
 
 
 # ---- right-hand sides ---------------------------------------------------

@@ -199,12 +199,13 @@ class PicardSolver:
     def loads(self, f=None, f2=None, f3=None):
         return asm.assemble_rhs(self.vspace, self.pspace, f, f2, f3)
 
-    def _action(self, x, A, K):
-        return asm.oseen_action(self.vspace, self.pspace, x, A, K, self.nu)
+    def _coefficients(self, fields):
+        return asm.action_coefficients(
+            self.vspace, *asm.coefficient_arrays(fields), self.nu)
 
     def residual(self, x, fields, F):
         """Free-dof norm of the nonlinear weak-form residual at x."""
-        N = self._action(x, *asm.coefficient_arrays(fields))
+        N = asm.oseen_action(self.vspace, self.pspace, x, self._coefficients(fields))
         return _weak_residual(N - F, self._lu.cdofs, F)
 
     def solve(self, fields=None, g=None, f=None, f2=None, f3=None,
@@ -212,14 +213,14 @@ class PicardSolver:
         V, Q = self.vspace, self.pspace
         F = self.loads(f, f2, f3)
         prescribed = dirichlet_vector(V, Q, g)
-        A, K = asm.coefficient_arrays(fields)
+        coefficients = self._coefficients(fields)  # fixed for the solve
         x0 = np.zeros(V.ndof + Q.ndof) if initial is None else initial
-        N = np.zeros_like(x0) if initial is None else self._action(x0, A, K)
+        N = np.zeros_like(x0) if initial is None else asm.oseen_action(V, Q, x0, coefficients)
 
         def step(x, _):
             nonlocal N
             x_new = self._lu.solve(F - N + self._M_I @ x, prescribed)
-            N = self._action(x_new, A, K)
+            N = asm.oseen_action(V, Q, x_new, coefficients)
             return x_new, x_new - x, _weak_residual(N - F, self._lu.cdofs, F)
 
         norm = _product_norm(self.norms_v, self.norms_p, V.ndof)

@@ -71,7 +71,8 @@ def coefficient_rhs(vspace, pspace, derivs, w_hat, p_hat, nu):
     differentiated consistently without any surface assembly.
     """
     x_hat = np.concatenate([w_hat.coefficients, p_hat.coefficients])
-    return -asm.oseen_action(vspace, pspace, x_hat, derivs.dA, derivs.dK, nu)
+    coefficients = asm.action_coefficients(vspace, derivs.dA, derivs.dK, nu)
+    return -asm.oseen_action(vspace, pspace, x_hat, coefficients)
 
 
 # relative 2-norm residual of the interface equation at which GMRES stops

@@ -204,9 +204,14 @@ class Space:
 
     @cached_property
     def _boundary_scalar(self):
-        """Tag -> sorted scalar dofs on the tag's edges, read-only."""
-        return {tag: read_only(np.unique(self.trace_dofs(self._adjacent(tag))))
-                for tag in ALL_TAGS}
+        """(tag, exclusive) -> sorted scalar dofs on the tag's edges,
+        read-only; the exclusive set leaves out those of higher-priority tags."""
+        out, higher = {}, np.empty(0, dtype=np.int64)
+        for tag in TAG_PRIORITY:
+            dofs = read_only(np.unique(self.trace_dofs(self._adjacent(tag))))
+            out[tag, False], out[tag, True] = dofs, read_only(np.setdiff1d(dofs, higher))
+            higher = np.union1d(higher, dofs)
+        return out
 
     def boundary_scalar_dofs(self, tag, exclusive=False):
         """Scalar dofs whose nodes lie on edges of the given tag.
@@ -217,13 +222,9 @@ class Space:
         """
         if tag not in ALL_TAGS:
             raise MeshError(f"unknown boundary tag {tag!r}")
-        dofs = self._boundary_scalar[tag]
-        if not len(dofs):
+        if not len(self._boundary_scalar[tag, False]):
             raise MeshError(f"tag {tag!r} is not adjacent to subdomain {self.desc.subdomain}")
-        if exclusive:
-            for higher in TAG_PRIORITY[:TAG_PRIORITY.index(tag)]:
-                dofs = np.setdiff1d(dofs, self._boundary_scalar[higher])
-        return np.array(dofs)
+        return np.array(self._boundary_scalar[tag, bool(exclusive)])
 
     @cached_property
     def interface_dofs(self):
@@ -272,6 +273,12 @@ class Space:
         """Vector dofs 2 s + i of each element's scalar dofs s, (T, nloc, 2),
         read-only: gathers and scatters element vectors."""
         return read_only(2 * self.elem_dofs[:, :, None] + np.arange(2))
+
+    @cached_property
+    def gather_vdofs(self):
+        """The dofs of :attr:`elem_vdofs` as (nloc, 2, T), read-only: element
+        blocks with the element index last, for GEMMs with reference tables."""
+        return read_only(np.ascontiguousarray(self.elem_vdofs.transpose(1, 2, 0)))
 
     @cached_property
     def wdet(self):

@@ -12,7 +12,6 @@ a least-squares fit in log-log coordinates.
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sym
 
 from .fluid import PicardSolver, fluid_spaces
 from .mesh import build_channel_mesh, refine_uniform, straight_channel
@@ -21,6 +20,7 @@ from .quadrature import TRI_POINTS
 
 def _lambdify_pair(w1, w2, p, nu):
     """Forcing and boundary data callables from sympy expressions."""
+    import sympy as sym  # here: importing the package need not load sympy
     x, y = sym.symbols("x y", real=True)
     w = sym.Matrix([w1, w2])
     f = sym.Matrix([
@@ -56,6 +56,7 @@ def _lambdify_pair(w1, w2, p, nu):
 def exact_pair(kind, nu=1.0, height=1.0):
     """Named exact solutions: "polynomial" sits inside the P2/P1 space,
     "trig" is a smooth stream-function pair for asymptotic rates."""
+    import sympy as sym
     x, y = sym.symbols("x y", real=True)
     if kind == "polynomial":
         w1 = y * (height - y)

@@ -1,8 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from conftest import child_env
 from oracles import (
     assemble_navier_stokes,
     assemble_scalar_p2_stiffness,
@@ -186,8 +190,38 @@ def test_oseen_action_matches_assembled_product(default_mesh, case):
     w = FEFunction(V, x[:V.ndof])
     ref = asm.transformed_oseen_system(V, Q, fields, 0.7, advector=w) @ x
     A, K = asm.coefficient_arrays(fields)
-    got = asm.oseen_action(V, Q, x, A, K, 0.7)
+    got = asm.oseen_action(V, Q, x, asm.action_coefficients(V, A, K, 0.7))
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+ACTION_HASH = """
+import hashlib, numpy as np
+from fsichannel import assembly as asm
+from fsichannel.fluid import fluid_spaces
+from fsichannel.geomap import HarmonicExtender, transform_fields
+from fsichannel.mesh import build_channel_mesh, default_geometry, refine_uniform
+V, Q = fluid_spaces(refine_uniform(build_channel_mesh(default_geometry())))
+ext = HarmonicExtender(V).extend(
+    0.01 * np.sin(np.pi * V.dof_coords[V.interface_dofs]))
+fields = transform_fields(V, ext)
+x = np.random.default_rng(3).standard_normal(V.ndof + Q.ndof)
+c = asm.action_coefficients(V, fields.A, fields.K, 0.7)
+print(hashlib.sha256(asm.oseen_action(V, Q, x, c).tobytes()).hexdigest())
+"""
+
+
+def test_oseen_action_bit_identical_across_blas_threads():
+    # the action's GEMMs are widest on a refined mesh, where a threaded
+    # BLAS dispatch is most likely; it must not change a single bit
+    hashes = []
+    for threads in ("1", "4"):
+        env = child_env({"OMP_NUM_THREADS": threads,
+                         "OPENBLAS_NUM_THREADS": threads})
+        res = subprocess.run([sys.executable, "-c", ACTION_HASH],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        hashes.append(res.stdout.strip())
+    assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
 
 
 def test_pressure_blocks_exact_negative_transpose(default_mesh):

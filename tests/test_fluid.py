@@ -143,6 +143,32 @@ def test_picard_evaluates_operator_once_per_step(coarse_mesh, monkeypatch):
     assert len(calls) == report.iterations + 1
 
 
+def test_picard_builds_action_coefficients_once_per_solve(coarse_mesh,
+                                                        monkeypatch):
+    # the fields are fixed within a solve, so their reference coefficients
+    # are built once whatever the number of steps, cold or warm
+    calls = []
+    build = asm.action_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(asm, "action_coefficients", counted)
+    H = coarse_mesh.geometry.channel_height
+    V, Q = fluid_spaces(coarse_mesh)
+    ext = HarmonicExtender(V).extend(
+        0.01 * np.sin(np.pi * V.dof_coords[V.interface_dofs]))
+    solver = PicardSolver(V, Q)
+    state, report = solver.solve(transform_fields(V, ext), InflowProfile(1.0, H))
+    assert report.converged and report.iterations > 1
+    assert len(calls) == 1
+    calls.clear()
+    _, report = solver.solve(g=InflowProfile(1.5, H), initial=state.stacked())
+    assert report.converged and report.iterations > 1
+    assert len(calls) == 1
+
+
 def test_load_without_data_is_zero_and_not_assembled(coarse_mesh, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a load without data was assembled")

@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from conftest import child_env
 from oracles import fit_loglog
 
 from fsichannel.fluid import fluid_spaces, solve_navier_stokes
@@ -56,3 +60,14 @@ def test_fit_rate_matches_independent_fit():
 def test_unknown_exact_pair_rejected():
     with pytest.raises(ValueError):
         exact_pair("nonexistent")
+
+
+def test_importing_the_derivative_leaves_sympy_unloaded():
+    # sympy is needed only to build the manufactured pairs, and costs
+    # about a second to import
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, fsichannel.sensitivity; "
+         "print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env=child_env({}))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
