@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import edge_keys
-from .quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS, TRI_WEIGHTS
+from .mesh import TAG_OUTFLOW, edge_keys
+from .quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS
 from .spaces import FEFunction, Space, p2_basis, p2_grads, read_only
 
 
@@ -267,27 +267,31 @@ def oseen_action(vspace: Space, pspace: Space, x, coefficients):
 
 
 # ---- right-hand sides ---------------------------------------------------
+#
+# Problem data (forcing, divergence data, edge loads, Dirichlet values) are
+# ``None`` (zero), a constant, or a callable ``data(x, y)`` that takes
+# coordinate arrays of any shape S, scalars included, and returns
+# S + value_shape.  ``data_at`` is the one place data are evaluated.
 
-def _resolve_values(space, data, arity):
-    """Values of callable / FEFunction / constant data at quadrature points."""
-    nt, nq = len(space.tri_ids), len(TRI_WEIGHTS)
+def data_at(data, points, value_shape=()):
+    """Values of problem data at the points (..., 2), shape (...) +
+    ``value_shape``: zeros for ``None``, a broadcast constant, or one call
+    of the callable on the coordinate arrays (``ValueError`` if it returns
+    another shape)."""
+    shape = points.shape[:-1] + tuple(value_shape)
     if data is None:
-        return np.zeros((nt, nq, arity))
-    if isinstance(data, FEFunction):
-        return data.values_at(TRI_POINTS)
-    if callable(data):
-        xy = space.quad_points_physical(TRI_POINTS)
-        vals = np.asarray(
-            [[data(x, y) for x, y in row] for row in xy], dtype=float
-        )
-        return vals.reshape(nt, nq, arity)
-    vals = np.broadcast_to(np.asarray(data, dtype=float), (nt, nq, arity))
+        return np.zeros(shape)
+    if not callable(data):
+        return np.broadcast_to(np.asarray(data, dtype=float), shape)
+    vals = np.asarray(data(points[..., 0], points[..., 1]), dtype=float)
+    if vals.shape != shape:
+        raise ValueError(f"data returned shape {vals.shape}, expected {shape}")
     return vals
 
 
 def assemble_velocity_load(vspace: Space, f):
-    """integral of f . psi over the velocity space."""
-    vals = _resolve_values(vspace, f, 2)
+    """integral of f . psi over the velocity space, f vector data."""
+    vals = data_at(f, vspace.quad_points_physical(TRI_POINTS), (2,))
     phi = vspace.basis_at(TRI_POINTS)
     elem = phi.T @ (vspace.wdet[..., None] * vals)  # (T, a, i)
     out = np.zeros(vspace.ndof)
@@ -296,8 +300,8 @@ def assemble_velocity_load(vspace: Space, f):
 
 
 def assemble_pressure_load(pspace: Space, f2):
-    """integral of f2 q over the pressure space (divergence data)."""
-    vals = _resolve_values(pspace, f2, 1)[..., 0]
+    """integral of f2 q over the pressure space, f2 scalar (divergence) data."""
+    vals = data_at(f2, pspace.quad_points_physical(TRI_POINTS))
     phi = pspace.basis_at(TRI_POINTS)
     elem = (pspace.wdet * vals) @ phi  # (T, a)
     out = np.zeros(pspace.ndof)
@@ -311,15 +315,24 @@ def _edge_trace_basis(order, t):
     return np.stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], axis=1)
 
 
+def _edges(space: Space, tag):
+    """Edge geometry of ``tag`` on ``space``: the trace dofs (E, nloc), the
+    lengths (E,), the edge quadrature points (E, q, 2) and the trace basis
+    at them (q, nloc)."""
+    edges = space.tagged_entities(tag)
+    start = space.mesh.nodes[edges[:, 0]]
+    d = space.mesh.nodes[edges[:, 1]] - start
+    points = start[:, None] + EDGE_POINTS[:, None] * d[:, None]
+    return (space.trace_dofs(edges), np.hypot(d[:, 0], d[:, 1]), points,
+            _edge_trace_basis(space.desc.order, EDGE_POINTS))
+
+
 def assemble_boundary_mass(space: Space, tag):
     """Sparse M with M @ f.coefficients the surface integral of f . psi over
     the edges of ``tag``, for f in ``space``, componentwise."""
-    edges = space.tagged_entities(tag)
-    N = _edge_trace_basis(space.desc.order, EDGE_POINTS)
-    d = space.mesh.nodes[edges[:, 1]] - space.mesh.nodes[edges[:, 0]]
-    length = np.hypot(d[:, 0], d[:, 1])
+    dofs, length, _, N = _edges(space, tag)
     elem = length[:, None, None] * ((EDGE_WEIGHTS[:, None] * N).T @ N)
-    dofs, c = space.trace_dofs(edges), np.arange(space.desc.arity)
+    c = np.arange(space.desc.arity)
     rows = space.desc.arity * dofs[:, :, None, None] + c
     cols = space.desc.arity * dofs[:, None, :, None] + c
     elem = np.broadcast_to(elem[..., None], elem.shape + (len(c),))
@@ -327,42 +340,24 @@ def assemble_boundary_mass(space: Space, tag):
 
 
 def assemble_boundary_load(space: Space, tag, f):
-    """Surface integral of f . psi over edges of the given tag.
-
-    ``f`` is a callable (x, y) -> value with the space's arity, or constant.
-    """
-    edges = space.tagged_entities(tag)
-    t = EDGE_POINTS
-    N = _edge_trace_basis(space.desc.order, t)
+    """Surface integral of f . psi over the edges of ``tag``, f data with
+    the space's arity."""
+    dofs, length, points, N = _edges(space, tag)
     arity = space.desc.arity
-    out = np.zeros(space.ndof)
-    for (u, v), dofs in zip(edges, space.trace_dofs(edges)):
-        pu, pv = space.mesh.nodes[u], space.mesh.nodes[v]
-        length = float(np.hypot(*(pv - pu)))
-        xs = pu[None, :] + t[:, None] * (pv - pu)[None, :]
-        if callable(f):
-            fv = np.asarray([f(x, y) for x, y in xs], dtype=float).reshape(len(t), arity)
-        else:
-            fv = np.broadcast_to(np.asarray(f, dtype=float), (len(t), arity))
-        contrib = length * ((EDGE_WEIGHTS[:, None] * N).T @ fv)
-        for a, d in enumerate(dofs):
-            for c in range(arity):
-                out[space.vdof(d, c) if arity > 1 else d] += contrib[a, c]
-    return out
+    shape = () if arity == 1 else (arity,)
+    fv = data_at(f, points, shape).reshape(len(dofs), -1, arity)
+    contrib = length[:, None, None] * ((EDGE_WEIGHTS[:, None] * N).T @ fv)
+    rows = arity * dofs[:, :, None] + np.arange(arity)
+    return np.bincount(rows.ravel(), contrib.ravel(), minlength=space.ndof)
 
 
 def assemble_rhs(vspace: Space, pspace: Space, f=None, f2=None, f3=None):
-    """Load vector (velocity block, pressure block) for data (f, f2, f3);
-    zeros, with nothing assembled, when there is no data."""
-    if f is None and f2 is None and f3 is None:
-        return np.zeros(vspace.ndof + pspace.ndof)
+    """Load vector [velocity block; pressure block] of the volume forcing f,
+    the divergence data f2 and the outflow load f3."""
     rhs_v = assemble_velocity_load(vspace, f)
     if f3 is not None:
-        from .mesh import TAG_OUTFLOW
-
         rhs_v = rhs_v + assemble_boundary_load(vspace, TAG_OUTFLOW, f3)
-    rhs_p = assemble_pressure_load(pspace, f2)
-    return np.concatenate([rhs_v, rhs_p])
+    return np.concatenate([rhs_v, assemble_pressure_load(pspace, f2)])
 
 
 # ---- norms ---------------------------------------------------------------

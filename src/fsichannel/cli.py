@@ -108,6 +108,12 @@ def resolve_config(raw):
                           "normal-projected")
     if cfg["mms_kind"] not in ("trig", "polynomial"):
         raise ConfigError("mms_kind must be trig or polynomial")
+    if int(cfg["mms_levels"]) < 2:
+        raise ConfigError("mms_levels must be at least 2 (a rate needs two)")
+    if len(cfg["h_list"]) < 3 or min(float(h) for h in cfg["h_list"]) <= 0:
+        raise ConfigError("h_list needs at least 3 positive steps")
+    if not cfg["g_sweep"]:
+        raise ConfigError("g_sweep must not be empty")
     return cfg
 
 
@@ -368,11 +374,8 @@ def run(name, cfg_raw, out, seed=0):
     cfg = resolve_config(cfg_raw)
     os.makedirs(out, exist_ok=True)
     checks, ok = SCENARIOS[name]["runner"](cfg, out, seed)
-    artifacts = {}
-    for fname in sorted(os.listdir(out)):
-        if fname == "summary.json":
-            continue
-        artifacts[fname] = _hash_file(os.path.join(out, fname))
+    artifacts = {fname: _hash_file(os.path.join(out, fname))
+                 for fname in SCENARIOS[name]["artifacts"] if fname != "summary.json"}
     write_json(os.path.join(out, "summary.json"), {
         "scenario": name,
         "seed": seed,

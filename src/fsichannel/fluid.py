@@ -98,7 +98,8 @@ class InflowProfile:
     """Horizontal inflow g(y) = (m * 4/H^2 * y (H - y), 0).
 
     Parabolic, vanishing at both endpoints of the inflow boundary; the
-    magnitude m is the peak horizontal velocity at mid-height.
+    magnitude m is the peak horizontal velocity at mid-height.  Called on
+    coordinate arrays of shape S it returns S + (2,).
     """
 
     def __init__(self, magnitude, height):
@@ -107,7 +108,8 @@ class InflowProfile:
 
     def __call__(self, x, y):
         m, H = self.magnitude, self.height
-        return np.array([m * 4.0 / H**2 * y * (H - y), 0.0])
+        u = m * 4.0 / H**2 * y * (H - y)
+        return np.stack([u, np.zeros_like(u)], axis=-1)
 
 
 def fluid_spaces(mesh):
@@ -115,20 +117,6 @@ def fluid_spaces(mesh):
         make_space(mesh, order=2, arity=2, subdomain=FLUID),
         make_space(mesh, order=1, arity=1, subdomain=FLUID),
     )
-
-
-def _inflow_values(vspace, g):
-    """Vector dofs and values for the Dirichlet data on the inflow."""
-    sdofs = vspace.boundary_scalar_dofs(TAG_INFLOW, exclusive=True)
-    if g is None:
-        vals = np.zeros((len(sdofs), 2))
-    elif callable(g):
-        vals = np.array([np.asarray(g(x, y), dtype=float)
-                         for x, y in vspace.dof_coords[sdofs]])
-    else:
-        vals = np.asarray(g, dtype=float).reshape(len(sdofs), 2)
-    dofs = (2 * sdofs[:, None] + np.arange(2)[None, :]).ravel()
-    return dofs, vals.ravel()
 
 
 def dirichlet_dofs(vspace):
@@ -145,9 +133,10 @@ def dirichlet_dofs(vspace):
 
 def dirichlet_vector(vspace, pspace, g):
     """Full-length [v; p] vector holding the inflow data g, zero elsewhere."""
+    sdofs = vspace.boundary_scalar_dofs(TAG_INFLOW, exclusive=True)
     by_dof = np.zeros(vspace.ndof + pspace.ndof)
-    gdofs, gvals = _inflow_values(vspace, g)
-    by_dof[gdofs] = gvals
+    by_dof[2 * sdofs[:, None] + np.arange(2)] = asm.data_at(
+        g, vspace.dof_coords[sdofs], (2,))
     return by_dof
 
 
@@ -196,22 +185,24 @@ class PicardSolver:
         self._lu = FrozenFactorization(self._M_I, dirichlet_dofs(vspace),
                                        options=COLUMN_MIN_DEGREE)
 
-    def loads(self, f=None, f2=None, f3=None):
-        return asm.assemble_rhs(self.vspace, self.pspace, f, f2, f3)
-
     def _coefficients(self, fields):
         return asm.action_coefficients(
             self.vspace, *asm.coefficient_arrays(fields), self.nu)
 
-    def residual(self, x, fields, F):
-        """Free-dof norm of the nonlinear weak-form residual at x."""
+    def residual(self, x, fields, rhs=None):
+        """Free-dof norm of the nonlinear weak-form residual at x for the
+        load ``rhs`` (zero if ``None``)."""
         N = asm.oseen_action(self.vspace, self.pspace, x, self._coefficients(fields))
+        F = np.zeros_like(x) if rhs is None else rhs
         return _weak_residual(N - F, self._lu.cdofs, F)
 
-    def solve(self, fields=None, g=None, f=None, f2=None, f3=None,
-              tol=1e-10, max_iter=50, initial=None):
+    def solve(self, fields=None, g=None, rhs=None, tol=1e-10, max_iter=50,
+              initial=None):
+        """(FluidState, SolverReport) for the coefficient fields, the inflow
+        Dirichlet data ``g`` and the load ``rhs`` (zero if ``None``; see
+        :func:`assembly.assemble_rhs`), from ``initial`` or zero."""
         V, Q = self.vspace, self.pspace
-        F = self.loads(f, f2, f3)
+        F = np.zeros(V.ndof + Q.ndof) if rhs is None else rhs
         prescribed = dirichlet_vector(V, Q, g)
         coefficients = self._coefficients(fields)  # fixed for the solve
         x0 = np.zeros(V.ndof + Q.ndof) if initial is None else initial
@@ -228,12 +219,10 @@ class PicardSolver:
         return FluidState(*_split(V, Q, x)), report
 
 
-def solve_navier_stokes(mesh, fields=None, g=None, f=None, f2=None, f3=None,
-                        nu=1.0, tol=1e-10, max_iter=50):
-    """One-shot nonlinear solve; see :class:`PicardSolver`."""
+def solve_navier_stokes(mesh, fields=None, g=None, nu=1.0, tol=1e-10, max_iter=50):
+    """One-shot nonlinear solve without load; see :class:`PicardSolver`."""
     V, Q = fluid_spaces(mesh)
-    solver = PicardSolver(V, Q, nu)
-    return solver.solve(fields, g, f, f2, f3, tol=tol, max_iter=max_iter)
+    return PicardSolver(V, Q, nu).solve(fields, g, tol=tol, max_iter=max_iter)
 
 
 def linearized_system(vspace, pspace, fields, base_w, nu):

@@ -314,10 +314,7 @@ class FSISolver:
         """Coupled residual: fluid weak residual + elasticity residual with
         the state's own traction (in the interpretation it was solved with)
         + distance to the elasticity fixed point."""
-        F = self.fluid.loads()
-        r_fluid = self.fluid.residual(
-            fsistate.fluid.stacked(), fsistate.fields, F
-        )
+        r_fluid = self.fluid.residual(fsistate.fluid.stacked(), fsistate.fields)
         t = self.tractor.evaluate(fsistate.extension, fsistate.fluid.p,
                                   fsistate.projected)
         u_next = self.solid.solve(traction=t)

@@ -162,15 +162,6 @@ class Space:
     def ndof(self):
         return self.desc.arity * self.n_scalar
 
-    def vdof(self, scalar_dofs, comp):
-        """Vector dof indices of one component for the given scalar dofs."""
-        scalar_dofs = np.asarray(scalar_dofs)
-        if self.desc.arity == SCALAR:
-            if comp != 0:
-                raise IndexError("scalar space has a single component")
-            return scalar_dofs
-        return 2 * scalar_dofs + comp
-
     def trace_dofs(self, edges):
         """Scalar dofs of mesh edges (E, 2) of this subdomain in trace-basis
         order: start vertex, end vertex and, at order 2, the midpoint;
@@ -235,11 +226,9 @@ class Space:
         return read_only(number_by_first_use(self.trace_dofs(edges).ravel())[0])
 
     def boundary_dofs(self, tag, exclusive=False):
-        """Vector dofs (all components) on the given tag."""
+        """Sorted vector dofs (all components) on the given tag."""
         s = self.boundary_scalar_dofs(tag, exclusive)
-        if self.desc.arity == SCALAR:
-            return s
-        return np.sort(np.concatenate([self.vdof(s, c) for c in range(self.desc.arity)]))
+        return (self.desc.arity * s[:, None] + np.arange(self.desc.arity)).ravel()
 
     # ---- evaluation ----------------------------------------------------
     def basis_at(self, ref_pts):

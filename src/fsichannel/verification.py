@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import assemble_rhs, data_at
 from .fluid import PicardSolver, fluid_spaces
 from .mesh import build_channel_mesh, refine_uniform, straight_channel
 from .quadrature import TRI_POINTS
@@ -36,21 +37,20 @@ def _lambdify_pair(w1, w2, p, nu):
     f3 = sym.Matrix([nu * sym.diff(w[0], x) - p, nu * sym.diff(w[1], x)])
     grads = sym.Matrix([[sym.diff(w[i], v) for v in (x, y)] for i in range(2)])
 
-    def vec(expr):
-        fn = sym.lambdify((x, y), list(expr), "numpy")
-        return lambda xx, yy: np.asarray(fn(xx, yy), dtype=float)
+    def field(expr, shape=()):
+        """expr's entries on coordinate arrays of shape S as S + shape; a
+        constant entry is broadcast."""
+        fn = sym.lambdify((x, y), list(expr) if shape else [expr], "numpy")
 
-    scal = sym.lambdify((x, y), f2, "numpy")
-    pfun = sym.lambdify((x, y), p, "numpy")
-    gfun = sym.lambdify((x, y), [[grads[i, j] for j in range(2)] for i in range(2)], "numpy")
-    return {
-        "w": vec(w),
-        "p": lambda xx, yy: float(pfun(xx, yy)),
-        "grad_w": lambda xx, yy: np.asarray(gfun(xx, yy), dtype=float),
-        "f": vec(f),
-        "f2": lambda xx, yy: float(scal(xx, yy)),
-        "f3": vec(f3),
-    }
+        def call(xx, yy):
+            S = np.broadcast_shapes(np.shape(xx), np.shape(yy))
+            entries = [np.broadcast_to(np.asarray(v, dtype=float), S)
+                       for v in fn(xx, yy)]
+            return np.stack(entries, axis=-1).reshape(S + shape)
+        return call
+
+    return {"w": field(w, (2,)), "p": field(p), "grad_w": field(grads, (2, 2)),
+            "f": field(f, (2,)), "f2": field(f2), "f3": field(f3, (2,))}
 
 
 def exact_pair(kind, nu=1.0, height=1.0):
@@ -75,22 +75,11 @@ def exact_pair(kind, nu=1.0, height=1.0):
 
 def _errors(state, exact):
     """Quadrature H1 velocity and L2 pressure errors against callables."""
-    V = state.w.space
-    wdet = V.wdet
-    xy = V.quad_points_physical(TRI_POINTS)
-    wh = state.w.values_at(TRI_POINTS)
-    gh = state.w.gradients_at(TRI_POINTS)
-    ph = state.p.values_at(TRI_POINTS)[..., 0]
-    ex_w = np.empty_like(wh)
-    ex_g = np.empty_like(gh)
-    ex_p = np.empty_like(ph)
-    for e in range(xy.shape[0]):
-        for q in range(xy.shape[1]):
-            xx, yy = xy[e, q]
-            ex_w[e, q] = exact["w"](xx, yy)
-            ex_g[e, q] = exact["grad_w"](xx, yy)
-            ex_p[e, q] = exact["p"](xx, yy)
-    dw, dg, dp = wh - ex_w, gh - ex_g, ph - ex_p
+    wdet = state.w.space.wdet
+    xy = state.w.space.quad_points_physical(TRI_POINTS)
+    dw = state.w.values_at(TRI_POINTS) - data_at(exact["w"], xy, (2,))
+    dg = state.w.gradients_at(TRI_POINTS) - data_at(exact["grad_w"], xy, (2, 2))
+    dp = state.p.values_at(TRI_POINTS)[..., 0] - data_at(exact["p"], xy)
     h1_sq = np.einsum("eq,eq->", wdet, np.einsum("eqi,eqi->eq", dw, dw))
     h1_sq += np.einsum("eq,eq->", wdet, np.einsum("eqil,eqil->eq", dg, dg))
     l2p_sq = np.einsum("eq,eq->", wdet, dp * dp)
@@ -126,10 +115,8 @@ def mms_convergence_study(kind="trig", levels=3, h0=0.2, nu=1.0, tol=1e-10):
     for lvl in range(levels):
         V, Q = fluid_spaces(mesh)
         solver = PicardSolver(V, Q, nu=nu)
-        state, _ = solver.solve(
-            None, exact["w"], f=exact["f"], f2=exact["f2"], f3=exact["f3"],
-            tol=tol,
-        )
+        rhs = assemble_rhs(V, Q, exact["f"], exact["f2"], exact["f3"])
+        state, _ = solver.solve(None, exact["w"], rhs=rhs, tol=tol)
         e_v, e_p = _errors(state, exact)
         hs.append(h0 / 2**lvl)
         ev.append(e_v)

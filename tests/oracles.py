@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from fsichannel.quadrature import EDGE_POINTS, EDGE_WEIGHTS
 from fsichannel.spaces import FEFunction
 
 # quadrature: use a degree-6 rule written out independently (Gauss points
@@ -449,6 +450,27 @@ class LoopSpace:
                     d = self.mesh.nodes[v] - self.mesh.nodes[u]
                     out.append((e, u, v, np.array([d[1], -d[0]]) / float(np.hypot(*d))))
         return out
+
+
+def boundary_load_by_loop(space, tag, f):
+    """Surface integral of f . psi over the edges of ``tag`` on the package
+    space ``space``, one edge, point, dof and component at a time, with f
+    (a callable or a constant) called at one point at a time."""
+    arity = space.desc.arity
+    out = np.zeros(space.ndof)
+    edges = space.tagged_entities(tag)
+    for (u, v), dofs in zip(edges, space.trace_dofs(edges)):
+        pu, pv = space.mesh.nodes[u], space.mesh.nodes[v]
+        length = float(np.hypot(*(pv - pu)))
+        for t, w in zip(EDGE_POINTS, EDGE_WEIGHTS):
+            x, y = pu + t * (pv - pu)
+            fv = np.broadcast_to(f(x, y) if callable(f) else f, (arity,))
+            trace = [1 - t, t] if len(dofs) == 2 else [
+                (1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)]
+            for a, d in enumerate(dofs):
+                for c in range(arity):
+                    out[arity * d + c] += length * w * trace[a] * fv[c]
+    return out
 
 
 def traction_points_by_loop(space, vspace):

@@ -10,6 +10,7 @@ from conftest import child_env
 from oracles import (
     assemble_navier_stokes,
     assemble_scalar_p2_stiffness,
+    boundary_load_by_loop,
     tri_quadrature,
 )
 
@@ -360,6 +361,38 @@ def test_boundary_load_partition_of_unity(default_mesh):
     # summing the loads over all dofs integrates f . (1,1) over the side
     assert abs(load[0::2].sum() - 2.0) <= 1e-12
     assert abs(load[1::2].sum() + 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mesh_name, tag", [
+    ("default_mesh", "inflow"), ("default_mesh", "interface"),
+    ("straight_mesh", "outflow")])
+@pytest.mark.parametrize("data", [
+    lambda x, y: np.stack([np.sin(3 * x) + y * y, np.exp(x - y)], axis=-1),
+    np.array([2.0, -1.0])], ids=["callable", "constant"])
+def test_boundary_load_matches_loop_oracle(request, mesh_name, tag, data):
+    V = make_space(request.getfixturevalue(mesh_name), order=2, arity=2,
+                   subdomain=FLUID)
+    load = asm.assemble_boundary_load(V, tag, data)
+    ref = boundary_load_by_loop(V, tag, data)
+    assert np.abs(load - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_scalar_boundary_load_matches_loop_oracle(straight_mesh):
+    Q = make_space(straight_mesh, order=1, arity=1, subdomain=FLUID)
+    f = lambda x, y: np.cos(x) * y  # noqa: E731
+    ref = boundary_load_by_loop(Q, "outflow", f)
+    load = asm.assemble_boundary_load(Q, "outflow", f)
+    assert np.abs(load - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_data_of_the_wrong_shape_is_rejected(default_mesh):
+    V, Q = fluid_spaces(default_mesh)
+    with pytest.raises(ValueError, match="data returned shape"):
+        asm.assemble_velocity_load(V, lambda x, y: x + y)  # scalar for a vector
+    with pytest.raises(ValueError, match="data returned shape"):
+        asm.assemble_pressure_load(Q, lambda x, y: np.stack([x, y], axis=-1))
+    with pytest.raises(ValueError, match="data returned shape"):
+        asm.assemble_boundary_load(V, "inflow", lambda x, y: np.zeros(3))
 
 
 def test_normset_constant(default_mesh):

@@ -42,6 +42,17 @@ def test_zero_inflow_zero_state(straight_mesh):
     assert np.abs(state.p.coefficients).max() == 0.0
 
 
+def test_inflow_profile_follows_the_data_rule():
+    g = InflowProfile(0.3, 1.0)
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    y = x[::-1, ::-1]
+    vals = g(x, y)
+    assert vals.shape == (3, 4, 2)
+    for i, j in np.ndindex(3, 4):
+        assert np.array_equal(vals[i, j], g(x[i, j], y[i, j]))
+    assert np.array_equal(g(0.0, 0.5), [0.3, 0.0])
+
+
 def test_poiseuille_exact(straight_mesh):
     geo = straight_mesh.geometry
     nu, mag = 1.0, 0.3
@@ -67,7 +78,7 @@ def test_do_nothing_residual_at_outflow(straight_mesh):
     state, _ = solver.solve(None, g)
     x = state.stacked()
     M = asm.transformed_oseen_system(V, Q, None, 1.0, advector=state.w)
-    r = M @ x - solver.loads()
+    r = M @ x
     out_dofs = V.boundary_dofs("outflow", exclusive=True)
     assert np.abs(r[out_dofs]).max() <= 1e-9
 
@@ -176,8 +187,9 @@ def test_load_without_data_is_zero_and_not_assembled(coarse_mesh, monkeypatch):
     monkeypatch.setattr(asm, "assemble_velocity_load", refuse)
     monkeypatch.setattr(asm, "assemble_pressure_load", refuse)
     V, Q = fluid_spaces(coarse_mesh)
-    F = PicardSolver(V, Q).loads()
-    assert F.shape == (V.ndof + Q.ndof,) and not F.any()
+    H = coarse_mesh.geometry.channel_height
+    state, report = PicardSolver(V, Q).solve(g=InflowProfile(0.05, H))
+    assert report.converged and state.w.coefficients.any()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -71,6 +71,12 @@ def test_resolve_config_rejects_unknown_and_invalid():
         resolve_config({"relaxation": 1.5})
     with pytest.raises(ConfigError):
         resolve_config({"nu": -1.0})
+    # study and sweep settings no run can use
+    for bad in ({"mms_levels": 0}, {"mms_levels": 1}, {"h_list": [1e-2, 1e-3]},
+                {"h_list": [1e-2, 0.0, 1e-3]}, {"h_list": [1e-2, -3e-3, 1e-3]},
+                {"g_sweep": []}):
+        with pytest.raises(ConfigError):
+            resolve_config(bad)
     cfg = resolve_config({"nu": 2.0})
     assert cfg["nu"] == 2.0
     assert cfg["mu"] == DEFAULTS["mu"]
@@ -129,7 +135,25 @@ def test_cli_exit_codes(tmp_path):
     cfg.write_text(json.dumps({"bogus": 1}))
     assert main(["mesh", "--config", str(cfg),
                  "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+    cfg.write_text(json.dumps({"mms_levels": 1}))
+    assert main(["mms", "--config", str(cfg),
+                 "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+    assert not (tmp_path / "c").exists()  # rejected before the study ran
     assert main([]) == EXIT_CONFIG
+
+
+def test_summary_hashes_only_the_scenarios_artifacts(tmp_path):
+    # a second scenario run into the same directory lists its own files,
+    # not the first one's, and writes every file it declares
+    out = str(tmp_path)
+    assert run("mesh", FAST, out) == 0
+    assert run("solve-ns", FAST, out) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    declared = SCENARIOS["solve-ns"]["artifacts"]
+    assert sorted(summary["artifacts"]) == sorted(set(declared) - {"summary.json"})
+    assert all(os.path.exists(os.path.join(out, a)) for a in declared)
+    assert os.path.exists(os.path.join(out, "mesh.vtk"))
 
 
 @pytest.mark.parametrize("failure, code", [

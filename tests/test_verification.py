@@ -7,7 +7,8 @@ import pytest
 from conftest import child_env
 from oracles import fit_loglog
 
-from fsichannel.fluid import fluid_spaces, solve_navier_stokes
+from fsichannel.assembly import assemble_rhs
+from fsichannel.fluid import PicardSolver, fluid_spaces
 from fsichannel.mesh import straight_channel
 from fsichannel.verification import (
     RateTable,
@@ -21,14 +22,30 @@ def test_polynomial_manufactured_solution_exact(straight_mesh):
     # quadratic velocity / affine pressure lie in the Taylor-Hood space,
     # so the discrete solution must reproduce them to solver tolerance
     ex = exact_pair("polynomial", height=straight_mesh.geometry.channel_height)
-    state, _ = solve_navier_stokes(
-        straight_mesh, g=ex["w"], f=ex["f"], f2=ex["f2"], f3=ex["f3"],
-        nu=1.0, tol=1e-13)
-    V, Q = state.w.space, state.p.space
+    V, Q = fluid_spaces(straight_mesh)
+    rhs = assemble_rhs(V, Q, ex["f"], ex["f2"], ex["f3"])
+    state, _ = PicardSolver(V, Q, nu=1.0).solve(None, ex["w"], rhs=rhs, tol=1e-13)
     wex = np.array([ex["w"](x, y) for x, y in V.dof_coords]).ravel()
     pex = np.array([ex["p"](x, y) for x, y in Q.dof_coords])
     assert np.abs(state.w.coefficients - wex).max() <= 1e-10
     assert np.abs(state.p.coefficients - pex).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "trig"])
+def test_exact_pair_follows_the_data_rule(kind):
+    # on coordinate arrays of shape S every callable returns S + its value
+    # shape, entry by entry the scalar call (constant entries broadcast);
+    # numpy's array and scalar transcendentals may round an ulp apart
+    ex = exact_pair(kind, height=1.0)
+    x = np.linspace(0.1, 3.9, 12).reshape(3, 4)
+    y = np.linspace(0.9, 0.05, 12).reshape(3, 4)
+    tails = {"w": (2,), "p": (), "grad_w": (2, 2), "f": (2,), "f2": (), "f3": (2,)}
+    for name, tail in tails.items():
+        vals = ex[name](x, y)
+        assert vals.shape == (3, 4) + tail, name
+        for i, j in np.ndindex(3, 4):
+            np.testing.assert_allclose(vals[i, j], ex[name](x[i, j], y[i, j]),
+                                       rtol=1e-15, atol=1e-15, err_msg=name)
 
 
 def test_trig_solution_satisfies_divergence_constraint():
