@@ -1,19 +1,20 @@
 """Vectorized assembly of the transformed weak forms.
 
 All volume terms are integrated with the degree-6 symmetric triangle rule.
-Coefficient fields (the diffusion matrix and cofactor matrix of the flow
-map) enter as per-element, per-quadrature-point arrays; ``None`` means the
-identity field and skips the multiply.  Identity arrays give the same bits,
-since multiplying by 1 and adding 0 is exact.
+The fluid weak form is written once, on the reference cell (Kronbichler &
+Kormann 2012): ``action_coefficients`` is the one place where the element
+geometry, the quadrature weights, nu and the flow-map fields (A, K) enter,
+as per-point coefficient planes (a, k) built once per field.  ``None``
+there means the identity field; identity arrays give the same bits, since
+multiplying by 1 and adding 0 is exact.  ``oseen_action`` applies the
+Navier-Stokes operator to a state with no matrix: a GEMM against a fixed
+table of P2 reference gradients and values, 2 x 2 products on (q, T)
+planes, a GEMM back and a ``bincount``.  The assembled fluid blocks
+contract products of the same table with a or k in one GEMM each.
 
-Every kernel contracts at most two operands at a time (batched ``matmul``)
-against the geometry its ``Space`` caches, and sums its element entries
-with one ``bincount`` into a CSR pattern fixed per space and block kind.
-``oseen_action`` applies the Navier-Stokes operator to a state with no
-matrix, on the reference cell (Kronbichler & Kormann 2012): geometry and
-weights sit in per-point coefficients built once per field, and an action
-is a GEMM against a fixed table of reference gradients and values, 2 x 2
-products on (q, T) planes, a GEMM back and a ``bincount``.
+Every kernel sums its element entries with one ``bincount`` into a CSR
+pattern fixed per space and block kind.  The scalar Gram matrices and
+linear elasticity contract the physical gradients their ``Space`` caches.
 """
 
 from __future__ import annotations
@@ -24,13 +25,6 @@ import scipy.sparse as sp
 from .mesh import TAG_OUTFLOW, edge_keys
 from .quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS
 from .spaces import FEFunction, Space, p2_basis, p2_grads, read_only
-
-
-def coefficient_arrays(fields):
-    """(A, K) arrays of a transform-fields object; (None, None) for None."""
-    if fields is None:
-        return None, None
-    return fields.A, fields.K
 
 
 class Pattern:
@@ -99,48 +93,74 @@ def _outer(phi):
     return (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
 
 
-def assemble_viscous(vspace: Space, A=None, nu=1.0):
-    """nu * integral of (grad psi)^T A (grad w), componentwise."""
-    g = vspace.grads_at(TRI_POINTS)
-    wg = vspace.wdet[..., None, None] * g
-    if A is not None:
-        wg = wg @ A
-    return _diag(vspace, nu * _contract(wg, g))
+def action_coefficients(vspace: Space, A=None, K=None, nu=1.0):
+    """The fields (A, K) of the fluid weak form (``None``: the identity) in
+    reference coordinates, weights and nu folded in: a = nu wdet B^-1 A B^-T
+    and k = wdet K B^-T, B the element Jacobian, as contiguous (q, T) planes
+    a[m, n] = a_mn and k[m, :, i] = k_im, built once per field.  The only
+    place where geometry, weights and nu enter the fluid operators."""
+    if nu <= 0:
+        raise ValueError("viscosity must be positive")
+    nt, nq = vspace.wdet.shape
+    Bi = np.ascontiguousarray(vspace.inv_jac.transpose(1, 2, 0))  # [m, l], (T,)
+    w, flat = vspace.wdet.T, np.eye(2).reshape(1, 1, 4)
+    # per element, flattened fields times (k l, m n) = B^-1_mk B^-1_nl and
+    # (j l, m i) = delta_ij B^-1_ml give B^-1 A B^-T and K B^-T
+    both = (Bi[:, None, :, None] * Bi[None, :, None, :]).reshape(4, 4, nt).T
+    right = (Bi[:, None, None] * np.eye(2)[:, :, None, None]).reshape(4, 4, nt).T
+    a = ((flat if A is None else A.reshape(nt, nq, 4)) @ both).reshape(nt, -1, 2, 2)
+    k = ((flat if K is None else K.reshape(nt, nq, 4)) @ right).reshape(nt, -1, 2, 2)
+    return (np.multiply(a.transpose(2, 3, 1, 0), nu * w, out=np.empty((2, 2, nq, nt))),
+            np.multiply(k.transpose(2, 1, 3, 0), w[:, None], out=np.empty((2, nq, 2, nt))))
 
 
-def assemble_convection(vspace: Space, advector: FEFunction, K=None):
-    """integral of psi . (w_adv^T K grad) w, block-diagonal per component."""
-    phi = vspace.basis_at(TRI_POINTS)
-    g = vspace.grads_at(TRI_POINTS)
-    adv = advector.values_at(TRI_POINTS)[:, :, None, :]  # (T, q, 1, 2)
-    if K is not None:
-        adv = adv @ K  # (K^T w)_l as a row
-    s = g @ (vspace.wdet[..., None, None] * adv).swapaxes(2, 3)  # (T, q, b, 1)
-    return _diag(vspace, phi.T @ s[..., 0])
+# rows m q + k: P2 reference d_m psi_a (m = 0, 1), psi_a (m = 2) at point k
+_P2_TABLE = read_only(np.vstack([*p2_grads(TRI_POINTS).transpose(2, 0, 1),
+                                 p2_basis(TRI_POINTS)]))
+_P2_REF = _P2_TABLE.reshape(3, len(TRI_POINTS), -1)  # the table as [m, k, a]
 
 
-def assemble_reaction(vspace: Space, base: FEFunction, K=None):
+def _reference_fields(vspace: Space, v):
+    """[m, point, i, element]: the reference gradients d_m v_i (m = 0, 1)
+    and the values v_i (m = 2) of the velocity part of ``v`` (coefficients
+    or a stacked [v; p] vector), one GEMM against the table."""
+    vd = vspace.gather_vdofs
+    return (_P2_TABLE @ v[vd].reshape(len(vd), -1)).reshape(3, -1, 2, vd.shape[2])
+
+
+def assemble_viscous(vspace: Space, a):
+    """nu * integral of (grad psi)^T A (grad w), componentwise:
+    d_m psi_a a_mn d_n psi_b summed over the points."""
+    G = _P2_REF[:2]
+    GG = (G[:, None, :, :, None] * G[None, :, :, None, :]).reshape(-1, 36)
+    return _diag(vspace, (GG.T @ a.reshape(len(GG), -1)).T)
+
+
+def assemble_convection(vspace: Space, advector: FEFunction, k):
+    """integral of psi . (w_adv^T K grad) w, block-diagonal per component:
+    psi_a (k^T w_adv)_m d_m psi_b summed over the points."""
+    w = advector.values_at(TRI_POINTS).transpose(1, 2, 0)  # [point, i, T]
+    kw = np.einsum("mqie,qie->mqe", k, w)
+    PG = (_P2_REF[2][:, :, None] * _P2_REF[:2, :, None, :]).reshape(-1, 36)
+    return _diag(vspace, (PG.T @ kw.reshape(len(PG), -1)).T)
+
+
+def assemble_reaction(vspace: Space, base: FEFunction, k):
     """integral of psi_i w_j (K grad base_i)_j  (component coupling block)."""
-    phi = vspace.basis_at(TRI_POINTS)
-    D = base.gradients_at(TRI_POINTS)  # (T, q, i, l)
-    if K is not None:
-        D = D @ K.swapaxes(2, 3)  # (T, q, i, j)
-    nt, nq = D.shape[:2]
-    nloc = phi.shape[1]
-    wD = (vspace.wdet[..., None, None] * D).reshape(nt, nq, 4)
-    elem = (_outer(phi).T @ wD).reshape(nt, nloc, nloc, 2, 2)
-    return _pattern(vspace, "vector").matrix(elem.transpose(0, 1, 3, 2, 4))
+    H = _reference_fields(vspace, base.coefficients)[:2]
+    R = np.einsum("mqie,mqje->qije", H, k)  # wdet (K grad base_i)_j
+    elem = _outer(_P2_REF[2]).T @ R.reshape(len(R), -1)  # (a b, i j T)
+    return _pattern(vspace, "vector").matrix(
+        elem.reshape(6, 6, 2, 2, -1).transpose(4, 0, 2, 1, 3))
 
 
-def assemble_pressure_blocks(vspace: Space, pspace: Space, K=None):
+def assemble_pressure_blocks(vspace: Space, pspace: Space, k):
     """Velocity-pressure block -int p (K grad).psi and its negative transpose."""
-    g = vspace.grads_at(TRI_POINTS)
     q = pspace.basis_at(TRI_POINTS)
-    Kg = g if K is None else g @ K.swapaxes(2, 3)  # (T, q, a, i)
-    nt, nq = g.shape[:2]
-    wKg = (vspace.wdet[..., None, None] * Kg).reshape(nt, nq, -1)
-    elem = -(wKg.swapaxes(1, 2) @ q)  # (T, a i, c)
-    A_vp = _pattern(vspace, "mixed", pspace).matrix(elem)
+    GQ = (_P2_REF[:2, :, :, None] * q[:, None, :]).reshape(-1, 6 * q.shape[1])
+    elem = -(GQ.T @ k.reshape(len(GQ), -1))  # (a c, i T)
+    A_vp = _pattern(vspace, "mixed", pspace).matrix(
+        elem.reshape(6, q.shape[1], 2, -1).transpose(3, 0, 2, 1))
     A_pv = (-A_vp).T.tocsr()
     return A_vp, A_pv
 
@@ -189,12 +209,12 @@ def assemble_elasticity(space: Space, lam, mu):
 def transformed_oseen_system(
     vspace: Space,
     pspace: Space,
-    fields=None,
-    nu=1.0,
+    coefficients,
     advector: FEFunction | None = None,
     reaction_with: FEFunction | None = None,
 ) -> sp.csr_matrix:
-    """Assemble the transformed (Navier-)Stokes operator as one CSR matrix
+    """Assemble the transformed (Navier-)Stokes operator for the
+    ``coefficients`` (a, k) of :func:`action_coefficients` as one CSR matrix
     [[A_vv, A_vp], [A_pv, 0]] on the stacked [v; p] dofs.
 
     ``A_vv`` is the viscous block plus the convection by ``advector`` and
@@ -202,57 +222,31 @@ def transformed_oseen_system(
     condition is natural for this weak form: no surface term is assembled
     on the outflow boundary.
     """
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
-    A, K = coefficient_arrays(fields)
-    A_vv = assemble_viscous(vspace, A, nu)
+    a, k = coefficients
+    A_vv = assemble_viscous(vspace, a)
     if advector is not None:
-        A_vv = A_vv + assemble_convection(vspace, advector, K)
+        A_vv = A_vv + assemble_convection(vspace, advector, k)
     if reaction_with is not None:
-        A_vv = A_vv + assemble_reaction(vspace, reaction_with, K)
-    A_vp, A_pv = assemble_pressure_blocks(vspace, pspace, K)
+        A_vv = A_vv + assemble_reaction(vspace, reaction_with, k)
+    A_vp, A_pv = assemble_pressure_blocks(vspace, pspace, k)
     A_pp = sp.csr_matrix((pspace.ndof, pspace.ndof))
     return sp.bmat([[A_vv, A_vp], [A_pv, A_pp]], format="csr")
-
-
-def action_coefficients(vspace: Space, A=None, K=None, nu=1.0):
-    """The fields (A, K) of :func:`oseen_action` (``None``: the identity) in
-    reference coordinates, weights and nu folded in: a = nu wdet B^-1 A B^-T
-    and k = wdet K B^-T, B the element Jacobian, as contiguous (q, T) planes
-    a[m, n] = a_mn and k[m, :, i] = k_im, built once per field."""
-    nt, nq = vspace.wdet.shape
-    Bi = np.ascontiguousarray(vspace.inv_jac.transpose(1, 2, 0))  # [m, l], (T,)
-    w, flat = vspace.wdet.T, np.eye(2).reshape(1, 1, 4)
-    # per element, flattened fields times (k l, m n) = B^-1_mk B^-1_nl and
-    # (j l, m i) = delta_ij B^-1_ml give B^-1 A B^-T and K B^-T
-    both = (Bi[:, None, :, None] * Bi[None, :, None, :]).reshape(4, 4, nt).T
-    right = (Bi[:, None, None] * np.eye(2)[:, :, None, None]).reshape(4, 4, nt).T
-    a = ((flat if A is None else A.reshape(nt, nq, 4)) @ both).reshape(nt, -1, 2, 2)
-    k = ((flat if K is None else K.reshape(nt, nq, 4)) @ right).reshape(nt, -1, 2, 2)
-    return (np.multiply(a.transpose(2, 3, 1, 0), nu * w, out=np.empty((2, 2, nq, nt))),
-            np.multiply(k.transpose(2, 1, 3, 0), w[:, None], out=np.empty((2, nq, 2, nt))))
-
-
-# rows m q + k: P2 reference d_m psi_a (m = 0, 1), psi_a (m = 2) at point k
-_P2_TABLE = read_only(np.vstack([*p2_grads(TRI_POINTS).transpose(2, 0, 1),
-                                 p2_basis(TRI_POINTS)]))
 
 
 def oseen_action(vspace: Space, pspace: Space, x, coefficients):
     """N(x) = M(A, K) x + C(w; K) x on the stacked [v; p] dofs, w the
     velocity of x, without assembling a matrix.
 
-    Equals ``transformed_oseen_system(vspace, pspace, fields, nu,
-    advector=w) @ x`` for ``coefficients = action_coefficients(vspace, A, K,
-    nu)``, (A, K) the fields' coefficients.  With H = grad_xi w, the velocity
-    rows integrate d_m psi_a (H a^T - p k)_im + psi_a (H k^T w)_i and the
+    Equals ``transformed_oseen_system(vspace, pspace, coefficients,
+    advector=w) @ x`` for the same ``coefficients`` of
+    :func:`action_coefficients`.  With H = grad_xi w, the velocity rows
+    integrate d_m psi_a (H a^T - p k)_im + psi_a (H k^T w)_i and the
     pressure rows q_c k : H on the reference cell.
     """
     a, k = coefficients
     vd, pd, qb = vspace.gather_vdofs, pspace.elem_dofs.T, pspace.basis_at(TRI_POINTS)
-    nq, nt = k.shape[1], k.shape[3]
-    # [m, point, i, element]: H_im for m = 0, 1 and w_i for m = 2
-    D = (_P2_TABLE @ x[vd].reshape(len(vd), -1)).reshape(3, nq, 2, nt)
+    nq = k.shape[1]
+    D = _reference_fields(vspace, x)  # H_im for m = 0, 1 and w_i for m = 2
     P = qb @ x[vspace.ndof:][pd]
     Y = np.empty_like(D)
     np.einsum("nqie,mnqe->mqie", D[:2], a, out=Y[:2])  # (H a^T)_im

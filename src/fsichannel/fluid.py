@@ -150,6 +150,14 @@ def _product_norm(norms_v, norms_p, n_v):
     return lambda x: float(np.hypot(norms_v.h1_norm(x[:n_v]), norms_p.l2(x[n_v:])))
 
 
+def fluid_coefficients(vspace, fields, nu):
+    """:func:`assembly.action_coefficients` of the transform fields
+    (``None``: the identity)."""
+    if fields is None:
+        return asm.action_coefficients(vspace, nu=nu)
+    return asm.action_coefficients(vspace, fields.A, fields.K, nu)
+
+
 def _weak_residual(r, cdofs, F):
     """Free-dof norm of the weak residual ``r``, relative to the load ``F``."""
     r[cdofs] = 0.0
@@ -174,25 +182,21 @@ class PicardSolver:
     """
 
     def __init__(self, vspace: Space, pspace: Space, nu=1.0):
-        if nu <= 0:
-            raise ValueError("viscosity must be positive")
         self.vspace = vspace
         self.pspace = pspace
         self.nu = float(nu)
         self.norms_v = asm.NormSet(vspace)
         self.norms_p = asm.NormSet(pspace)
-        self._M_I = asm.transformed_oseen_system(vspace, pspace, None, nu)
+        self._M_I = asm.transformed_oseen_system(
+            vspace, pspace, asm.action_coefficients(vspace, nu=nu))
         self._lu = FrozenFactorization(self._M_I, dirichlet_dofs(vspace),
                                        options=COLUMN_MIN_DEGREE)
-
-    def _coefficients(self, fields):
-        return asm.action_coefficients(
-            self.vspace, *asm.coefficient_arrays(fields), self.nu)
 
     def residual(self, x, fields, rhs=None):
         """Free-dof norm of the nonlinear weak-form residual at x for the
         load ``rhs`` (zero if ``None``)."""
-        N = asm.oseen_action(self.vspace, self.pspace, x, self._coefficients(fields))
+        N = asm.oseen_action(self.vspace, self.pspace, x,
+                             fluid_coefficients(self.vspace, fields, self.nu))
         F = np.zeros_like(x) if rhs is None else rhs
         return _weak_residual(N - F, self._lu.cdofs, F)
 
@@ -204,7 +208,7 @@ class PicardSolver:
         V, Q = self.vspace, self.pspace
         F = np.zeros(V.ndof + Q.ndof) if rhs is None else rhs
         prescribed = dirichlet_vector(V, Q, g)
-        coefficients = self._coefficients(fields)  # fixed for the solve
+        coefficients = fluid_coefficients(V, fields, self.nu)  # fixed for the solve
         x0 = np.zeros(V.ndof + Q.ndof) if initial is None else initial
         N = np.zeros_like(x0) if initial is None else asm.oseen_action(V, Q, x0, coefficients)
 
@@ -225,14 +229,6 @@ def solve_navier_stokes(mesh, fields=None, g=None, nu=1.0, tol=1e-10, max_iter=5
     return PicardSolver(V, Q, nu).solve(fields, g, tol=tol, max_iter=max_iter)
 
 
-def linearized_system(vspace, pspace, fields, base_w, nu):
-    """Full linearized operator at base_w: viscous + both convection
-    linearizations + pressure/divergence, all with the given coefficients."""
-    return asm.transformed_oseen_system(
-        vspace, pspace, fields, nu, advector=base_w, reaction_with=base_w
-    )
-
-
 # stopping tolerance and step limit of the T-iteration
 T_ITERATION_TOL = 1e-12
 T_ITERATION_MAX_ITER = 200
@@ -241,7 +237,8 @@ T_ITERATION_MAX_ITER = 200
 class LinearizedSolver:
     """Linearized transformed Navier-Stokes at the state ``base_w``.
 
-    The operator M_lin(A, K) of :func:`linearized_system` is assembled and
+    The operator M_lin(A, K) (viscous, both convection linearizations and
+    pressure/divergence, all with the fields' coefficients) is assembled and
     factorized once; :meth:`solve` is one direct solve on it and
     :meth:`t_iteration` the constant-coefficient fixed point
 
@@ -254,9 +251,11 @@ class LinearizedSolver:
 
     def __init__(self, vspace, pspace, fields, base_w, nu):
         self.vspace, self.pspace, self.base_w, self.nu = vspace, pspace, base_w, nu
-        self._lu = FrozenFactorization(
-            linearized_system(vspace, pspace, fields, base_w, nu),
-            dirichlet_dofs(vspace), options=COLUMN_MIN_DEGREE)
+        M = asm.transformed_oseen_system(
+            vspace, pspace, fluid_coefficients(vspace, fields, nu),
+            advector=base_w, reaction_with=base_w)
+        self._lu = FrozenFactorization(M, dirichlet_dofs(vspace),
+                                       options=COLUMN_MIN_DEGREE)
 
     def solve(self, dg=None, rhs=None):
         """(dw, dp) for the inflow Dirichlet data ``dg`` and the load
@@ -268,7 +267,9 @@ class LinearizedSolver:
     def t_iteration(self, dg):
         """(dw, dp, report) of the T-iteration for the inflow data ``dg``."""
         V, Q = self.vspace, self.pspace
-        M_I = linearized_system(V, Q, None, self.base_w, self.nu)
+        M_I = asm.transformed_oseen_system(
+            V, Q, asm.action_coefficients(V, nu=self.nu),
+            advector=self.base_w, reaction_with=self.base_w)
         lu = FrozenFactorization(M_I, self._lu.cdofs, options=COLUMN_MIN_DEGREE)
         F = np.zeros(V.ndof + Q.ndof)
         prescribed = dirichlet_vector(V, Q, dg)

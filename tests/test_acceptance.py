@@ -78,8 +78,10 @@ def test_01_identity_reduction_and_newton_oracle(big_mesh):
     V, Q = fluid_spaces(big_mesh)
     from fsichannel.geomap import identity_fields
 
-    a = asm.transformed_oseen_system(V, Q, identity_fields(V), 1.0)
-    b = asm.transformed_oseen_system(V, Q, None, 1.0)
+    ident = identity_fields(V)
+    a = asm.transformed_oseen_system(
+        V, Q, asm.action_coefficients(V, ident.A, ident.K))
+    b = asm.transformed_oseen_system(V, Q, asm.action_coefficients(V))
     diff = (a - b).tocoo()
     entry_gap = 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
 
@@ -161,7 +163,8 @@ def test_03_poiseuille_exactness(straight_mesh):
     state, rep = solver.solve(None, g)
     wex = np.array([g(x, y) for x, y in V.dof_coords]).ravel()
     h1 = asm.NormSet(V).h1_norm(state.w.coefficients - wex)
-    M = asm.transformed_oseen_system(V, Q, None, 1.0, advector=state.w)
+    M = asm.transformed_oseen_system(V, Q, asm.action_coefficients(V),
+                                     advector=state.w)
     r = M @ state.stacked()
     out_res = float(np.abs(r[V.boundary_dofs("outflow", exclusive=True)]).max())
     dt = time.time() - t0

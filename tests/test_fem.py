@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -24,7 +25,7 @@ from fsichannel.geomap import (
     transform_derivatives,
     transform_fields,
 )
-from fsichannel.fluid import dirichlet_dofs, fluid_spaces, linearized_system
+from fsichannel.fluid import dirichlet_dofs, fluid_coefficients, fluid_spaces
 from fsichannel.linsolve import (
     COLUMN_MIN_DEGREE,
     SYMMETRIC_MIN_DEGREE,
@@ -102,7 +103,8 @@ def test_oseen_assembly_matches_loop_oracle(coarse_mesh):
     Q = make_space(coarse_mesh, order=1, arity=1, subdomain=FLUID)
     rng = np.random.default_rng(1)
     adv = FEFunction(V, rng.standard_normal(V.ndof))
-    M = asm.transformed_oseen_system(V, Q, None, nu=0.7, advector=adv).toarray()
+    M = asm.transformed_oseen_system(V, Q, asm.action_coefficients(V, nu=0.7),
+                                     advector=adv).toarray()
 
     A_oracle, odofs = assemble_navier_stokes(
         coarse_mesh.nodes, tris, 0.7,
@@ -145,15 +147,52 @@ def test_oseen_assembly_matches_loop_oracle(coarse_mesh):
     K = cof2(DPhi)
     J = det2(DPhi)
     A = np.einsum("eqij,eqkj->eqik", K, K) / J[..., None, None]
-    fields = TransformFields(DPhi, J, K, A)
-    M = asm.transformed_oseen_system(V, Q, fields, nu=0.7, advector=adv).toarray()
-    A_oracle, _ = assemble_navier_stokes(coarse_mesh.nodes, tris, 0.7,
-                                         advector=adv_oracle, A_of=A_of,
-                                         K_of=K_of)
-    A_oracle = A_oracle.toarray()
-    reordered = np.zeros_like(M)
-    reordered[np.ix_(perm_full, perm_full)] = M
-    assert np.abs(reordered - A_oracle).max() <= 1e-12 * np.abs(A_oracle).max()
+    c = asm.action_coefficients(V, A, K, nu=0.7)
+    # the Oseen operator, then with the reaction (the oracle's Newton term)
+    for newton in (False, True):
+        M = asm.transformed_oseen_system(
+            V, Q, c, advector=adv, reaction_with=adv if newton else None).toarray()
+        A_oracle, _ = assemble_navier_stokes(coarse_mesh.nodes, tris, 0.7,
+                                             advector=adv_oracle, newton=newton,
+                                             A_of=A_of, K_of=K_of)
+        A_oracle = A_oracle.toarray()
+        reordered = np.zeros_like(M)
+        reordered[np.ix_(perm_full, perm_full)] = M
+        assert np.abs(reordered - A_oracle).max() <= 1e-12 * np.abs(A_oracle).max()
+
+
+# an affine lift x -> M x whose gradient M is not symmetric
+AFFINE_LIFT = np.array([[0.05, 0.2], [-0.03, 0.1]])
+
+
+@pytest.mark.parametrize("block", [
+    pytest.param("viscous", marks=pytest.mark.xfail(strict=True, reason=(
+        "geomap.transform_fields builds A = J^-1 K K^T; with DPhi[i, l] = "
+        "d_l Phi_i and K = J DPhi^-T the pull-back of grad v : grad psi "
+        "needs A = J^-1 K^T K"))),
+    "convection", "reaction", "pressure"])
+def test_affine_pull_back_matches_moved_mesh(coarse_mesh, block):
+    """Each fluid block under the transform fields of an affine lift equals
+    the untransformed block on the mesh moved by that lift (same dofs)."""
+    V, Q = fluid_spaces(coarse_mesh)
+    fields = transform_fields(V, FEFunction(V, (V.dof_coords @ AFFINE_LIFT.T).ravel()))
+    nodes = coarse_mesh.nodes
+    Vm, Qm = fluid_spaces(dataclasses.replace(coarse_mesh, nodes=nodes + nodes @ AFFINE_LIFT.T))
+    w = np.random.default_rng(4).standard_normal(V.ndof)
+
+    def assemble(V, Q, coefficients):
+        a, k = coefficients
+        if block == "viscous":
+            return asm.assemble_viscous(V, a)
+        if block == "convection":
+            return asm.assemble_convection(V, FEFunction(V, w), k)
+        if block == "reaction":
+            return asm.assemble_reaction(V, FEFunction(V, w), k)
+        return asm.assemble_pressure_blocks(V, Q, k)[0]
+
+    got = assemble(V, Q, fluid_coefficients(V, fields, 0.7)).toarray()
+    ref = assemble(Vm, Qm, asm.action_coefficients(Vm, nu=0.7)).toarray()
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _action_case(case, V):
@@ -189,9 +228,9 @@ def test_oseen_action_matches_assembled_product(default_mesh, case):
     fields = _action_case(case, V)
     x = np.random.default_rng(2).standard_normal(V.ndof + Q.ndof)
     w = FEFunction(V, x[:V.ndof])
-    ref = asm.transformed_oseen_system(V, Q, fields, 0.7, advector=w) @ x
-    A, K = asm.coefficient_arrays(fields)
-    got = asm.oseen_action(V, Q, x, asm.action_coefficients(V, A, K, 0.7))
+    c = fluid_coefficients(V, fields, 0.7)
+    ref = asm.transformed_oseen_system(V, Q, c, advector=w) @ x
+    got = asm.oseen_action(V, Q, x, c)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -228,7 +267,7 @@ def test_oseen_action_bit_identical_across_blas_threads():
 def test_pressure_blocks_exact_negative_transpose(default_mesh):
     V = make_space(default_mesh, order=2, arity=2, subdomain=FLUID)
     Q = make_space(default_mesh, order=1, arity=1, subdomain=FLUID)
-    A_vp, A_pv = asm.assemble_pressure_blocks(V, Q)
+    A_vp, A_pv = asm.assemble_pressure_blocks(V, Q, asm.action_coefficients(V)[1])
     d = (A_pv + A_vp.T).tocoo()
     assert d.nnz == 0 or np.abs(d.data).max() == 0.0
 
@@ -346,7 +385,10 @@ def test_lu_options_match_default_ordering(fsi_solver, fsi_base, kind):
         A, cdofs = asm.assemble_scalar_stiffness(V), fsi_solver.extender._fact.cdofs
         options = SYMMETRIC_MIN_DEGREE
     else:
-        A = linearized_system(V, Q, fsi_base.fields, fsi_base.fluid.w, fsi_solver.nu)
+        w = fsi_base.fluid.w
+        A = asm.transformed_oseen_system(
+            V, Q, fluid_coefficients(V, fsi_base.fields, fsi_solver.nu),
+            advector=w, reaction_with=w)
         cdofs, options = dirichlet_dofs(V), COLUMN_MIN_DEGREE
     rng = np.random.default_rng(0)
     rhs, prescribed = rng.standard_normal((2, A.shape[0]))

@@ -77,7 +77,8 @@ def test_do_nothing_residual_at_outflow(straight_mesh):
     solver = PicardSolver(V, Q, nu=1.0)
     state, _ = solver.solve(None, g)
     x = state.stacked()
-    M = asm.transformed_oseen_system(V, Q, None, 1.0, advector=state.w)
+    M = asm.transformed_oseen_system(V, Q, asm.action_coefficients(V),
+                                     advector=state.w)
     r = M @ x
     out_dofs = V.boundary_dofs("outflow", exclusive=True)
     assert np.abs(r[out_dofs]).max() <= 1e-9
@@ -120,13 +121,23 @@ def test_matches_monolithic_newton_oracle(coarse_mesh, operating_inflow):
     assert perr <= 1e-8
 
 
+@pytest.mark.parametrize("nu", [0.0, -1.0])
+def test_viscosity_must_be_positive(coarse_mesh, nu):
+    V, Q = fluid_spaces(coarse_mesh)
+    with pytest.raises(ValueError, match="viscosity must be positive"):
+        PicardSolver(V, Q, nu=nu)
+    with pytest.raises(ValueError, match="viscosity must be positive"):
+        asm.action_coefficients(V, nu=nu)
+
+
 def test_identity_reduction_bitwise(default_mesh):
     from fsichannel.geomap import identity_fields
 
     V, Q = fluid_spaces(default_mesh)
     ident = identity_fields(V)
-    a = asm.transformed_oseen_system(V, Q, ident, 1.0)
-    b = asm.transformed_oseen_system(V, Q, None, 1.0)
+    a = asm.transformed_oseen_system(
+        V, Q, asm.action_coefficients(V, ident.A, ident.K))
+    b = asm.transformed_oseen_system(V, Q, asm.action_coefficients(V))
     d = (a - b).tocoo()
     assert d.nnz == 0 or np.abs(d.data).max() == 0.0
 
@@ -157,7 +168,8 @@ def test_picard_evaluates_operator_once_per_step(coarse_mesh, monkeypatch):
 def test_picard_builds_action_coefficients_once_per_solve(coarse_mesh,
                                                         monkeypatch):
     # the fields are fixed within a solve, so their reference coefficients
-    # are built once whatever the number of steps, cold or warm
+    # are built once whatever the number of steps, cold or warm (counted
+    # after the set-up, which builds the identity's for the Stokes matrix)
     calls = []
     build = asm.action_coefficients
 
@@ -165,12 +177,12 @@ def test_picard_builds_action_coefficients_once_per_solve(coarse_mesh,
         calls.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(asm, "action_coefficients", counted)
     H = coarse_mesh.geometry.channel_height
     V, Q = fluid_spaces(coarse_mesh)
     ext = HarmonicExtender(V).extend(
         0.01 * np.sin(np.pi * V.dof_coords[V.interface_dofs]))
     solver = PicardSolver(V, Q)
+    monkeypatch.setattr(asm, "action_coefficients", counted)
     state, report = solver.solve(transform_fields(V, ext), InflowProfile(1.0, H))
     assert report.converged and report.iterations > 1
     assert len(calls) == 1
@@ -317,7 +329,7 @@ def test_linearized_at_rest_is_stokes(default_mesh):
     dg = InflowProfile(1.0, H)
     zw, zp = LinearizedSolver(V, Q, None, FEFunction.zeros(V), 1.0).solve(dg)
     # plain Stokes: no advector and no reaction terms
-    stokes = asm.transformed_oseen_system(V, Q, None, 1.0)
+    stokes = asm.transformed_oseen_system(V, Q, asm.action_coefficients(V))
     x = FrozenFactorization(stokes, dirichlet_dofs(V)).solve(
         np.zeros(V.ndof + Q.ndof), dirichlet_vector(V, Q, dg))
     scale = max(np.abs(x).max(), 1.0)

@@ -2,7 +2,8 @@
 outside the CLI's top-level handler, no unused module-level imports, no
 function, class or method that nothing references, one fixed-point loop,
 LU factorizations only in the solver modules, two-operand assembly
-kernels, and exception classes that are either bad input or a failed
+kernels that read the fluid geometry only through its reference-coordinate
+coefficients, and exception classes that are either bad input or a failed
 solve."""
 
 import ast
@@ -164,3 +165,20 @@ def test_assembly_kernel_shape():
              for n in ast.walk(_parse(SRC / "assembly.py"))
              if isinstance(n, (ast.Name, ast.Attribute))}
     assert "coo_matrix" not in names
+
+
+def test_fluid_weak_form_has_one_geometry_path():
+    """Only ``action_coefficients`` reads the element geometry (physical
+    gradients, Jacobians, weights) of the fluid weak form; the assembled
+    blocks and the matrix-free action read its (a, k) planes."""
+    geometry = {"grads_at", "inv_jac", "jac", "wdet"}
+    fluid = ["assemble_viscous", "assemble_convection", "assemble_reaction",
+             "assemble_pressure_blocks", "transformed_oseen_system",
+             "oseen_action"]
+    defs = {node.name: set(_referenced_names(node))
+            for node in _parse(SRC / "assembly.py").body
+            if isinstance(node, ast.FunctionDef)}
+    found = {name: sorted(defs[name] & geometry) for name in fluid
+             if defs[name] & geometry}
+    assert not found, f"fluid kernels reading geometry: {found}"
+    assert defs["action_coefficients"] & geometry
