@@ -1,16 +1,18 @@
 """Vectorized assembly of the transformed weak forms.
 
-All volume terms are integrated with the degree-6 symmetric triangle rule.
+All volume terms are integrated at the quadrature rule of the spaces:
+each ``Space`` holds the reference table of its basis at the rule, the
+gather of its element dofs and the rule's physical points and weights.
 The fluid weak form is written once, on the reference cell (Kronbichler &
 Kormann 2012): ``action_coefficients`` is the one place where the element
 geometry, the quadrature weights, nu and the flow-map fields (A, K) enter,
 as per-point coefficient planes (a, k) built once per field.  ``None``
-there means the identity field; identity arrays give the same bits, since
-multiplying by 1 and adding 0 is exact.  ``oseen_action`` applies the
-Navier-Stokes operator to a state with no matrix: a GEMM against a fixed
-table of P2 reference gradients and values, 2 x 2 products on (q, T)
-planes, a GEMM back and a ``bincount``.  The assembled fluid blocks
-contract products of the same table with a or k in one GEMM each.
+there means the identity field.  ``oseen_action`` applies the
+Navier-Stokes operator to a state with no matrix: the space's
+``reference_fields`` of the state (one GEMM against its table), 2 x 2
+products on (q, T) planes, a GEMM back and a ``bincount`` over its gather.
+The assembled fluid blocks contract products of the same table with a or k
+in one GEMM each, and the loads scatter with one ``bincount``.
 
 Every kernel sums its element entries with one ``bincount`` into a CSR
 pattern fixed per space and block kind.  The scalar Gram matrices and
@@ -23,8 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import TAG_OUTFLOW, edge_keys
-from .quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS
-from .spaces import FEFunction, Space, p2_basis, p2_grads, read_only
+from .quadrature import EDGE_POINTS, EDGE_WEIGHTS
+from .spaces import FEFunction, Space, read_only
 
 
 class Pattern:
@@ -102,36 +104,22 @@ def action_coefficients(vspace: Space, A=None, K=None, nu=1.0):
     if nu <= 0:
         raise ValueError("viscosity must be positive")
     nt, nq = vspace.wdet.shape
-    Bi = np.ascontiguousarray(vspace.inv_jac.transpose(1, 2, 0))  # [m, l], (T,)
-    w, flat = vspace.wdet.T, np.eye(2).reshape(1, 1, 4)
-    # per element, flattened fields times (k l, m n) = B^-1_mk B^-1_nl and
-    # (j l, m i) = delta_ij B^-1_ml give B^-1 A B^-T and K B^-T
-    both = (Bi[:, None, :, None] * Bi[None, :, None, :]).reshape(4, 4, nt).T
-    right = (Bi[:, None, None] * np.eye(2)[:, :, None, None]).reshape(4, 4, nt).T
-    a = ((flat if A is None else A.reshape(nt, nq, 4)) @ both).reshape(nt, -1, 2, 2)
-    k = ((flat if K is None else K.reshape(nt, nq, 4)) @ right).reshape(nt, -1, 2, 2)
-    return (np.multiply(a.transpose(2, 3, 1, 0), nu * w, out=np.empty((2, 2, nq, nt))),
-            np.multiply(k.transpose(2, 1, 3, 0), w[:, None], out=np.empty((2, nq, 2, nt))))
-
-
-# rows m q + k: P2 reference d_m psi_a (m = 0, 1), psi_a (m = 2) at point k
-_P2_TABLE = read_only(np.vstack([*p2_grads(TRI_POINTS).transpose(2, 0, 1),
-                                 p2_basis(TRI_POINTS)]))
-_P2_REF = _P2_TABLE.reshape(3, len(TRI_POINTS), -1)  # the table as [m, k, a]
-
-
-def _reference_fields(vspace: Space, v):
-    """[m, point, i, element]: the reference gradients d_m v_i (m = 0, 1)
-    and the values v_i (m = 2) of the velocity part of ``v`` (coefficients
-    or a stacked [v; p] vector), one GEMM against the table."""
-    vd = vspace.gather_vdofs
-    return (_P2_TABLE @ v[vd].reshape(len(vd), -1)).reshape(3, -1, 2, vd.shape[2])
+    w, Bi = vspace.wdet.T, vspace.inv_jac_planes  # Bi[m, l] = B^-1_ml
+    eye = np.eye(2).reshape(2, 1, 2, 1)
+    # [l, q, i, T] views of the (T, q, i, l) fields
+    Ap = eye if A is None else A.transpose(3, 1, 2, 0)
+    Kp = eye if K is None else K.transpose(3, 1, 2, 0)
+    AB = np.einsum("nle,lqke->knqe", Bi, Ap)  # (A B^-T)_kn
+    a = np.einsum("mke,knqe->mnqe", Bi, AB)
+    k = np.einsum("mle,lqie->mqie", Bi, Kp)
+    return (np.multiply(a, nu * w, out=np.empty((2, 2, nq, nt))),
+            np.multiply(k, w[:, None], out=np.empty((2, nq, 2, nt))))
 
 
 def assemble_viscous(vspace: Space, a):
     """nu * integral of (grad psi)^T A (grad w), componentwise:
     d_m psi_a a_mn d_n psi_b summed over the points."""
-    G = _P2_REF[:2]
+    G = vspace.table[:2]
     GG = (G[:, None, :, :, None] * G[None, :, :, None, :]).reshape(-1, 36)
     return _diag(vspace, (GG.T @ a.reshape(len(GG), -1)).T)
 
@@ -139,25 +127,26 @@ def assemble_viscous(vspace: Space, a):
 def assemble_convection(vspace: Space, advector: FEFunction, k):
     """integral of psi . (w_adv^T K grad) w, block-diagonal per component:
     psi_a (k^T w_adv)_m d_m psi_b summed over the points."""
-    w = advector.values_at(TRI_POINTS).transpose(1, 2, 0)  # [point, i, T]
+    w = advector.values_at().transpose(1, 2, 0)  # [point, i, T]
     kw = np.einsum("mqie,qie->mqe", k, w)
-    PG = (_P2_REF[2][:, :, None] * _P2_REF[:2, :, None, :]).reshape(-1, 36)
+    t = vspace.table
+    PG = (t[2][:, :, None] * t[:2, :, None, :]).reshape(-1, 36)
     return _diag(vspace, (PG.T @ kw.reshape(len(PG), -1)).T)
 
 
 def assemble_reaction(vspace: Space, base: FEFunction, k):
     """integral of psi_i w_j (K grad base_i)_j  (component coupling block)."""
-    H = _reference_fields(vspace, base.coefficients)[:2]
+    H = vspace.reference_fields(base.coefficients)[:2]
     R = np.einsum("mqie,mqje->qije", H, k)  # wdet (K grad base_i)_j
-    elem = _outer(_P2_REF[2]).T @ R.reshape(len(R), -1)  # (a b, i j T)
+    elem = _outer(vspace.table[2]).T @ R.reshape(len(R), -1)  # (a b, i j T)
     return _pattern(vspace, "vector").matrix(
         elem.reshape(6, 6, 2, 2, -1).transpose(4, 0, 2, 1, 3))
 
 
 def assemble_pressure_blocks(vspace: Space, pspace: Space, k):
     """Velocity-pressure block -int p (K grad).psi and its negative transpose."""
-    q = pspace.basis_at(TRI_POINTS)
-    GQ = (_P2_REF[:2, :, :, None] * q[:, None, :]).reshape(-1, 6 * q.shape[1])
+    q = pspace.table[2]
+    GQ = (vspace.table[:2, :, :, None] * q[:, None, :]).reshape(-1, 6 * q.shape[1])
     elem = -(GQ.T @ k.reshape(len(GQ), -1))  # (a c, i T)
     A_vp = _pattern(vspace, "mixed", pspace).matrix(
         elem.reshape(6, q.shape[1], 2, -1).transpose(3, 0, 2, 1))
@@ -177,13 +166,13 @@ def _gram(space: Space, kind, build):
 def assemble_mass(space: Space):
     """Scalar mass matrix, assembled once per space."""
     return _gram(space, "mass", lambda: _pattern(space, "scalar").matrix(
-        space.wdet @ _outer(space.basis_at(TRI_POINTS))))
+        space.wdet @ _outer(space.table[2])))
 
 
 def assemble_scalar_stiffness(space: Space):
     """Scalar stiffness matrix, assembled once per space."""
     def build():
-        g = space.grads_at(TRI_POINTS)
+        g = space.grads_at()
         elem = _contract(space.wdet[..., None, None] * g, g)
         return _pattern(space, "scalar").matrix(elem)
     return _gram(space, "stiffness", build)
@@ -193,7 +182,7 @@ def assemble_elasticity(space: Space, lam, mu):
     """Isotropic linear elasticity: 2 mu eps(u):eps(v) + lam div u div v."""
     if mu <= 0 or lam < 0:
         raise ValueError("Lame parameters require mu > 0 and lambda >= 0")
-    g = space.grads_at(TRI_POINTS)
+    g = space.grads_at()
     nt, nq, nloc, _ = g.shape
     wg = (space.wdet[..., None, None] * g).reshape(nt, nq, -1)
     # GG[e, a, i, b, j] = integral of d_i psi_a d_j psi_b
@@ -244,20 +233,20 @@ def oseen_action(vspace: Space, pspace: Space, x, coefficients):
     pressure rows q_c k : H on the reference cell.
     """
     a, k = coefficients
-    vd, pd, qb = vspace.gather_vdofs, pspace.elem_dofs.T, pspace.basis_at(TRI_POINTS)
     nq = k.shape[1]
-    D = _reference_fields(vspace, x)  # H_im for m = 0, 1 and w_i for m = 2
-    P = qb @ x[vspace.ndof:][pd]
+    D = vspace.reference_fields(x)  # H_im for m = 0, 1 and w_i for m = 2
+    P = pspace.reference_fields(x[vspace.ndof:])[2, :, 0]
     Y = np.empty_like(D)
     np.einsum("nqie,mnqe->mqie", D[:2], a, out=Y[:2])  # (H a^T)_im
     Y[:2] -= P[:, None] * k
     kw = np.einsum("mqie,qie->mqe", k, D[2])  # (k^T w)_m
     np.einsum("mqie,mqe->qie", D[:2], kw, out=Y[2])
     div = np.einsum("mqie,mqie->qe", k, D[:2])
-    rv = _P2_TABLE.T @ Y.reshape(3 * nq, -1)
+    rv = vspace.table.reshape(3 * nq, -1).T @ Y.reshape(3 * nq, -1)
+    rp = pspace.table[2].T @ div
     return np.concatenate([
-        np.bincount(vd.ravel(), rv.ravel(), minlength=vspace.ndof),
-        np.bincount(pd.ravel(), (qb.T @ div).ravel(), minlength=pspace.ndof)])
+        np.bincount(vspace.gather.ravel(), rv.ravel(), minlength=vspace.ndof),
+        np.bincount(pspace.gather.ravel(), rp.ravel(), minlength=pspace.ndof)])
 
 
 # ---- right-hand sides ---------------------------------------------------
@@ -283,24 +272,23 @@ def data_at(data, points, value_shape=()):
     return vals
 
 
+def _scatter(space: Space, elem):
+    """Sum element vectors (T, nloc[, arity]) into the dofs, in element
+    order, with one ``bincount``."""
+    dofs = space.gather.transpose(2, 0, 1)
+    return np.bincount(dofs.ravel(), elem.ravel(), minlength=space.ndof)
+
+
 def assemble_velocity_load(vspace: Space, f):
     """integral of f . psi over the velocity space, f vector data."""
-    vals = data_at(f, vspace.quad_points_physical(TRI_POINTS), (2,))
-    phi = vspace.basis_at(TRI_POINTS)
-    elem = phi.T @ (vspace.wdet[..., None] * vals)  # (T, a, i)
-    out = np.zeros(vspace.ndof)
-    np.add.at(out, vspace.elem_vdofs, elem)
-    return out
+    vals = data_at(f, vspace.quad_points, (2,))
+    return _scatter(vspace, vspace.table[2].T @ (vspace.wdet[..., None] * vals))
 
 
 def assemble_pressure_load(pspace: Space, f2):
     """integral of f2 q over the pressure space, f2 scalar (divergence) data."""
-    vals = data_at(f2, pspace.quad_points_physical(TRI_POINTS))
-    phi = pspace.basis_at(TRI_POINTS)
-    elem = (pspace.wdet * vals) @ phi  # (T, a)
-    out = np.zeros(pspace.ndof)
-    np.add.at(out, pspace.elem_dofs, elem)
-    return out
+    vals = data_at(f2, pspace.quad_points)
+    return _scatter(pspace, (pspace.wdet * vals) @ pspace.table[2])
 
 
 def _edge_trace_basis(order, t):

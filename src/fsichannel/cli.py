@@ -25,7 +25,6 @@ from .linsolve import SolverError
 from .mesh import (
     ChannelGeometry,
     build_channel_mesh,
-    rect_polygon,
     refine_uniform,
     validate_mesh,
 )
@@ -118,10 +117,7 @@ def resolve_config(raw):
 
 
 def _rect(vals):
-    if vals is None:
-        return None
-    x0, y0, x1, y1 = (float(v) for v in vals)
-    return rect_polygon(x0, x1, y0, y1)
+    return None if vals is None else tuple(float(v) for v in vals)
 
 
 def geometry_from_config(cfg) -> ChannelGeometry:

@@ -17,7 +17,6 @@ import numpy as np
 from .assembly import assemble_scalar_stiffness
 from .linsolve import SYMMETRIC_MIN_DEGREE, FrozenFactorization, SolverError
 from .mesh import ALL_TAGS, MeshError
-from .quadrature import TRI_POINTS
 from .spaces import FEFunction, Space
 
 
@@ -113,7 +112,7 @@ def transform_fields(vspace: Space, extension: FEFunction) -> TransformFields:
     Raises :class:`TangledMeshError` if the map is not orientation
     preserving anywhere.
     """
-    G = extension.gradients_at(TRI_POINTS)  # (T, q, i, l) of the lift
+    G = extension.gradients_at()  # (T, q, i, l) of the lift
     DPhi = G + np.eye(2)[None, None, :, :]
     J = det2(DPhi)
     if np.any(J <= 0.0):
@@ -125,9 +124,8 @@ def transform_fields(vspace: Space, extension: FEFunction) -> TransformFields:
 
 
 def identity_fields(vspace: Space) -> TransformFields:
-    nt, nq = len(vspace.tri_ids), len(TRI_POINTS)
-    eye = np.broadcast_to(np.eye(2), (nt, nq, 2, 2)).copy()
-    return TransformFields(eye.copy(), np.ones((nt, nq)), eye.copy(), eye.copy())
+    eye = np.broadcast_to(np.eye(2), vspace.wdet.shape + (2, 2)).copy()
+    return TransformFields(eye, np.ones(vspace.wdet.shape), eye.copy(), eye.copy())
 
 
 def transform_derivatives(fields: TransformFields, dgrad) -> TransformDerivatives:

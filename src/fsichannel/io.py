@@ -143,7 +143,7 @@ def write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(c) if isinstance(c, float) else str(c)
+            fh.write(",".join(repr(float(c)) if isinstance(c, float) else str(c)
                               for c in row) + "\n")
 
 

@@ -1,12 +1,12 @@
 """Channel geometry and conforming two-subdomain triangulations.
 
 The computational domain is a rectangular channel containing an annular
-elastic obstacle (region between two nested axis-aligned rectangles).  The
-fluid occupies the channel minus the outer rectangle, the solid occupies the
-annulus, and the region inside the inner rectangle is a hole whose boundary
-is clamped.  Meshing is done on a structured template so that all boundary
-coordinates are bit-exact and the mesh is mirror symmetric about the channel
-mid-line.
+elastic obstacle (region between two nested axis-aligned rectangles, each
+given as (x0, y0, x1, y1)).  The fluid occupies the channel minus the outer
+rectangle, the solid occupies the annulus, and the region inside the inner
+rectangle is a hole whose boundary is clamped.  Meshing is done on a
+structured template so that all boundary coordinates are bit-exact and the
+mesh is mirror symmetric about the channel mid-line.
 """
 
 from __future__ import annotations
@@ -39,29 +39,13 @@ class MeshError(ValueError):
     """Raised when a mesh fails validation."""
 
 
-def _as_rect(poly, name):
-    """Interpret a closed polygon as an axis-aligned rectangle (xmin, xmax, ymin, ymax)."""
-    pts = np.asarray(poly, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
-        raise GeometryError(f"{name}: expected a closed polygon as an (n,2) array")
-    xmin, ymin = pts.min(axis=0)
-    xmax, ymax = pts.max(axis=0)
-    if xmax <= xmin or ymax <= ymin:
-        raise GeometryError(f"{name}: degenerate polygon")
-    corners = {(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)}
-    for p in pts:
-        if tuple(p) not in corners:
-            raise GeometryError(f"{name}: only axis-aligned rectangles are supported")
-    return xmin, xmax, ymin, ymax
-
-
 @dataclass(frozen=True)
 class ChannelGeometry:
     """Rectangular channel with an optional annular obstacle.
 
-    ``obstacle_outer`` is the resting interface polygon, ``obstacle_inner``
-    the clamped inner boundary.  Both may be ``None`` for the degenerate
-    straight-channel test geometry.
+    ``obstacle_outer`` is the resting interface rectangle, ``obstacle_inner``
+    the clamped inner boundary, each an axis-aligned (x0, y0, x1, y1).  Both
+    may be ``None`` for the degenerate straight-channel test geometry.
     """
 
     channel_length: float
@@ -79,24 +63,16 @@ class ChannelGeometry:
             raise GeometryError("obstacle_outer and obstacle_inner must be given together")
         if self.obstacle_outer is None:
             return
-        ox0, ox1, oy0, oy1 = _as_rect(self.obstacle_outer, "obstacle_outer")
-        ix0, ix1, iy0, iy1 = _as_rect(self.obstacle_inner, "obstacle_inner")
+        for name in ("obstacle_outer", "obstacle_inner"):
+            rect = getattr(self, name)
+            if len(rect) != 4 or not (rect[0] < rect[2] and rect[1] < rect[3]):
+                raise GeometryError(f"{name} must be (x0, y0, x1, y1) with x0 < x1 and y0 < y1")
+        ox0, oy0, ox1, oy1 = self.obstacle_outer
+        ix0, iy0, ix1, iy1 = self.obstacle_inner
         if not (0.0 < ox0 and ox1 < self.channel_length and 0.0 < oy0 and oy1 < self.channel_height):
             raise GeometryError("obstacle must have positive clearance to the channel boundary")
         if not (ox0 < ix0 and ix1 < ox1 and oy0 < iy0 and iy1 < oy1):
             raise GeometryError("obstacle_inner must lie strictly inside obstacle_outer")
-
-    @property
-    def outer_rect(self):
-        return None if self.obstacle_outer is None else _as_rect(self.obstacle_outer, "obstacle_outer")
-
-    @property
-    def inner_rect(self):
-        return None if self.obstacle_inner is None else _as_rect(self.obstacle_inner, "obstacle_inner")
-
-
-def rect_polygon(x0, x1, y0, y1):
-    return ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
 
 
 def default_geometry(h=0.1):
@@ -104,8 +80,8 @@ def default_geometry(h=0.1):
     return ChannelGeometry(
         channel_length=4.0,
         channel_height=1.0,
-        obstacle_outer=rect_polygon(1.0, 1.4, 0.3, 0.7),
-        obstacle_inner=rect_polygon(1.1, 1.3, 0.4, 0.6),
+        obstacle_outer=(1.0, 0.3, 1.4, 0.7),
+        obstacle_inner=(1.1, 0.4, 1.3, 0.6),
         target_edge_length=h,
     )
 
@@ -178,9 +154,9 @@ def build_channel_mesh(geom: ChannelGeometry) -> Mesh:
     # <= sqrt(2) h; shrink the template pitch to meet the 1.5 h contract.
     pitch = h * 1.5 / np.sqrt(2.0)
     req_x, req_y = [], [H / 2.0]
-    if geom.outer_rect is not None:
-        ox0, ox1, oy0, oy1 = geom.outer_rect
-        ix0, ix1, iy0, iy1 = geom.inner_rect
+    if geom.obstacle_outer is not None:
+        ox0, oy0, ox1, oy1 = geom.obstacle_outer
+        ix0, iy0, ix1, iy1 = geom.obstacle_inner
         req_x += [ox0, ox1, ix0, ix1]
         req_y += [oy0, oy1, iy0, iy1]
     xs = _breakpoints(0.0, L, req_x, pitch)
@@ -202,7 +178,7 @@ def build_channel_mesh(geom: ChannelGeometry) -> Mesh:
                      np.stack([a, b, c, a, c, d], 1))
     labels = np.full(len(a), FLUID, dtype=np.int8)
     keep = np.ones(len(a), dtype=bool)
-    if geom.outer_rect is not None:
+    if geom.obstacle_outer is not None:
         labels[(ox0 < cx) & (cx < ox1) & (oy0 < cy) & (cy < oy1)] = SOLID
         keep = ~((ix0 < cx) & (cx < ix1) & (iy0 < cy) & (cy < iy1))  # the hole
     tris = cells[keep].reshape(-1, 3)

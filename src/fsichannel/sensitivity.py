@@ -28,7 +28,6 @@ from .fluid import ConvergenceError, LinearizedSolver, SolverReport
 from .fsi import FSISolver, FSIState
 from .geomap import transform_derivatives
 from .linsolve import SolverError
-from .quadrature import TRI_POINTS
 from .spaces import FEFunction
 from .verification import fit_rate
 
@@ -149,9 +148,7 @@ class SensitivitySolver:
         """Lift of an interface trace, shape (n_interface, 2), and the
         linearized right-hand side of its transform-coefficient derivatives."""
         dext = self.solver.extender.extend(trace)
-        derivs = transform_derivatives(
-            self.base.fields, dext.gradients_at(TRI_POINTS)
-        )
+        derivs = transform_derivatives(self.base.fields, dext.gradients_at())
         solver, fluid = self.solver, self.base.fluid
         return dext, coefficient_rhs(solver.vspace, solver.pspace, derivs,
                                      fluid.w, fluid.p, solver.nu)

@@ -4,6 +4,12 @@ Taylor-Hood pairing: order-2 vector spaces for velocity, displacement, and
 extension fields; order-1 scalar space for pressure.  Scalar degrees of
 freedom sit at mesh vertices (order 1) plus edge midpoints (order 2); vector
 dofs interleave components as ``2*scalar + component``.
+
+Each space owns the one quadrature rule (the degree-6 triangle rule): it
+builds once the reference table of its basis at the rule, the gather of its
+element dofs, the rule's physical points and weights.  Every per-point
+evaluation is ``Space.reference_fields``, one GEMM of gathered coefficients
+against the table; no evaluation method takes points.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .mesh import (
     edge_keys,
     number_by_first_use,
 )
-from .quadrature import TRI_WEIGHTS
+from .quadrature import TRI_POINTS, TRI_WEIGHTS
 
 SCALAR = 1
 VECTOR = 2
@@ -150,8 +156,7 @@ class Space:
         self.inv_jac = invB
         self.origin = p[:, 0]
 
-        self._grads = {}  # reference point bytes -> physical gradients
-        self._grads_t = {}  # the same, in the layout of grads_by_basis
+        self._grads = None  # physical basis gradients, see grads_at
         # block kind, or the pressure Space of a mixed block -> assembly.Pattern
         self.patterns = {}
         # "mass", "stiffness" or "h1" -> the scalar Gram matrix, see assembly._gram
@@ -230,52 +235,58 @@ class Space:
         s = self.boundary_scalar_dofs(tag, exclusive)
         return (self.desc.arity * s[:, None] + np.arange(self.desc.arity)).ravel()
 
-    # ---- evaluation ----------------------------------------------------
-    def basis_at(self, ref_pts):
-        return p1_basis(ref_pts) if self.desc.order == 1 else p2_basis(ref_pts)
-
-    def grads_at(self, ref_pts):
-        """Physical-coordinate basis gradients, (T, q, nloc, 2), read-only.
-
-        They depend only on the geometry, so each point set is computed once.
-        """
-        key = np.asarray(ref_pts, dtype=float).tobytes()
-        if key not in self._grads:
-            ref = p1_grads(ref_pts) if self.desc.order == 1 else p2_grads(ref_pts)
-            # grad_x = invB^T grad_xi, one (nloc, 2) @ (2, 2) per point
-            self._grads[key] = read_only(ref[None] @ self.inv_jac[:, None])
-        return self._grads[key]
-
-    def grads_by_basis(self, ref_pts):
-        """The gradients of :meth:`grads_at` as (T, nloc, 2 q), entry
-        [a, l q + k] = d_l psi_a at point k, read-only: one batched matmul
-        with element coefficients (T, arity, nloc) gives every gradient."""
-        key = np.asarray(ref_pts, dtype=float).tobytes()
-        if key not in self._grads_t:
-            g = self.grads_at(ref_pts)
-            g = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-            self._grads_t[key] = read_only(g.reshape(len(g), g.shape[1], -1))
-        return self._grads_t[key]
+    # ---- evaluation at the quadrature rule ----------------------------
+    @cached_property
+    def table(self):
+        """The basis at the triangle rule, (3, q, nloc), read-only: entry
+        [m, k, a] is the reference derivative d_m psi_a (m = 0, 1) or the
+        value psi_a (m = 2) at point k."""
+        basis, grads = (p1_basis, p1_grads) if self.desc.order == 1 else (p2_basis, p2_grads)
+        table = [*grads(TRI_POINTS).transpose(2, 0, 1), basis(TRI_POINTS)]
+        return read_only(np.ascontiguousarray(table))
 
     @cached_property
-    def elem_vdofs(self):
-        """Vector dofs 2 s + i of each element's scalar dofs s, (T, nloc, 2),
-        read-only: gathers and scatters element vectors."""
-        return read_only(2 * self.elem_dofs[:, :, None] + np.arange(2))
+    def gather(self):
+        """The dofs arity s + i of each element's scalar dofs s, (nloc,
+        arity, T), read-only: gathers coefficient vectors for GEMMs with
+        :attr:`table` and scatters element vectors back.  A view of the
+        element-major (T, nloc, arity) array, which the loads scatter."""
+        n = self.desc.arity
+        return read_only(n * self.elem_dofs[:, :, None] + np.arange(n)).transpose(1, 2, 0)
 
     @cached_property
-    def gather_vdofs(self):
-        """The dofs of :attr:`elem_vdofs` as (nloc, 2, T), read-only: element
-        blocks with the element index last, for GEMMs with reference tables."""
-        return read_only(np.ascontiguousarray(self.elem_vdofs.transpose(1, 2, 0)))
+    def quad_points(self):
+        """Physical points of the triangle rule, (T, q, 2), read-only."""
+        return read_only(self.origin[:, None, :]
+                         + np.einsum("eij,qj->eqi", self.jac, TRI_POINTS))
 
     @cached_property
     def wdet(self):
         """Quadrature weights times det B at the triangle rule, (T, q), read-only."""
         return read_only(TRI_WEIGHTS[None, :] * self.detJ[:, None])
 
-    def quad_points_physical(self, ref_pts):
-        return self.origin[:, None, :] + np.einsum("eij,qj->eqi", self.jac, ref_pts)
+    @cached_property
+    def inv_jac_planes(self):
+        """B^-1 as contiguous planes [m, l] of shape (T,), read-only."""
+        return read_only(np.ascontiguousarray(self.inv_jac.transpose(1, 2, 0)))
+
+    def grads_at(self):
+        """Physical basis gradients at the rule, (T, q, nloc, 2), read-only,
+        computed on first use."""
+        if self._grads is None:
+            ref = np.ascontiguousarray(self.table[:2].transpose(1, 2, 0))
+            # grad_x = invB^T grad_xi, one (nloc, 2) @ (2, 2) per point
+            self._grads = read_only(ref[None] @ self.inv_jac[:, None])
+        return self._grads
+
+    def reference_fields(self, v):
+        """[m, k, i, e]: the reference derivatives d_m v_i (m = 0, 1) and
+        the values v_i (m = 2) at point k of element e of the coefficients
+        ``v`` (or the leading part of a stacked vector such as [v; p]), one
+        GEMM against :attr:`table`."""
+        g = self.gather
+        F = self.table.reshape(-1, len(g)) @ v[g].reshape(len(g), -1)
+        return F.reshape(3, -1, *g.shape[1:])
 
 
 def make_space(mesh, order, arity, subdomain):
@@ -305,17 +316,13 @@ class FEFunction:
         """Coefficients reshaped to (n_scalar, arity)."""
         return self.coefficients.reshape(self.space.n_scalar, self.space.desc.arity)
 
-    def values_at(self, ref_pts):
-        """Values at reference points per element: (T, q, arity)."""
-        sp = self.space
-        phi = sp.basis_at(ref_pts)  # (q, nloc)
-        cm = self.component_matrix()[sp.elem_dofs]  # (T, nloc, arity)
-        return phi @ cm
+    def values_at(self):
+        """Values at the quadrature rule, (T, q, arity): a view of
+        :meth:`Space.reference_fields`."""
+        return self.space.reference_fields(self.coefficients)[2].transpose(2, 0, 1)
 
-    def gradients_at(self, ref_pts):
-        """Gradients at reference points: (T, q, arity, 2) with G[i, l] = d_l f_i."""
-        sp = self.space
-        gt = sp.grads_by_basis(ref_pts)  # (T, nloc, 2 q)
-        cm = self.component_matrix()[sp.elem_dofs]  # (T, nloc, arity)
-        G = (cm.swapaxes(1, 2) @ gt).reshape(len(gt), -1, 2, len(ref_pts))
-        return G.transpose(0, 3, 1, 2)
+    def gradients_at(self):
+        """Gradients at the quadrature rule, (T, q, arity, 2) with
+        G[i, l] = d_l f_i: a view of the planes sum_m d_m f_i B^-1_ml."""
+        H = self.space.reference_fields(self.coefficients)[:2]
+        return np.einsum("mkie,mle->lkie", H, self.space.inv_jac_planes).transpose(3, 1, 2, 0)

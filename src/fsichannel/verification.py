@@ -16,7 +16,6 @@ import numpy as np
 from .assembly import assemble_rhs, data_at
 from .fluid import PicardSolver, fluid_spaces
 from .mesh import build_channel_mesh, refine_uniform, straight_channel
-from .quadrature import TRI_POINTS
 
 
 def _lambdify_pair(w1, w2, p, nu):
@@ -76,10 +75,10 @@ def exact_pair(kind, nu=1.0, height=1.0):
 def _errors(state, exact):
     """Quadrature H1 velocity and L2 pressure errors against callables."""
     wdet = state.w.space.wdet
-    xy = state.w.space.quad_points_physical(TRI_POINTS)
-    dw = state.w.values_at(TRI_POINTS) - data_at(exact["w"], xy, (2,))
-    dg = state.w.gradients_at(TRI_POINTS) - data_at(exact["grad_w"], xy, (2, 2))
-    dp = state.p.values_at(TRI_POINTS)[..., 0] - data_at(exact["p"], xy)
+    xy = state.w.space.quad_points
+    dw = state.w.values_at() - data_at(exact["w"], xy, (2,))
+    dg = state.w.gradients_at() - data_at(exact["grad_w"], xy, (2, 2))
+    dp = state.p.values_at()[..., 0] - data_at(exact["p"], xy)
     h1_sq = np.einsum("eq,eq->", wdet, np.einsum("eqi,eqi->eq", dw, dw))
     h1_sq += np.einsum("eq,eq->", wdet, np.einsum("eqil,eqil->eq", dg, dg))
     l2p_sq = np.einsum("eq,eq->", wdet, dp * dp)

@@ -27,9 +27,7 @@ def outward_traction(solver, magnitude):
     """Uniform outward normal load on the outer square of the annulus."""
     xy = solver.space.dof_coords[solver.iface]
     geo = solver.space.mesh.geometry
-    xs = [p[0] for p in geo.obstacle_outer]
-    ys = [p[1] for p in geo.obstacle_outer]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    x0, y0, x1, y1 = geo.obstacle_outer
     tr = np.zeros((len(solver.iface), 2))
     for k, (x, y) in enumerate(xy):
         n = np.zeros(2)

@@ -142,7 +142,7 @@ def test_oseen_assembly_matches_loop_oracle(coarse_mesh):
         K = K_of(x)
         return K @ K.T / np.linalg.det(K)
 
-    xq = V.quad_points_physical(TRI_POINTS)
+    xq = V.quad_points
     DPhi = np.array([[DPhi_of(x) for x in row] for row in xq])
     K = cof2(DPhi)
     J = det2(DPhi)
@@ -217,8 +217,36 @@ def _action_case(case, V):
     # is linear in the coefficients, and J only enters the positivity check
     x, y = V.dof_coords[:, 0], V.dof_coords[:, 1]
     v = FEFunction(V, np.column_stack([np.sin(2 * x) * y, np.cos(x + y)]).ravel())
-    d = transform_derivatives(fields, v.gradients_at(TRI_POINTS))
+    d = transform_derivatives(fields, v.gradients_at())
     return TransformFields(d.dDPhi, fields.J, d.dK, d.dA)
+
+
+def test_evaluation_at_the_rule_reproduces_interpolated_fields(default_mesh):
+    """values_at and gradients_at of a quadratic vector field on the
+    velocity space and a linear scalar field on the pressure space equal
+    the exact field and gradient at the rule's physical points."""
+    V, Q = fluid_spaces(default_mesh)
+
+    def u(x, y):
+        return np.stack([x * x - 2 * x * y + 0.5, 3 * y * y + x * y - y], axis=-1)
+
+    def grad_u(x, y):
+        return np.stack([np.stack([2 * x - 2 * y, -2 * x], axis=-1),
+                         np.stack([y, 6 * y + x - 1], axis=-1)], axis=-2)
+
+    def p(x, y):
+        return (2.0 - x + 3 * y)[..., None]
+
+    def grad_p(x, y):
+        return np.broadcast_to([[-1.0, 3.0]], x.shape + (1, 2))
+
+    for space, f, grad_f in ((V, u, grad_u), (Q, p, grad_p)):
+        fun = FEFunction(space, f(*space.dof_coords.T).ravel())
+        x, y = space.quad_points[..., 0], space.quad_points[..., 1]
+        for got, want in ((fun.values_at(), f(x, y)),
+                          (fun.gradients_at(), grad_f(x, y))):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ def test_traction_constant_pressure_undeformed(default_mesh):
     # normals point out of the fluid (into the obstacle): at each dof the
     # traction points from the dof toward the obstacle centroid side
     geo = default_mesh.geometry
-    centroid = np.asarray(geo.obstacle_outer).mean(axis=0)
+    centroid = np.asarray(geo.obstacle_outer).reshape(2, 2).mean(axis=0)
     xy = V.dof_coords[V.interface_dofs]
     inward = centroid[None, :] - xy
     dots = np.einsum("ij,ij->i", t, inward)

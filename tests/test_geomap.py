@@ -16,7 +16,6 @@ from fsichannel.geomap import (
     transform_fields,
 )
 from fsichannel.mesh import FLUID, build_channel_mesh, default_geometry
-from fsichannel.quadrature import TRI_POINTS
 from fsichannel.spaces import FEFunction, make_space
 
 
@@ -118,7 +117,7 @@ def test_transform_derivatives_fd(vspace, extender):
     ext = extender.extend(trace)
     fields = transform_fields(vspace, ext)
     dext = extender.extend(smooth_trace(vspace, 1.0, k=2))
-    derivs = transform_derivatives(fields, dext.gradients_at(TRI_POINTS))
+    derivs = transform_derivatives(fields, dext.gradients_at())
     out = {}
     for eps in (1e-5, 1e-6):
         fp = transform_fields(vspace, FEFunction(
@@ -142,8 +141,8 @@ def test_dJ_and_dK_linear_exact(vspace, extender):
     ext = extender.extend(smooth_trace(vspace, 0.02))
     fields = transform_fields(vspace, ext)
     dext = extender.extend(smooth_trace(vspace, 1.0, k=1))
-    d1 = transform_derivatives(fields, dext.gradients_at(TRI_POINTS))
-    d2 = transform_derivatives(fields, 2.0 * dext.gradients_at(TRI_POINTS))
+    d1 = transform_derivatives(fields, dext.gradients_at())
+    d2 = transform_derivatives(fields, 2.0 * dext.gradients_at())
     assert np.abs(d2.dJ - 2 * d1.dJ).max() <= 1e-13
     assert np.abs(d2.dK - 2 * d1.dK).max() <= 1e-13
 

@@ -3,8 +3,8 @@ outside the CLI's top-level handler, no unused module-level imports, no
 function, class or method that nothing references, one fixed-point loop,
 LU factorizations only in the solver modules, two-operand assembly
 kernels that read the fluid geometry only through its reference-coordinate
-coefficients, and exception classes that are either bad input or a failed
-solve."""
+coefficients, one quadrature rule, owned by the spaces, and exception
+classes that are either bad input or a failed solve."""
 
 import ast
 import importlib
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import fsichannel
 from fsichannel.linsolve import SolverError
+from fsichannel.spaces import FEFunction, Space
 
 SRC = Path(fsichannel.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -182,3 +183,15 @@ def test_fluid_weak_form_has_one_geometry_path():
              if defs[name] & geometry}
     assert not found, f"fluid kernels reading geometry: {found}"
     assert defs["action_coefficients"] & geometry
+
+
+def test_one_quadrature_rule_owned_by_the_spaces():
+    """Only ``quadrature`` (which defines the triangle rule) and ``spaces``
+    (which evaluates the bases at it once per space) name its points;
+    every other module reads a space's table, gather and quad_points, and
+    no evaluation method takes points."""
+    found = sorted(path.stem for path in MODULES
+                   if "TRI_POINTS" in _referenced_names(_parse(path)))
+    assert found == ["quadrature", "spaces"]
+    for method in (Space.grads_at, FEFunction.values_at, FEFunction.gradients_at):
+        assert list(inspect.signature(method).parameters) == ["self"]

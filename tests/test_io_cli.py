@@ -378,3 +378,10 @@ def test_json_csv_writers(tmp_path):
         open(cpath).read().splitlines()[1:]
     assert header == "h,err"
     assert len(rows) == 2
+
+
+def test_write_csv_writes_numpy_floats_as_numbers(tmp_path):
+    # numpy 2 floats pass isinstance(c, float) but repr as "np.float64(...)"
+    path = tmp_path / "x.csv"
+    write_csv(str(path), ["a", "b", "n"], [(np.float64(0.1), 0.25, np.int64(3))])
+    assert path.read_text().splitlines() == ["a,b,n", "0.1,0.25,3"]

@@ -15,7 +15,6 @@ from fsichannel.mesh import (
     build_channel_mesh,
     default_geometry,
     mirror_permutation,
-    rect_polygon,
     refine_uniform,
     straight_channel,
     validate_mesh,
@@ -26,8 +25,8 @@ from fsichannel.spaces import make_space
 def test_geometry_clearance_rejected():
     bad = ChannelGeometry(
         channel_length=4.0, channel_height=1.0,
-        obstacle_outer=rect_polygon(1.0, 1.4, 0.0, 0.4),  # touches the wall
-        obstacle_inner=rect_polygon(1.1, 1.3, 0.1, 0.3),
+        obstacle_outer=(1.0, 0.0, 1.4, 0.4),  # touches the wall
+        obstacle_inner=(1.1, 0.1, 1.3, 0.3),
         target_edge_length=0.1,
     )
     with pytest.raises(GeometryError):
@@ -37,12 +36,23 @@ def test_geometry_clearance_rejected():
 def test_containment_rejected():
     bad = ChannelGeometry(
         channel_length=4.0, channel_height=1.0,
-        obstacle_outer=rect_polygon(1.0, 1.4, 0.3, 0.7),
-        obstacle_inner=rect_polygon(1.3, 1.6, 0.4, 0.6),  # leaks outside
+        obstacle_outer=(1.0, 0.3, 1.4, 0.7),
+        obstacle_inner=(1.3, 0.4, 1.6, 0.6),  # leaks outside
         target_edge_length=0.1,
     )
     with pytest.raises(GeometryError):
         build_channel_mesh(bad)
+
+
+@pytest.mark.parametrize("outer, inner", [
+    ((1.4, 0.3, 1.0, 0.7), (1.1, 0.4, 1.3, 0.6)),  # x reversed
+    ((1.0, 0.3, 1.4, 0.7), (1.1, 0.6, 1.3, 0.4)),  # y reversed
+    ((1.0, 0.3, 1.4), (1.1, 0.4, 1.3, 0.6)),  # 3 entries
+])
+def test_degenerate_rectangle_rejected(outer, inner):
+    bad = ChannelGeometry(4.0, 1.0, outer, inner, 0.1)
+    with pytest.raises(GeometryError):
+        bad.validate()
 
 
 def test_inflow_edges_tile_left_side(default_mesh):
@@ -173,8 +183,8 @@ def test_random_geometries_validate(cx, half, inner, h):
     hi = half * inner
     geo = ChannelGeometry(
         channel_length=4.0, channel_height=1.0,
-        obstacle_outer=rect_polygon(cx - half, cx + half, cy - half, cy + half),
-        obstacle_inner=rect_polygon(cx - hi, cx + hi, cy - hi, cy + hi),
+        obstacle_outer=(cx - half, cy - half, cx + half, cy + half),
+        obstacle_inner=(cx - hi, cy - hi, cx + hi, cy + hi),
         target_edge_length=h,
     )
     mesh = build_channel_mesh(geo)
