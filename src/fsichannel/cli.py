@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 scenario checks failed, 2 invalid input (a
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import sys
 
@@ -44,8 +45,8 @@ class ConfigError(ValueError):
 DEFAULTS = {
     "channel_length": 4.0,
     "channel_height": 1.0,
-    "obstacle_outer": [1.0, 0.3, 1.4, 0.7],
-    "obstacle_inner": [1.1, 0.4, 1.3, 0.6],
+    "obstacle_outer": (1.0, 0.3, 1.4, 0.7),
+    "obstacle_inner": (1.1, 0.4, 1.3, 0.6),
     "target_edge_length": 0.1,
     "mesh_level": 0,
     "nu": 1.0,
@@ -87,72 +88,92 @@ def scenario(name, keys, blurb, artifacts):
     return wrap
 
 
+_KINDS = {float: "a number", int: "an integer", bool: "true or false",
+          str: "a string", list: "a list of numbers",
+          tuple: "a rectangle [x0, y0, x1, y1] or null"}
+
+
+def _convert(key, value, kind=None):
+    """``value`` as ``kind``, by default the type of ``DEFAULTS[key]``: a
+    float from any number, an int, bool or str as given, a list of floats,
+    and for the tuple defaults, the obstacle rectangles (x0, y0, x1, y1),
+    a tuple of 4 floats or None for null."""
+    kind = kind or type(DEFAULTS[key])
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if number and (kind is float or kind is int and isinstance(value, numbers.Integral)):
+        return kind(value)
+    if kind in (bool, str) and isinstance(value, kind):
+        return value
+    if isinstance(value, (list, tuple)) and (kind is list or kind is tuple and len(value) == 4):
+        return kind(_convert(key, v, float) for v in value)
+    if kind is tuple and value is None:
+        return None
+    raise ConfigError(f"{key}: {value!r} is not {_KINDS[kind]}")
+
+
 def resolve_config(raw):
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object of key: value pairs")
     unknown = sorted(set(raw) - set(DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     cfg = dict(DEFAULTS)
-    cfg.update(raw)
-    if not 0.0 < float(cfg["relaxation"]) <= 1.0:
+    cfg.update((key, _convert(key, value)) for key, value in raw.items())
+    if not 0.0 < cfg["relaxation"] <= 1.0:
         raise ConfigError("relaxation must lie in (0, 1]")
     for key in ("tol", "nu", "mu", "target_edge_length"):
-        if float(cfg[key]) <= 0:
+        if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
-    if float(cfg["lam"]) < 0:
+    if cfg["lam"] < 0:
         raise ConfigError("lam must be nonnegative")
-    if int(cfg["mesh_level"]) < 0:
+    if cfg["mesh_level"] < 0:
         raise ConfigError("mesh_level must be nonnegative")
     if cfg["traction_interpretation"] not in ("full-vector", "normal-projected"):
         raise ConfigError("traction_interpretation must be full-vector or "
                           "normal-projected")
     if cfg["mms_kind"] not in ("trig", "polynomial"):
         raise ConfigError("mms_kind must be trig or polynomial")
-    if int(cfg["mms_levels"]) < 2:
+    if cfg["mms_levels"] < 2:
         raise ConfigError("mms_levels must be at least 2 (a rate needs two)")
-    if len(cfg["h_list"]) < 3 or min(float(h) for h in cfg["h_list"]) <= 0:
+    if len(cfg["h_list"]) < 3 or min(cfg["h_list"]) <= 0:
         raise ConfigError("h_list needs at least 3 positive steps")
     if not cfg["g_sweep"]:
         raise ConfigError("g_sweep must not be empty")
     return cfg
 
 
-def _rect(vals):
-    return None if vals is None else tuple(float(v) for v in vals)
-
-
 def geometry_from_config(cfg) -> ChannelGeometry:
     return ChannelGeometry(
-        channel_length=float(cfg["channel_length"]),
-        channel_height=float(cfg["channel_height"]),
-        obstacle_outer=_rect(cfg["obstacle_outer"]),
-        obstacle_inner=_rect(cfg["obstacle_inner"]),
-        target_edge_length=float(cfg["target_edge_length"]),
+        channel_length=cfg["channel_length"],
+        channel_height=cfg["channel_height"],
+        obstacle_outer=cfg["obstacle_outer"],
+        obstacle_inner=cfg["obstacle_inner"],
+        target_edge_length=cfg["target_edge_length"],
     )
 
 
 def mesh_from_config(cfg):
     mesh = build_channel_mesh(geometry_from_config(cfg))
-    for _ in range(int(cfg["mesh_level"])):
+    for _ in range(cfg["mesh_level"]):
         mesh = refine_uniform(mesh)
     return mesh
 
 
 def _inflow(cfg, key="g_magnitude"):
-    return InflowProfile(float(cfg[key]), float(cfg["channel_height"]))
+    return InflowProfile(cfg[key], cfg["channel_height"])
 
 
 def _fsi_solver(cfg):
-    return FSISolver(mesh_from_config(cfg), (float(cfg["lam"]), float(cfg["mu"])),
-                     float(cfg["nu"]))
+    return FSISolver(mesh_from_config(cfg), (cfg["lam"], cfg["mu"]), cfg["nu"])
 
 
 def _coupling_options(cfg, quasi_newton=True):
     return CouplingOptions(
-        relaxation=float(cfg["relaxation"]),
-        tol=float(cfg["tol"]),
-        max_outer_iter=int(cfg["max_iter"]),
+        relaxation=cfg["relaxation"],
+        tol=cfg["tol"],
+        max_outer_iter=cfg["max_iter"],
         traction_interpretation=cfg["traction_interpretation"],
-        warm_start=bool(cfg["warm_start"]),
+        warm_start=cfg["warm_start"],
         quasi_newton=quasi_newton,
     )
 
@@ -190,8 +211,8 @@ def run_mesh(cfg, out, seed):
 def run_solve_ns(cfg, out, seed):
     mesh = mesh_from_config(cfg)
     state, rep = solve_navier_stokes(
-        mesh, g=_inflow(cfg), nu=float(cfg["nu"]),
-        tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"]),
+        mesh, g=_inflow(cfg), nu=cfg["nu"], tol=cfg["tol"],
+        max_iter=cfg["max_iter"],
     )
     write_vtk(os.path.join(out, "fields_ns.vtk"), mesh, point_data={
         "velocity": vertex_values(state.w),
@@ -275,14 +296,12 @@ def run_sensitivity(cfg, out, seed):
 )
 def run_taylor(cfg, out, seed):
     solver = _fsi_solver(cfg)
-    m0 = float(cfg["g_magnitude"])
-    dm = float(cfg["dg_magnitude"])
-    H = float(cfg["channel_height"])
+    m0, dm, H = cfg["g_magnitude"], cfg["dg_magnitude"], cfg["channel_height"]
     report = taylor_test(
         solver,
         lambda h: InflowProfile(m0 + h * dm, H),
         InflowProfile(dm, H),
-        [float(h) for h in cfg["h_list"]],
+        cfg["h_list"],
         _coupling_options(cfg),
     )
     write_csv(os.path.join(out, "report_taylor.csv"),
@@ -307,8 +326,8 @@ def run_taylor(cfg, out, seed):
 )
 def run_mms(cfg, out, seed):
     table = mms_convergence_study(
-        kind=cfg["mms_kind"], levels=int(cfg["mms_levels"]),
-        h0=float(cfg["mms_h0"]), nu=float(cfg["nu"]),
+        kind=cfg["mms_kind"], levels=cfg["mms_levels"], h0=cfg["mms_h0"],
+        nu=cfg["nu"],
     )
     write_csv(os.path.join(out, "report_mms.csv"),
               ("h", "h1_velocity_error", "l2_pressure_error"), table.rows())
@@ -335,18 +354,18 @@ def run_mms(cfg, out, seed):
 )
 def run_probes(cfg, out, seed):
     solver = _fsi_solver(cfg)
-    H = float(cfg["channel_height"])
+    H = cfg["channel_height"]
     # the plain relaxed map: its increment ratios measure its contraction
     opts = _coupling_options(cfg, quasi_newton=False)
     rows = []
     for mag in cfg["g_sweep"]:
-        base = solver.solve(InflowProfile(float(mag), H), opts)
+        base = solver.solve(InflowProfile(mag, H), opts)
         outer = max(base.report.increment_ratios, default=0.0)
         sens = SensitivitySolver(solver, base)
         rho = sens.coupling_spectral_radius(seed)[0]
         _, _, lrep = sens.linearized.t_iteration(InflowProfile(1.0, H))
         eta_T = max(lrep.increment_ratios, default=0.0)
-        rows.append((float(mag), float(outer), rho, float(eta_T)))
+        rows.append((mag, float(outer), rho, float(eta_T)))
     write_csv(os.path.join(out, "report_probes.csv"),
               ("g_magnitude", "outer_ratio", "coupling_map_norm",
                "T_iteration_eta"), rows)

@@ -123,11 +123,6 @@ def transform_fields(vspace: Space, extension: FEFunction) -> TransformFields:
     return TransformFields(DPhi, J, K, A)
 
 
-def identity_fields(vspace: Space) -> TransformFields:
-    eye = np.broadcast_to(np.eye(2), vspace.wdet.shape + (2, 2)).copy()
-    return TransformFields(eye, np.ones(vspace.wdet.shape), eye.copy(), eye.copy())
-
-
 def transform_derivatives(fields: TransformFields, dgrad) -> TransformDerivatives:
     """Directional derivatives for a lift perturbation with gradient ``dgrad``.
 
@@ -145,38 +140,3 @@ def transform_derivatives(fields: TransformFields, dgrad) -> TransformDerivative
     dA = (dKKt + dKKt.swapaxes(-1, -2) - dJ[..., None, None] * fields.A) \
         / fields.J[..., None, None]
     return TransformDerivatives(dDPhi, dJ, dK, dA)
-
-
-def check_admissibility(fields: TransformFields, beta=0.25):
-    """Reject fields whose diffusion matrix loses uniform ellipticity."""
-    emin = fields.min_eig_A()
-    if np.min(emin) < beta:
-        e, q = np.unravel_index(np.argmin(emin), emin.shape)
-        raise EllipticityError(
-            f"min eigenvalue of A is {emin[e, q]:.4f} < beta = {beta} "
-            f"(element row {e})"
-        )
-    return float(np.min(emin)), float(np.min(fields.J))
-
-
-def piola_divergence(vspace: Space, extension: FEFunction):
-    """Row-wise divergence of the cofactor matrix, (T, 2), per element.
-
-    Computed from the element polynomial expansion (physical Hessians of the
-    quadratic lift are constant per element), not finite differences.
-    """
-    from .spaces import p2_ref_hessians
-
-    if vspace.desc.order != 2:
-        raise ValueError("piola check requires the quadratic extension space")
-    Href = p2_ref_hessians()  # (a, 2, 2) in reference coordinates
-    cm = extension.component_matrix()[vspace.elem_dofs]  # (T, nloc, 2)
-    # physical Hessian of basis a: B^-T Href[a] B^-1 (constant per element)
-    HB = np.einsum("adl,elk->eadk", Href, vspace.inv_jac)
-    Hbasis = np.einsum("edj,eadk->eajk", vspace.inv_jac, HB)
-    H = np.einsum("eajk,eai->eijk", Hbasis, cm)  # (T, i, j, k): d_j d_k Phi_i
-    div = np.empty((H.shape[0], 2))
-    div[:, 0] = H[:, 1, 0, 1] - H[:, 1, 1, 0]
-    div[:, 1] = -H[:, 0, 0, 1] + H[:, 0, 1, 0]
-    return div
-

@@ -4,10 +4,9 @@ import json
 
 import numpy as np
 
-from .mesh import Mesh, ChannelGeometry
+from .mesh import Mesh
 
 _SUBDOMAIN_NAMES = {0: "fluid", 1: "solid"}
-_SUBDOMAIN_IDS = {v: k for k, v in _SUBDOMAIN_NAMES.items()}
 
 
 def save_mesh(path, mesh: Mesh):
@@ -25,33 +24,6 @@ def save_mesh(path, mesh: Mesh):
         fh.write(f"edges {len(mesh.boundary_edges)}\n")
         for (u, v), t in zip(mesh.boundary_edges, mesh.edge_tags):
             fh.write(f"{u} {v} {t}\n")
-
-
-def load_mesh(path, geometry: ChannelGeometry | None = None) -> Mesh:
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    if not lines[0].startswith("fsichannel-mesh"):
-        raise ValueError("not a mesh file")
-    k = 1
-
-    def block(kind):
-        nonlocal k
-        word, n = lines[k].split()
-        if word != kind:
-            raise ValueError(f"expected {kind} block, found {word}")
-        k += 1
-        rows = lines[k:k + int(n)]
-        k += int(n)
-        return rows
-
-    nodes = np.array([[float(c) for c in r.split()] for r in block("nodes")])
-    tri_rows = [r.split() for r in block("triangles")]
-    triangles = np.array([[int(c) for c in r[:3]] for r in tri_rows])
-    subdom = np.array([_SUBDOMAIN_IDS[r[3]] for r in tri_rows], dtype=int)
-    edge_rows = [r.split() for r in block("edges")]
-    edges = np.array([[int(r[0]), int(r[1])] for r in edge_rows])
-    tags = np.array([r[2] for r in edge_rows])
-    return Mesh(nodes, triangles, subdom, edges, tags, geometry)
 
 
 def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None):

@@ -75,17 +75,6 @@ class ChannelGeometry:
             raise GeometryError("obstacle_inner must lie strictly inside obstacle_outer")
 
 
-def default_geometry(h=0.1):
-    """Channel 4x1 with a square obstacle of side 0.4 centered at (1.2, 0.5)."""
-    return ChannelGeometry(
-        channel_length=4.0,
-        channel_height=1.0,
-        obstacle_outer=(1.0, 0.3, 1.4, 0.7),
-        obstacle_inner=(1.1, 0.4, 1.3, 0.6),
-        target_edge_length=h,
-    )
-
-
 def straight_channel(length=4.0, height=1.0, h=0.1):
     """Degenerate geometry without obstacle (pure channel flow tests)."""
     return ChannelGeometry(length, height, None, None, h)
@@ -384,24 +373,3 @@ def _count_loops(edge_set):
             seen.add(n)
             stack.extend(adj[n])
     return loops
-
-
-def mirror_permutation(mesh: Mesh, tol=1e-12):
-    """Node permutation realizing reflection across the channel mid-line.
-
-    Returns the permutation array ``perm`` with ``nodes[perm] ~ (x, H - y)``,
-    or ``None`` if the mesh is not symmetric.
-    """
-    if mesh.geometry is None:
-        return None
-    H = mesh.geometry.channel_height
-    key = {}
-    for i, (x, y) in enumerate(mesh.nodes):
-        key[(round(x / tol), round(y / tol))] = i
-    perm = np.empty(mesh.num_nodes, dtype=np.int64)
-    for i, (x, y) in enumerate(mesh.nodes):
-        j = key.get((round(x / tol), round((H - y) / tol)))
-        if j is None:
-            return None
-        perm[i] = j
-    return perm

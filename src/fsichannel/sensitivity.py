@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly as asm
-from .elasticity import interface_trace
 from .fluid import ConvergenceError, LinearizedSolver, SolverReport
 from .fsi import FSISolver, FSIState
 from .geomap import transform_derivatives
@@ -153,9 +152,6 @@ class SensitivitySolver:
         return dext, coefficient_rhs(solver.vspace, solver.pspace, derivs,
                                      fluid.w, fluid.p, solver.nu)
 
-    def linearized_wrt_u(self, du: FEFunction):
-        return self.linearized.solve(rhs=self._lift(interface_trace(du))[1])
-
     def _traction_derivative(self, dext, dp):
         """d(p K n) in a flow-map direction: dp K n + p_hat dK n, nodal,
         projected on the normal if the base state was."""
@@ -225,11 +221,6 @@ class SensitivitySolver:
         dw, dp = self.linearized.solve(dg, rhs)
         dt = self._traction_derivative(dext, dp)
         return self.solver.solid.solve(traction=dt), dw, dp
-
-    def apply_coupling_map(self, du: FEFunction) -> FEFunction:
-        """One application of the interface map du -> S(0, dt[du]) with
-        dg = 0: the operator whose spectral radius governs contraction."""
-        return self._coupled_step(interface_trace(du), None)[0]
 
 
 def solve_fsi_sensitivity(solver: FSISolver, base: FSIState, dg,

@@ -96,18 +96,6 @@ def p2_grads(pts):
     return g
 
 
-def p2_ref_hessians():
-    """Constant reference Hessians of the six P2 basis functions, (6,2,2)."""
-    dl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    H = np.empty((6, 2, 2))
-    for k in range(3):
-        H[k] = 4.0 * np.outer(dl[k], dl[k])
-    pairs = [(0, 1), (1, 2), (2, 0)]
-    for m, (i, j) in enumerate(pairs):
-        H[3 + m] = 4.0 * (np.outer(dl[i], dl[j]) + np.outer(dl[j], dl[i]))
-    return H
-
-
 class Space:
     """Scalar-dof bookkeeping for one (order, subdomain) pair on a mesh.
 

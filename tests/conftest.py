@@ -8,13 +8,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import fsichannel
+from fsichannel import cli
 from fsichannel.fluid import InflowProfile
 from fsichannel.fsi import CouplingOptions, FSISolver
-from fsichannel.mesh import build_channel_mesh, default_geometry, straight_channel
+from fsichannel.mesh import build_channel_mesh, straight_channel
 
 OPERATING_MAGNITUDE = 0.05
 LAME = (1.0, 50.0)
 NU = 1.0
+
+
+def default_geometry(h=0.1):
+    """The default config's channel geometry at target edge length h."""
+    return cli.geometry_from_config(cli.resolve_config({"target_edge_length": h}))
 
 
 def child_env(extra):

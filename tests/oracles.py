@@ -1,17 +1,25 @@
-"""Independent oracles for the test suite.
+"""Independent oracles and test-only checks for the test suite.
 
-Everything in this file is deliberately written with plain per-element /
+Most of this file is deliberately written with plain per-element /
 per-node Python loops and explicit formulas, avoiding the package's
 vectorized assembly paths, so that agreement between the two is evidence
-rather than tautology.  The dense coupling matrix is built from the
-package's one-column coupling map, against which the Krylov derivative
-solve is checked.
+rather than tautology.  The rest are checks that only tests run, kept out
+of the package because no scenario needs them: the cofactor-divergence
+(Piola) identity from the lift's element Hessians, the ellipticity floor
+of the transformed diffusion matrix, the mirror permutation of the mesh
+nodes, the reader of the ``mesh.txt`` file that the ``mesh`` scenario
+writes, and the derivative's one-direction linearized fluid solve and
+coupling map, from which the dense coupling matrix is built column by
+column to check the Krylov derivative solve against.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from fsichannel.elasticity import interface_trace
+from fsichannel.geomap import EllipticityError
+from fsichannel.mesh import FLUID, SOLID, Mesh
 from fsichannel.quadrature import EDGE_POINTS, EDGE_WEIGHTS
 from fsichannel.spaces import FEFunction
 
@@ -290,9 +298,21 @@ def traction_by_loop(tractor, extension, pressure, dext=None, dp=None):
     return out
 
 
+def linearized_wrt_u(sens, du):
+    """(dw, dp) of the fluid linearized at ``sens``' base state in the
+    flow-map direction of the displacement du, with dg = 0."""
+    return sens.linearized.solve(rhs=sens._lift(interface_trace(du))[1])
+
+
+def apply_coupling_map(sens, du):
+    """One application of the interface map du -> S(0, dt[du]) with dg = 0:
+    the operator whose spectral radius governs contraction."""
+    return FEFunction(sens.solver.sspace, sens._response(interface_trace(du)))
+
+
 def coupling_matrix_by_columns(sens):
     """Dense trace matrix T of the linearized coupling map, one
-    ``sens.apply_coupling_map`` per unit interface trace: rows and columns
+    ``apply_coupling_map`` per unit interface trace: rows and columns
     2 m + c for component c at interface position m."""
     S = sens.solver.sspace
     scalar_if = S.interface_dofs
@@ -301,7 +321,7 @@ def coupling_matrix_by_columns(sens):
     for j, dof in enumerate(vec_if):
         e = FEFunction.zeros(S)
         e.coefficients[dof] = 1.0
-        T[:, j] = sens.apply_coupling_map(e).coefficients[vec_if]
+        T[:, j] = apply_coupling_map(sens, e).coefficients[vec_if]
     return T
 
 
@@ -492,3 +512,100 @@ def traction_points_by_loop(space, vspace):
             refs.append(np.einsum("ij,j->i", vspace.inv_jac[e],
                                   space.dof_coords[d] - vspace.origin[e]))
     return np.array(recs), np.array(elems), np.array(refs), np.array(normals)
+
+
+# ---- checks that only tests run -------------------------------------------
+
+def p2_ref_hessians():
+    """Constant reference Hessians of the six P2 basis functions, (6,2,2)."""
+    dl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    H = np.empty((6, 2, 2))
+    for k in range(3):
+        H[k] = 4.0 * np.outer(dl[k], dl[k])
+    pairs = [(0, 1), (1, 2), (2, 0)]
+    for m, (i, j) in enumerate(pairs):
+        H[3 + m] = 4.0 * (np.outer(dl[i], dl[j]) + np.outer(dl[j], dl[i]))
+    return H
+
+
+def piola_divergence(vspace, extension):
+    """Row-wise divergence of the cofactor matrix, (T, 2), per element.
+
+    Computed from the element polynomial expansion (physical Hessians of the
+    quadratic lift are constant per element), not finite differences.
+    """
+    if vspace.desc.order != 2:
+        raise ValueError("piola check requires the quadratic extension space")
+    Href = p2_ref_hessians()  # (a, 2, 2) in reference coordinates
+    cm = extension.component_matrix()[vspace.elem_dofs]  # (T, nloc, 2)
+    # physical Hessian of basis a: B^-T Href[a] B^-1 (constant per element)
+    HB = np.einsum("adl,elk->eadk", Href, vspace.inv_jac)
+    Hbasis = np.einsum("edj,eadk->eajk", vspace.inv_jac, HB)
+    H = np.einsum("eajk,eai->eijk", Hbasis, cm)  # (T, i, j, k): d_j d_k Phi_i
+    div = np.empty((H.shape[0], 2))
+    div[:, 0] = H[:, 1, 0, 1] - H[:, 1, 1, 0]
+    div[:, 1] = -H[:, 0, 0, 1] + H[:, 0, 1, 0]
+    return div
+
+
+def check_admissibility(fields, beta=0.25):
+    """Reject fields whose diffusion matrix loses uniform ellipticity."""
+    emin = fields.min_eig_A()
+    if np.min(emin) < beta:
+        e, q = np.unravel_index(np.argmin(emin), emin.shape)
+        raise EllipticityError(
+            f"min eigenvalue of A is {emin[e, q]:.4f} < beta = {beta} "
+            f"(element row {e})"
+        )
+    return float(np.min(emin)), float(np.min(fields.J))
+
+
+def mirror_permutation(mesh, tol=1e-12):
+    """Node permutation realizing reflection across the channel mid-line.
+
+    Returns the permutation array ``perm`` with ``nodes[perm] ~ (x, H - y)``,
+    or ``None`` if the mesh is not symmetric.
+    """
+    if mesh.geometry is None:
+        return None
+    H = mesh.geometry.channel_height
+    key = {}
+    for i, (x, y) in enumerate(mesh.nodes):
+        key[(round(x / tol), round(y / tol))] = i
+    perm = np.empty(mesh.num_nodes, dtype=np.int64)
+    for i, (x, y) in enumerate(mesh.nodes):
+        j = key.get((round(x / tol), round((H - y) / tol)))
+        if j is None:
+            return None
+        perm[i] = j
+    return perm
+
+
+def load_mesh(path, geometry=None):
+    """Read a mesh written by ``io.save_mesh`` (the ``mesh`` scenario's
+    ``mesh.txt``)."""
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    if not lines[0].startswith("fsichannel-mesh"):
+        raise ValueError("not a mesh file")
+    k = 1
+
+    def block(kind):
+        nonlocal k
+        word, n = lines[k].split()
+        if word != kind:
+            raise ValueError(f"expected {kind} block, found {word}")
+        k += 1
+        rows = lines[k:k + int(n)]
+        k += int(n)
+        return rows
+
+    subdomain_ids = {"fluid": FLUID, "solid": SOLID}
+    nodes = np.array([[float(c) for c in r.split()] for r in block("nodes")])
+    tri_rows = [r.split() for r in block("triangles")]
+    triangles = np.array([[int(c) for c in r[:3]] for r in tri_rows])
+    subdom = np.array([subdomain_ids[r[3]] for r in tri_rows], dtype=int)
+    edge_rows = [r.split() for r in block("edges")]
+    edges = np.array([[int(r[0]), int(r[1])] for r in edge_rows])
+    tags = np.array([r[2] for r in edge_rows])
+    return Mesh(nodes, triangles, subdom, edges, tags, geometry)

@@ -19,11 +19,11 @@ from fsichannel.mesh import (
     SOLID,
     MeshError,
     build_channel_mesh,
-    default_geometry,
     refine_uniform,
     straight_channel,
 )
 from fsichannel.spaces import make_space
+from conftest import default_geometry
 
 CASES = [("default", 0), ("default", 1), ("straight", 0)]
 SPACES = [(2, FLUID), (1, FLUID), (2, SOLID), (1, SOLID)]

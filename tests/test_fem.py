@@ -21,7 +21,6 @@ from fsichannel.geomap import (
     TransformFields,
     cof2,
     det2,
-    identity_fields,
     transform_derivatives,
     transform_fields,
 )
@@ -32,7 +31,7 @@ from fsichannel.linsolve import (
     FrozenFactorization,
     SingularSystemError,
 )
-from fsichannel.mesh import FLUID, SOLID, build_channel_mesh, default_geometry
+from fsichannel.mesh import FLUID, SOLID
 from fsichannel.quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS, TRI_WEIGHTS
 from fsichannel.spaces import FEFunction, make_space, p1_basis, p2_basis
 
@@ -200,7 +199,7 @@ def _action_case(case, V):
     if case == "none":
         return None
     if case == "identity":
-        return identity_fields(V)
+        return transform_fields(V, FEFunction.zeros(V))
     xy = V.dof_coords[V.interface_dofs]
     ext = HarmonicExtender(V).extend(0.01 * np.column_stack(
         [np.sin(np.pi * xy[:, 0]), np.cos(np.pi * xy[:, 1])]))
@@ -264,11 +263,10 @@ def test_oseen_action_matches_assembled_product(default_mesh, case):
 
 ACTION_HASH = """
 import hashlib, numpy as np
-from fsichannel import assembly as asm
+from fsichannel import assembly as asm, cli
 from fsichannel.fluid import fluid_spaces
 from fsichannel.geomap import HarmonicExtender, transform_fields
-from fsichannel.mesh import build_channel_mesh, default_geometry, refine_uniform
-V, Q = fluid_spaces(refine_uniform(build_channel_mesh(default_geometry())))
+V, Q = fluid_spaces(cli.mesh_from_config(cli.resolve_config({"mesh_level": 1})))
 ext = HarmonicExtender(V).extend(
     0.01 * np.sin(np.pi * V.dof_coords[V.interface_dofs]))
 fields = transform_fields(V, ext)

@@ -12,7 +12,6 @@ from fsichannel.fsi import (
     TractionEvaluator,
     filter_secants,
 )
-from fsichannel.geomap import identity_fields
 from fsichannel.linsolve import SolverError
 from fsichannel.sensitivity import SensitivitySolver
 from fsichannel.spaces import FEFunction

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
+from oracles import load_mesh
 from fsichannel import cli
 from fsichannel.cli import (
     DEFAULTS,
@@ -23,7 +24,6 @@ from fsichannel.cli import (
     run,
 )
 from fsichannel.io import (
-    load_mesh,
     save_mesh,
     vertex_values,
     write_csv,
@@ -80,6 +80,24 @@ def test_resolve_config_rejects_unknown_and_invalid():
     cfg = resolve_config({"nu": 2.0})
     assert cfg["nu"] == 2.0
     assert cfg["mu"] == DEFAULTS["mu"]
+
+
+def test_resolve_config_converts_to_the_type_of_the_default():
+    cfg = resolve_config({"nu": 2, "h_list": [1, 0.5, 0.25],
+                          "obstacle_outer": [1, 0.3, 1.4, 0.7],
+                          "warm_start": False})
+    assert type(cfg["nu"]) is float and cfg["nu"] == 2.0
+    assert cfg["h_list"] == [1.0, 0.5, 0.25]
+    assert all(type(h) is float for h in cfg["h_list"])
+    assert cfg["obstacle_outer"] == (1.0, 0.3, 1.4, 0.7)
+    assert cfg["warm_start"] is False
+    for bad in ({"nu": True}, {"max_iter": 2.0}, {"mms_kind": 1},
+                {"obstacle_inner": [1.1, 0.4, 1.3]}, {"h_list": [1e-2, "a", 1e-3]}):
+        with pytest.raises(ConfigError):
+            resolve_config(bad)
+    # null rectangles: the straight channel
+    straight = resolve_config({"obstacle_outer": None, "obstacle_inner": None})
+    assert cli.geometry_from_config(straight).obstacle_outer is None
 
 
 def test_mesh_scenario_writes_artifacts(tmp_path):
@@ -139,6 +157,18 @@ def test_cli_exit_codes(tmp_path):
     assert main(["mms", "--config", str(cfg),
                  "--out", str(tmp_path / "c")]) == EXIT_CONFIG
     assert not (tmp_path / "c").exists()  # rejected before the study ran
+    # values of the wrong type, and a config that is not a JSON object
+    for scenario, bad in (("mesh", {"obstacle_outer": 5}),
+                          ("taylor-test", {"h_list": 5}),
+                          ("solve-fsi", {"tol": None}),
+                          ("probes", {"g_sweep": 5}),
+                          ("mesh", [1]),
+                          ("solve-fsi", {"warm_start": "no"}),
+                          ("mesh", {"mesh_level": 1.5})):
+        cfg.write_text(json.dumps(bad))
+        assert main([scenario, "--config", str(cfg),
+                     "--out", str(tmp_path / "d")]) == EXIT_CONFIG, bad
+    assert not (tmp_path / "d").exists()
     assert main([]) == EXIT_CONFIG
 
 

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import boundary_edges_by_walk, euler_characteristic
+from oracles import (
+    boundary_edges_by_walk,
+    euler_characteristic,
+    load_mesh,
+    mirror_permutation,
+)
 
-from fsichannel.io import load_mesh, save_mesh
+from fsichannel.io import save_mesh
 from fsichannel.mesh import (
     FLUID,
     SOLID,
     ChannelGeometry,
     GeometryError,
     build_channel_mesh,
-    default_geometry,
-    mirror_permutation,
     refine_uniform,
     straight_channel,
     validate_mesh,

@@ -3,7 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import coupling_matrix_by_columns, fit_loglog
+from oracles import (
+    apply_coupling_map,
+    coupling_matrix_by_columns,
+    fit_loglog,
+    linearized_wrt_u,
+)
 
 from fsichannel import assembly as asm
 from fsichannel import cli
@@ -92,7 +97,7 @@ def test_linearized_wrt_g_fd(fsi_solver, fsi_base, sens):
 
 def test_linearized_wrt_u_zero(fsi_solver, sens):
     du = FEFunction.zeros(fsi_solver.sspace)
-    dw, dp = sens.linearized_wrt_u(du)
+    dw, dp = linearized_wrt_u(sens, du)
     assert np.abs(dw.coefficients).max() == 0.0
     assert np.abs(dp.coefficients).max() == 0.0
 
@@ -109,7 +114,7 @@ def test_linearized_wrt_u_fd(default_mesh, fsi_solver, fsi_base, sens):
             (fsi_solver, fsi_base, sens),
             (viscous, viscous_base, SensitivitySolver(viscous, viscous_base))):
         du = smooth_direction(solver, seed=1)
-        dw, dp = derivative.linearized_wrt_u(du)
+        dw, dp = linearized_wrt_u(derivative, du)
         base, _ = solver.fluid.solve(state.fields, g, tol=1e-13)
         hs, rem = [], []
         for h in (1e-2, 3e-3, 1e-3):
@@ -169,7 +174,7 @@ def test_sensitivity_matches_monolithic_oracle(coarse_base):
     lift = FEFunction.zeros(S)
     lift.coefficients[vec_if] = tau
     du_star = FEFunction(
-        S, du0.coefficients + sens.apply_coupling_map(lift).coefficients)
+        S, du0.coefficients + apply_coupling_map(sens, lift).coefficients)
 
     krylov = solve_fsi_sensitivity(solver, base, dg, tol=1e-12)
     scale = max(solver.norms_u.h1_norm(du_star.coefficients), 1e-30)
@@ -411,3 +416,28 @@ def test_derivative_where_fixed_point_does_not_contract(fsi_solver):
         base=base,
     )
     assert report.slope_u >= 1.8
+
+
+# The seed-0 deliverable at the default config, as the solve-fsi and
+# sensitivity scenarios compute it.  A change that moves these numbers
+# updates them and says why (the benchmark's reference fingerprints move
+# with them).
+SEED0_NORMS = {"u_h1": 0.01802427351519, "w_h1": 0.4671222750603,
+               "p_l2": 6.375178758390, "du_h1": 0.3404937949725,
+               "dp_l2": 123.0290265763}
+
+
+def test_seed0_deliverable_is_pinned():
+    cfg = cli.resolve_config({})
+    solver = cli._fsi_solver(cfg)
+    base = solver.solve(cli._inflow(cfg), cli._coupling_options(cfg))
+    sens = SensitivitySolver(solver, base).solve(cli._inflow(cfg, "dg_magnitude"))
+    norms = {"u_h1": solver.norms_u.h1_norm(base.u.coefficients),
+             "w_h1": solver.fluid.norms_v.h1_norm(base.fluid.w.coefficients),
+             "p_l2": solver.fluid.norms_p.l2(base.fluid.p.coefficients),
+             "du_h1": solver.norms_u.h1_norm(sens.du.coefficients),
+             "dp_l2": solver.fluid.norms_p.l2(sens.dp.coefficients)}
+    for key, value in SEED0_NORMS.items():
+        assert abs(norms[key] - value) <= 1e-9 * value, (key, norms[key])
+    assert base.report.iterations == 8
+    assert sens.report.iterations == 11
