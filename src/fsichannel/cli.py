@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 scenario checks failed, 2 invalid input (a
 import argparse
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -97,8 +98,11 @@ def _convert(key, value, kind=None):
     """``value`` as ``kind``, by default the type of ``DEFAULTS[key]``: a
     float from any number, an int, bool or str as given, a list of floats,
     and for the tuple defaults, the obstacle rectangles (x0, y0, x1, y1),
-    a tuple of 4 floats or None for null."""
+    a tuple of 4 floats or None for null.  NaN and infinities, which
+    ``json.load`` reads, are rejected."""
     kind = kind or type(DEFAULTS[key])
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}: {value!r} is not a finite number")
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if number and (kind is float or kind is int and isinstance(value, numbers.Integral)):
         return kind(value)
@@ -128,6 +132,8 @@ def resolve_config(raw):
         raise ConfigError("lam must be nonnegative")
     if cfg["mesh_level"] < 0:
         raise ConfigError("mesh_level must be nonnegative")
+    if cfg["max_iter"] < 1:
+        raise ConfigError("max_iter must be at least 1")
     if cfg["traction_interpretation"] not in ("full-vector", "normal-projected"):
         raise ConfigError("traction_interpretation must be full-vector or "
                           "normal-projected")
@@ -535,16 +541,17 @@ def compare(dir_a, dir_b, tol=0.0):
     CSV columns, VTK blocks and ``summary.json`` numbers are compared
     normwise, their structure exactly (see the ``_compare_*`` helpers);
     other files by hash.  A structural mismatch fails at every tolerance;
-    a ``summary.json`` key on one side only is listed and does not fail."""
-    diffs = []
-    ok = True
-    names = sorted(
-        set(os.listdir(dir_a)) & set(os.listdir(dir_b))
-    )
-    if not names:
+    a ``summary.json`` key on one side only is listed and does not fail.
+    A file only in ``dir_a`` is a ``removed`` row and fails; one only in
+    ``dir_b`` is an ``added`` row and does not."""
+    names_a, names_b = set(os.listdir(dir_a)), set(os.listdir(dir_b))
+    if not names_a & names_b:
         raise ConfigError("no common artifacts to compare")
+    diffs = [(name, "removed", float("inf")) for name in sorted(names_a - names_b)]
+    diffs += [(name, "added", 0.0) for name in sorted(names_b - names_a)]
+    ok = names_a <= names_b
     by_kind = {".csv": _compare_csv, ".vtk": _compare_vtk}
-    for name in names:
+    for name in sorted(names_a & names_b):
         pa, pb = os.path.join(dir_a, name), os.path.join(dir_b, name)
         rows_of = (_compare_summary if name == "summary.json"
                    else by_kind.get(os.path.splitext(name)[1]))

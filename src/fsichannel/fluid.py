@@ -192,13 +192,12 @@ class PicardSolver:
         self._lu = FrozenFactorization(self._M_I, dirichlet_dofs(vspace),
                                        options=COLUMN_MIN_DEGREE)
 
-    def residual(self, x, fields, rhs=None):
-        """Free-dof norm of the nonlinear weak-form residual at x for the
-        load ``rhs`` (zero if ``None``)."""
+    def residual(self, x, fields):
+        """Free-dof norm of the nonlinear weak-form residual at x without
+        load."""
         N = asm.oseen_action(self.vspace, self.pspace, x,
                              fluid_coefficients(self.vspace, fields, self.nu))
-        F = np.zeros_like(x) if rhs is None else rhs
-        return _weak_residual(N - F, self._lu.cdofs, F)
+        return _weak_residual(N, self._lu.cdofs, np.zeros_like(x))
 
     def solve(self, fields=None, g=None, rhs=None, tol=1e-10, max_iter=50,
               initial=None):
@@ -223,10 +222,11 @@ class PicardSolver:
         return FluidState(*_split(V, Q, x)), report
 
 
-def solve_navier_stokes(mesh, fields=None, g=None, nu=1.0, tol=1e-10, max_iter=50):
-    """One-shot nonlinear solve without load; see :class:`PicardSolver`."""
+def solve_navier_stokes(mesh, g=None, nu=1.0, tol=1e-10, max_iter=50):
+    """One-shot nonlinear solve on the reference domain without load; see
+    :class:`PicardSolver`."""
     V, Q = fluid_spaces(mesh)
-    return PicardSolver(V, Q, nu).solve(fields, g, tol=tol, max_iter=max_iter)
+    return PicardSolver(V, Q, nu).solve(None, g, tol=tol, max_iter=max_iter)
 
 
 # stopping tolerance and step limit of the T-iteration

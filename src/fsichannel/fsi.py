@@ -54,6 +54,8 @@ SECANT_FILTER = 1e-8
 # tolerance: loose inner solves pollute the secant differences, which cost
 # an outer step at the operating point with FORCING alone
 SECANT_FORCING = 0.3
+# step limit of every fluid solve of the coupling
+FLUID_MAX_ITER = 50
 
 
 def filter_secants(V):
@@ -101,7 +103,6 @@ class CouplingOptions:
     traction_interpretation: str = "full-vector"
     warm_start: bool = True
     fluid_tol: float = 1e-11
-    fluid_max_iter: int = 50
     quasi_newton: bool = True
 
     def __post_init__(self):
@@ -109,8 +110,8 @@ class CouplingOptions:
             raise ValueError("relaxation must lie in (0, 1]")
         if self.tol <= 0 or self.fluid_tol <= 0:
             raise ValueError("tol and fluid_tol must be positive")
-        if self.max_outer_iter < 1 or self.fluid_max_iter < 1:
-            raise ValueError("iteration limits must be at least 1")
+        if self.max_outer_iter < 1:
+            raise ValueError("max_outer_iter must be at least 1")
         if self.traction_interpretation not in ("full-vector", "normal-projected"):
             raise ValueError("unknown traction interpretation")
 
@@ -186,45 +187,37 @@ class TractionEvaluator:
         self._count = np.bincount(rec)[:, None]
 
     def _lift_grads(self, coefficients):
-        """Lift gradients [i, l] at the points, (k, pts, 2, 2), for lift
-        coefficients (ndof,) or k columns (ndof, k)."""
-        n_s = self.vspace.n_scalar
-        cols = np.reshape(coefficients, (n_s, 2, -1))
-        G = self._grad @ cols.reshape(n_s, -1)  # (pts l, i k)
-        return G.reshape(-1, 2, 2, cols.shape[2]).transpose(3, 0, 2, 1)
+        """Lift gradients [i, l] at the points, (pts, 2, 2), for lift
+        coefficients (ndof,)."""
+        G = self._grad @ coefficients.reshape(-1, 2)  # (pts l, i)
+        return G.reshape(-1, 2, 2).transpose(0, 2, 1)
 
     def _average(self, values, projected):
-        """Per-dof mean of point values (pts, 2, k), optionally projected on
-        the normal: (n_interface, 2, k)."""
-        k = values.shape[2]
-        t = (self._sum @ values.reshape(-1, 2 * k)).reshape(-1, 2, k)
-        t /= self._count[:, :, None]
+        """Per-dof mean of point values (pts, 2), optionally projected on
+        the normal: (n_interface, 2)."""
+        t = self._sum @ values / self._count
         if projected:
-            n = self.normals[:, :, None]
-            t = np.sum(t * n, axis=1, keepdims=True) * n
+            t = np.sum(t * self.normals, axis=1, keepdims=True) * self.normals
         return t
 
-    def _base(self, extension, pressure):
-        """(K n, p) at the points."""
-        K = cof2(self._lift_grads(extension.coefficients)[0] + np.eye(2))
+    def sample(self, extension, pressure):
+        """(K n, p) of the state (extension, pressure) at the points."""
+        K = cof2(self._lift_grads(extension.coefficients) + np.eye(2))
         return (K @ self._pair_normal)[..., 0], self._pressure @ pressure.coefficients
 
     def evaluate(self, extension, pressure, projected=False):
         """Traction rows (n_interface, 2) in canonical interface order."""
-        Kn, p = self._base(extension, pressure)
-        return self._average((p[:, None] * Kn)[..., None], projected)[..., 0]
+        Kn, p = self.sample(extension, pressure)
+        return self._average(p[:, None] * Kn, projected)
 
-    def derivative(self, extension, pressure, dext, dp, projected=False):
-        """d(p K n) = dp K n + p cof(dG) n at the state (extension, pressure)
-        for lift and pressure coefficients ``dext`` (ndof, ...) and ``dp``
-        (pressure ndof, ...); returns (n_interface, 2, ...)."""
-        Kn, p = self._base(extension, pressure)
-        rest = np.shape(dp)[1:]
-        dG = cof2(self._lift_grads(dext))  # (k, pts, 2, 2)
-        dpv = self._pressure @ np.reshape(dp, (self.pspace.ndof, -1))  # (pts, k)
-        vals = dpv[:, None] * Kn[..., None] + p[:, None, None] * np.moveaxis(
-            (dG @ self._pair_normal)[..., 0], 0, -1)
-        return self._average(vals, projected).reshape(-1, 2, *rest)
+    def derivative(self, sample, dext, dp, projected=False):
+        """d(p K n) = dp K n + p cof(dG) n at the state of ``sample`` (see
+        :meth:`sample`) for lift and pressure coefficients ``dext`` (ndof,)
+        and ``dp`` (pressure ndof,); returns (n_interface, 2)."""
+        Kn, p = sample
+        dKn = (cof2(self._lift_grads(dext)) @ self._pair_normal)[..., 0]
+        return self._average(
+            (self._pressure @ dp)[:, None] * Kn + p[:, None] * dKn, projected)
 
 
 class FSISolver:
@@ -245,6 +238,19 @@ class FSISolver:
         """Harmonic lift of the solid's interface trace into the fluid."""
         return self.extender.extend(interface_trace(u))
 
+    def _fluid_at(self, u, g, tol, initial):
+        """(extension, fields, fluid state, report) at the displacement
+        coefficients ``u``: lift, transform fields and the fluid solve to
+        ``tol`` from ``initial`` (zero if ``None``)."""
+        ext = self.extension_of(FEFunction(self.sspace, u))
+        try:
+            fields = transform_fields(self.vspace, ext)
+        except TangledMeshError as exc:
+            raise MeshTangledError(str(exc)) from exc
+        state, report = self.fluid.solve(fields, g, tol=tol,
+                                         max_iter=FLUID_MAX_ITER, initial=initial)
+        return ext, fields, state, report
+
     def solve(self, g, opts: CouplingOptions | None = None) -> FSIState:
         opts = opts or CouplingOptions()
         omega = opts.relaxation
@@ -260,20 +266,12 @@ class FSISolver:
 
         def step(u, rel):
             nonlocal x_fluid, last
-            ext = self.extension_of(FEFunction(self.sspace, u))
-            try:
-                fields = transform_fields(self.vspace, ext)
-            except TangledMeshError as exc:
-                raise MeshTangledError(str(exc)) from exc
             # inexact inner solve: the fluid need not be more accurate than
             # the outer iterate it feeds (Eisenstat-Walker forcing)
             fluid_tol = (opts.fluid_tol if rel is None
                          else max(opts.fluid_tol, forcing * rel))
-            state, frep = self.fluid.solve(
-                fields, g,
-                tol=fluid_tol, max_iter=opts.fluid_max_iter,
-                initial=x_fluid if opts.warm_start else None,
-            )
+            ext, fields, state, frep = self._fluid_at(
+                u, g, fluid_tol, x_fluid if opts.warm_start else None)
             x_fluid = state.stacked()
             t = self.tractor.evaluate(ext, state.p, projected)
             h = self.solid.solve(traction=t).coefficients
@@ -299,16 +297,10 @@ class FSISolver:
         )
         log_rows = [(k + 1, inc, ratio, *extra) for (k, _, ratio), inc, extra
                     in zip(report.rows(), report.increments, per_step)]
-        u = FEFunction(self.sspace, u)
         # refresh the fluid state at the final displacement
-        ext = self.extension_of(u)
-        fields = transform_fields(self.vspace, ext)
-        state, _ = self.fluid.solve(
-            fields, g, tol=opts.fluid_tol, max_iter=opts.fluid_max_iter,
-            initial=x_fluid,
-        )
-        return FSIState(u, state, ext, fields, report, log_rows,
-                        opts.traction_interpretation)
+        ext, fields, state, _ = self._fluid_at(u, g, opts.fluid_tol, x_fluid)
+        return FSIState(FEFunction(self.sspace, u), state, ext, fields, report,
+                        log_rows, opts.traction_interpretation)
 
     def residual(self, fsistate: FSIState, g) -> float:
         """Coupled residual: fluid weak residual + elasticity residual with

@@ -26,9 +26,10 @@ def save_mesh(path, mesh: Mesh):
             fh.write(f"{u} {v} {t}\n")
 
 
-def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None):
-    """Legacy ASCII VTK unstructured grid with optional point fields
-    (name -> (n_nodes,) or (n_nodes, 2) arrays) and cell fields."""
+def write_vtk(path, mesh: Mesh, point_data=None):
+    """Legacy ASCII VTK unstructured grid with the subdomain labels as cell
+    data and optional point fields (name -> (n_nodes,) or (n_nodes, 2)
+    arrays)."""
     n = len(mesh.nodes)
     t = len(mesh.triangles)
     with open(path, "w") as fh:
@@ -42,13 +43,10 @@ def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None):
             fh.write(f"3 {a} {b} {c}\n")
         fh.write(f"CELL_TYPES {t}\n")
         fh.write("5\n" * t)
-        cell_data = dict(cell_data or {})
-        cell_data.setdefault("subdomain", mesh.tri_subdomain)
         fh.write(f"CELL_DATA {t}\n")
-        for name, arr in cell_data.items():
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for v in np.asarray(arr, dtype=float):
-                fh.write(f"{float(v)!r}\n")
+        fh.write("SCALARS subdomain double 1\nLOOKUP_TABLE default\n")
+        for v in np.asarray(mesh.tri_subdomain, dtype=float):
+            fh.write(f"{float(v)!r}\n")
         if point_data:
             fh.write(f"POINT_DATA {n}\n")
             for name, arr in point_data.items():

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 FLUID = 0
 SOLID = 1
@@ -75,9 +77,9 @@ class ChannelGeometry:
             raise GeometryError("obstacle_inner must lie strictly inside obstacle_outer")
 
 
-def straight_channel(length=4.0, height=1.0, h=0.1):
-    """Degenerate geometry without obstacle (pure channel flow tests)."""
-    return ChannelGeometry(length, height, None, None, h)
+def straight_channel(h=0.1):
+    """Degenerate 4 x 1 geometry without obstacle (pure channel flow)."""
+    return ChannelGeometry(4.0, 1.0, None, None, h)
 
 
 @dataclass
@@ -320,8 +322,12 @@ def validate_mesh(mesh: Mesh) -> MeshReport:
             msgs.append(f"interface edge {tuple(edges[e].tolist())} "
                         f"tagged {declared.get(keys[e])!r}")
 
-    # boundary loops via half-edge walk over boundary + interface edges
-    num_loops = _count_loops(edges[np.concatenate([boundary, interface])].tolist())
+    # boundary loops: connected components of the boundary + interface edges
+    loop_nodes, ends = np.unique(edges[np.concatenate([boundary, interface])],
+                                 return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    graph = sp.coo_matrix((np.ones(len(ends)), ends.T), shape=(len(loop_nodes),) * 2)
+    num_loops = int(connected_components(graph, directed=False)[0])
 
     V = mesh.num_nodes
     E = len(edges)
@@ -352,24 +358,3 @@ def validate_mesh(mesh: Mesh) -> MeshReport:
         num_boundary_loops=num_loops,
         tag_edge_counts=tag_counts,
     )
-
-
-def _count_loops(edge_set):
-    adj = {}
-    for u, v in edge_set:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = set()
-    loops = 0
-    for start in adj:
-        if start in seen:
-            continue
-        loops += 1
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(adj[n])
-    return loops

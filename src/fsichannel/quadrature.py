@@ -30,9 +30,9 @@ def triangle_rule():
     return np.asarray(pts), np.asarray(wts)
 
 
-def edge_rule(npts=4):
-    """Gauss-Legendre rule on [0, 1] (degree 2*npts - 1)."""
-    x, w = np.polynomial.legendre.leggauss(npts)
+def edge_rule():
+    """4-point Gauss-Legendre rule on [0, 1] (degree 7)."""
+    x, w = np.polynomial.legendre.leggauss(4)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

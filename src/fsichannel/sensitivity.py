@@ -58,17 +58,17 @@ class TaylorReport:
                         self.remainders_p))
 
 
-def coefficient_rhs(vspace, pspace, derivs, w_hat, p_hat, nu):
+def coefficient_rhs(vspace, pspace, derivs, x_hat, nu):
     """Right-hand side of the flow-map-direction linearized system.
 
     The coefficients (A, K) of the discrete residual are differentiated in
-    the given direction and applied to the base state, negated: this is
-    exactly -d/ds R(x_hat; A + s dA, K + s dK) at s = 0, the operator
-    action with the derivative coefficients (the residual is linear in
-    them), so the do-nothing outflow treatment of the nonlinear residual is
-    differentiated consistently without any surface assembly.
+    the given direction and applied to the stacked base state ``x_hat`` =
+    [w; p], negated: this is exactly -d/ds R(x_hat; A + s dA, K + s dK) at
+    s = 0, the operator action with the derivative coefficients (the
+    residual is linear in them), so the do-nothing outflow treatment of the
+    nonlinear residual is differentiated consistently without any surface
+    assembly.
     """
-    x_hat = np.concatenate([w_hat.coefficients, p_hat.coefficients])
     coefficients = asm.action_coefficients(vspace, derivs.dA, derivs.dK, nu)
     return -asm.oseen_action(vspace, pspace, x_hat, coefficients)
 
@@ -133,8 +133,9 @@ class SensitivitySolver:
     """Derivative solves around one converged coupled state.
 
     ``linearized`` holds the linearized fluid operator at the base state,
-    factorized once: each GMRES product, the check step and the
-    inflow-direction solve cost one solve on it.
+    factorized once; the base state's stacked [w; p] and its traction
+    sample are taken once too.  Each coupled step (the inflow part, each
+    GMRES product and the check) costs one solve on ``linearized``.
     """
 
     def __init__(self, solver: FSISolver, base: FSIState):
@@ -142,23 +143,17 @@ class SensitivitySolver:
         self.base = base
         self.linearized = LinearizedSolver(solver.vspace, solver.pspace,
                                            base.fields, base.fluid.w, solver.nu)
+        self._x_hat = base.fluid.stacked()
+        self._sample = solver.tractor.sample(base.extension, base.fluid.p)
 
     def _lift(self, trace):
         """Lift of an interface trace, shape (n_interface, 2), and the
         linearized right-hand side of its transform-coefficient derivatives."""
         dext = self.solver.extender.extend(trace)
         derivs = transform_derivatives(self.base.fields, dext.gradients_at())
-        solver, fluid = self.solver, self.base.fluid
+        solver = self.solver
         return dext, coefficient_rhs(solver.vspace, solver.pspace, derivs,
-                                     fluid.w, fluid.p, solver.nu)
-
-    def _traction_derivative(self, dext, dp):
-        """d(p K n) in a flow-map direction: dp K n + p_hat dK n, nodal,
-        projected on the normal if the base state was."""
-        base = self.base
-        return self.solver.tractor.derivative(
-            base.extension, base.fluid.p, dext.coefficients, dp.coefficients,
-            base.projected)
+                                     self._x_hat, solver.nu)
 
     def solve(self, dg, tol=1e-10) -> SensitivityState:
         """Derivative of the coupled map in direction dg by GMRES on
@@ -168,9 +163,7 @@ class SensitivitySolver:
         report counts the coupled-step products, the check included, and
         holds the GMRES residuals followed by the check residual."""
         solid, iface = self.solver.solid, self.solver.solid.iface_vdofs
-        dw, dp = self.linearized.solve(dg)
-        dext = FEFunction.zeros(self.solver.vspace)
-        u_g = solid.solve(traction=self._traction_derivative(dext, dp))
+        u_g, dw, dp = self._coupled_step(np.zeros(len(iface)), dg)
         c = u_g.coefficients[iface]
         if not c.any():  # tau = 0, so du = u_g and the residual is exactly 0
             report = SolverReport(iterations=0, residual_history=[0.0],
@@ -216,10 +209,12 @@ class SensitivitySolver:
 
     def _coupled_step(self, trace, dg):
         """Interface trace -> S(dg, dt[trace]) with its linearized fluid
-        state: (du, dw, dp)."""
+        state: (du, dw, dp).  The traction derivative dp K n + p_hat dK n
+        is nodal, projected on the normal if the base state was."""
         dext, rhs = self._lift(trace.reshape(-1, 2))
         dw, dp = self.linearized.solve(dg, rhs)
-        dt = self._traction_derivative(dext, dp)
+        dt = self.solver.tractor.derivative(
+            self._sample, dext.coefficients, dp.coefficients, self.base.projected)
         return self.solver.solid.solve(traction=dt), dw, dp
 
 

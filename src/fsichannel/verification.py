@@ -104,7 +104,7 @@ class RateTable:
         return list(zip(self.hs, self.h1_velocity, self.l2_pressure))
 
 
-def mms_convergence_study(kind="trig", levels=3, h0=0.2, nu=1.0, tol=1e-10):
+def mms_convergence_study(kind="trig", levels=3, h0=0.2, nu=1.0):
     """Solve on a sequence of uniformly refined straight channels and
     report errors and fitted rates."""
     geo = straight_channel(h=h0)
@@ -115,7 +115,7 @@ def mms_convergence_study(kind="trig", levels=3, h0=0.2, nu=1.0, tol=1e-10):
         V, Q = fluid_spaces(mesh)
         solver = PicardSolver(V, Q, nu=nu)
         rhs = assemble_rhs(V, Q, exact["f"], exact["f2"], exact["f3"])
-        state, _ = solver.solve(None, exact["w"], rhs=rhs, tol=tol)
+        state, _ = solver.solve(None, exact["w"], rhs=rhs)
         e_v, e_p = _errors(state, exact)
         hs.append(h0 / 2**lvl)
         ev.append(e_v)

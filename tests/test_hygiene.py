@@ -4,8 +4,8 @@ function, class or method that the CLI's scenarios cannot reach, one
 fixed-point loop, LU factorizations only in the solver modules,
 two-operand assembly kernels that read the fluid geometry only through
 its reference-coordinate coefficients, one quadrature rule, owned by the
-spaces, and exception classes that are either bad input or a failed
-solve."""
+spaces, exception classes that are either bad input or a failed solve,
+and no defaulted parameter that no caller sets."""
 
 import ast
 import importlib
@@ -228,3 +228,64 @@ def test_one_quadrature_rule_owned_by_the_spaces():
     assert found == ["quadrature", "spaces"]
     for method in (Space.grads_at, FEFunction.values_at, FEFunction.gradients_at):
         assert list(inspect.signature(method).parameters) == ["self"]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLERS = [*MODULES, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+
+# Defaulted parameters kept although no call sets them, each with its reason.
+UNSET_ALLOWED = {
+    "linsolve.SolverError(report)":
+        "subclasses are raised as error(message, report) through a variable",
+}
+
+
+def _defaulted_parameters():
+    """``{called name: [(position, parameter, "module.qualname(parameter)")]}``
+    for the module-level functions and the methods in src/ with a default:
+    a method's position leaves out its first parameter, ``__init__`` is
+    called by its class name, and a keyword-only parameter has position
+    ``None``."""
+    found = {}
+    for path in MODULES:
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef):
+                fns = [(node, node.name, node.name, 0)]
+            elif isinstance(node, ast.ClassDef):
+                fns = [(fn, node.name, node.name, 1) if fn.name == "__init__"
+                       else (fn, fn.name, f"{node.name}.{fn.name}", 1)
+                       for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            for fn, called, qualname, skip in fns:
+                args = fn.args.posonlyargs + fn.args.args
+                params = [(i - skip, args[i].arg)
+                          for i in range(len(args) - len(fn.args.defaults), len(args))]
+                params += [(None, arg.arg) for arg, default
+                           in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                           if default is not None]
+                found.setdefault(called, []).extend(
+                    (pos, arg, f"{path.stem}.{qualname}({arg})") for pos, arg in params)
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    """Every defaulted parameter of a function or method in src/ is set by
+    some call in src/, tests/ or bench/ that names the function, by keyword
+    or by position (a ``*args`` or ``**kwargs`` call sets every parameter):
+    a setting no caller sets is a constant."""
+    params = _defaulted_parameters()
+    unset = {key for entries in params.values() for _, _, key in entries}
+    for path in CALLERS:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords = {k.arg for k in node.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            for position, arg, key in params.get(name, ()):
+                if (arg in keywords or None in keywords or starred
+                        or position is not None and position < len(node.args)):
+                    unset.discard(key)
+    assert sorted(unset) == sorted(UNSET_ALLOWED), (
+        f"defaulted parameters no caller sets: {sorted(unset - set(UNSET_ALLOWED))}")

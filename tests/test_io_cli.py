@@ -164,7 +164,14 @@ def test_cli_exit_codes(tmp_path):
                           ("probes", {"g_sweep": 5}),
                           ("mesh", [1]),
                           ("solve-fsi", {"warm_start": "no"}),
-                          ("mesh", {"mesh_level": 1.5})):
+                          ("mesh", {"mesh_level": 1.5}),
+                          # non-finite numbers, which json reads from NaN
+                          # and Infinity, in a value, a list and a rectangle
+                          ("solve-ns", {"tol": float("nan")}),
+                          ("solve-ns", {"nu": float("inf")}),
+                          ("taylor-test", {"h_list": [1e-2, float("-inf"), 1e-3]}),
+                          ("mesh", {"obstacle_inner": [1.1, 0.4, float("nan"), 0.6]}),
+                          ("solve-ns", {"max_iter": 0})):
         cfg.write_text(json.dumps(bad))
         assert main([scenario, "--config", str(cfg),
                      "--out", str(tmp_path / "d")]) == EXIT_CONFIG, bad
@@ -345,6 +352,22 @@ def test_compare_lists_one_sided_summary_keys(tmp_path):
         rows, ok = compared(edit)
         assert not ok
         assert any(k == "structure" for k, _ in rows.values())
+
+
+def test_compare_rows_for_files_on_one_side(tmp_path):
+    # a file only in dir_b is a new artifact and passes; one only in dir_a
+    # is missing from the run and fails
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run("mesh", FAST, a) == 0
+    assert run("mesh", FAST, b) == 0
+    os.remove(os.path.join(b, "mesh.txt"))
+    rows, ok = compare(a, b)
+    assert ("mesh.txt", "removed", float("inf")) in rows
+    assert not ok
+    assert main(["compare", a, b]) == EXIT_CHECKS_FAILED
+    rows, ok = compare(b, a)
+    assert ("mesh.txt", "added", 0.0) in rows
+    assert ok
 
 
 def _run_cli(args, env_extra, cwd):

@@ -88,6 +88,14 @@ def test_euler_characteristic_against_independent_count(default_mesh,
     assert validate_mesh(straight_mesh).euler_characteristic == 1
 
 
+def test_boundary_loop_counts(default_mesh, straight_mesh):
+    # the channel's outer boundary, the interface and the obstacle's hole;
+    # the straight channel has its outer boundary only
+    assert validate_mesh(default_mesh).num_boundary_loops == 3
+    assert validate_mesh(refine_uniform(default_mesh)).num_boundary_loops == 3
+    assert validate_mesh(straight_mesh).num_boundary_loops == 1
+
+
 def test_declared_boundary_matches_walk(default_mesh):
     walked = boundary_edges_by_walk(default_mesh.triangles)
     declared = {
