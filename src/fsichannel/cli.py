@@ -428,82 +428,63 @@ def _normwise(a, b):
     return diff / scale if scale > 0 else diff
 
 
-def _compare_vtk(pa, pb):
-    """(label, kind, diff) rows for two VTK files: the structure and the
-    integer cell blocks must match exactly; each float block is compared
-    normwise."""
-    (sa, ba), (sb, bb) = read_vtk(pa), read_vtk(pb)
-    if sa != sb or any(ba[k].shape != bb[k].shape for k in ba):
-        return [("", "structure", float("inf"))]
-    rows = []
-    for key, a in ba.items():
-        b = bb[key]
-        if a.dtype.kind == "i":
-            if not np.array_equal(a, b):
-                return [(f" {key}", "structure", float("inf"))]
-            continue
-        rows.append((f" {key}", "normwise", _normwise(a, b)))
-    return rows
+def _cell(text):
+    """A CSV cell as an int, a float or text."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
-def _load_csv(path):
+def _tree(path):
+    """An artifact as a dict of JSON values, or None for a file compared by
+    hash: ``summary.json`` without the ``artifacts`` hashes of the files
+    compared directly; a CSV report as one list of cells per column, with
+    the header and row lengths under ""; a VTK file as one flat list per
+    block, with the keyword lines under ""."""
+    name = os.path.basename(path)
+    if name.endswith(".vtk"):
+        structure, blocks = read_vtk(path)
+        return {"": structure, **{k: v.ravel().tolist() for k, v in blocks.items()}}
+    if name != "summary.json" and not name.endswith(".csv"):
+        return None
     with open(path) as fh:
-        return [line.split(",") for line in fh.read().splitlines() if line]
+        text = fh.read()
+    if name == "summary.json":
+        return {k: v for k, v in json.loads(text).items() if k != "artifacts"}
+    header, *rows = [line.split(",") for line in text.splitlines() if line] or [[]]
+    return {"": [header, [len(r) for r in rows]],
+            **{c: [_cell(r[j]) for r in rows if j < len(r)]
+               for j, c in enumerate(header)}}
 
 
-def _is_float(cell):
-    """True for a float cell; integer and text cells compare exactly."""
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return not cell.lstrip("-").isdigit()
-
-
-def _compare_csv(pa, pb):
-    """(label, kind, diff) rows for two CSV reports: the header, the row
-    count, integer cells and text cells must match exactly; the float cells
-    of each column are compared normwise."""
-    ta, tb = _load_csv(pa), _load_csv(pb)
-    if (len(ta) != len(tb) or not ta or ta[0] != tb[0]
-            or any(len(x) != len(y) for x, y in zip(ta, tb))):
-        return [("", "structure", float("inf"))]
-    rows = []
-    for j, name in enumerate(ta[0]):
-        floats = []
-        for x, y in zip(ta[1:], tb[1:]):
-            if _is_float(x[j]) and _is_float(y[j]):
-                floats.append((x[j], y[j]))
-            elif x[j] != y[j]:
-                return [(f" {name}", "structure", float("inf"))]
-        if floats:
-            a, b = np.array(floats, dtype=float).T
-            rows.append((f" {name}", "normwise", _normwise(a, b)))
-    return rows
+def _split(value, floats):
+    """The skeleton of a JSON value: each float replaced by a placeholder
+    and appended to ``floats``, each other leaf paired with its type, so
+    that ``True`` and ``1`` differ."""
+    if isinstance(value, dict):
+        return {k: _split(value[k], floats) for k in sorted(value)}
+    if isinstance(value, list):
+        return [_split(v, floats) for v in value]
+    if isinstance(value, float):
+        floats.append(value)
+        return float
+    return type(value), value
 
 
 def _json_diff(a, b):
-    """Largest difference of two JSON values: floats and numeric lists
-    normwise, everything else (ints and bools included) exactly.  Dicts
+    """Difference of two JSON values: inf if their skeletons differ (see
+    ``_split``), else ``_normwise`` over all their floats together.  Dicts
     compare on their common keys; see ``_one_sided`` for the others."""
-    if a == b and type(a) is type(b):
-        return 0.0
     if isinstance(a, dict) and isinstance(b, dict):
         return max((_json_diff(a[k], b[k]) for k in a.keys() & b.keys()),
                    default=0.0)
-    if isinstance(a, list) and isinstance(b, list):
-        try:
-            x, y = np.array(a, dtype=float), np.array(b, dtype=float)
-        except (TypeError, ValueError):  # text or ragged entries
-            x = y = None
-        if x is not None and x.shape == y.shape:
-            return _normwise(x, y)
-        if len(a) != len(b):
-            return float("inf")
-        return max(_json_diff(u, v) for u, v in zip(a, b))
-    if isinstance(a, float) and isinstance(b, float):
-        return _normwise(np.array([a]), np.array([b]))
-    return float("inf")
+    fa, fb = [], []
+    if _split(a, fa) != _split(b, fb):
+        return float("inf")
+    return _normwise(np.array(fa), np.array(fb))
 
 
 def _one_sided(a, b, label):
@@ -519,50 +500,38 @@ def _one_sided(a, b, label):
     return rows
 
 
-def _compare_summary(pa, pb):
-    """One row per ``summary.json`` entry on both sides except
-    ``artifacts``, whose hashes cover the files that are compared directly,
-    plus the ``_one_sided`` rows."""
-    with open(pa) as fa, open(pb) as fb:
-        a, b = json.load(fa), json.load(fb)
-    a.pop("artifacts", None)
-    b.pop("artifacts", None)
-    rows = []
-    for key in sorted(a.keys() & b.keys()):
-        diff = _json_diff(a[key], b[key])
-        rows.append((f" {key}", "normwise" if diff < float("inf")
-                     else "structure", diff))
-    return rows + _one_sided(a, b, " ")
-
-
 def compare(dir_a, dir_b, tol=0.0):
     """Per-field relative differences between two result directories.
 
-    CSV columns, VTK blocks and ``summary.json`` numbers are compared
-    normwise, their structure exactly (see the ``_compare_*`` helpers);
-    other files by hash.  A structural mismatch fails at every tolerance;
-    a ``summary.json`` key on one side only is listed and does not fail.
-    A file only in ``dir_a`` is a ``removed`` row and fails; one only in
-    ``dir_b`` is an ``added`` row and does not."""
-    names_a, names_b = set(os.listdir(dir_a)), set(os.listdir(dir_b))
-    if not names_a & names_b:
-        raise ConfigError("no common artifacts to compare")
-    diffs = [(name, "removed", float("inf")) for name in sorted(names_a - names_b)]
-    diffs += [(name, "added", 0.0) for name in sorted(names_b - names_a)]
-    ok = names_a <= names_b
-    by_kind = {".csv": _compare_csv, ".vtk": _compare_vtk}
-    for name in sorted(names_a & names_b):
-        pa, pb = os.path.join(dir_a, name), os.path.join(dir_b, name)
-        rows_of = (_compare_summary if name == "summary.json"
-                   else by_kind.get(os.path.splitext(name)[1]))
-        if rows_of is None:
-            same = _hash_file(pa) == _hash_file(pb)
-            diffs.append((name, "hash", 0.0 if same else float("inf")))
-            ok = ok and (same or tol == float("inf"))
-            continue
-        for label, kind, value in rows_of(pa, pb):
-            diffs.append((name + label, kind, value))
-            ok = ok and kind != "structure" and value <= tol
+    Each CSV, VTK and ``summary.json`` artifact (``_tree``) gets one row per
+    top-level key by ``_json_diff``: a ``structure`` row fails at every
+    tolerance, and a key on one side only is listed and does not fail.
+    Other files are compared by hash.  A file only in ``dir_a`` is a
+    ``removed`` row and fails; one only in ``dir_b`` is an ``added`` row
+    and does not."""
+    try:
+        names_a, names_b = set(os.listdir(dir_a)), set(os.listdir(dir_b))
+        if not names_a & names_b:
+            raise ConfigError("no common artifacts to compare")
+        diffs = [(n, "removed", float("inf")) for n in sorted(names_a - names_b)]
+        diffs += [(n, "added", 0.0) for n in sorted(names_b - names_a)]
+        ok = names_a <= names_b
+        for name in sorted(names_a & names_b):
+            pa, pb = os.path.join(dir_a, name), os.path.join(dir_b, name)
+            ta, tb = _tree(pa), _tree(pb)
+            if ta is None:
+                same = _hash_file(pa) == _hash_file(pb)
+                diffs.append((name, "hash", 0.0 if same else float("inf")))
+                ok = ok and (same or tol == float("inf"))
+                continue
+            for key in sorted(ta.keys() & tb.keys()):
+                diff = _json_diff(ta[key], tb[key])
+                kind = "normwise" if diff < float("inf") else "structure"
+                diffs.append((f"{name} {key}".rstrip(), kind, diff))
+                ok = ok and kind != "structure" and diff <= tol
+            diffs += _one_sided(ta, tb, f"{name} ")
+    except OSError as exc:  # a missing directory, or a subdirectory in one
+        raise ConfigError(f"cannot compare {exc.filename}: {exc.strerror}") from exc
     return diffs, ok
 
 
@@ -596,8 +565,12 @@ def main(argv=None):
             return 0 if ok else EXIT_CHECKS_FAILED
         cfg_raw = {}
         if args.config:
-            with open(args.config) as fh:
-                cfg_raw = json.load(fh)
+            try:
+                with open(args.config) as fh:
+                    cfg_raw = json.load(fh)
+            except OSError as exc:
+                raise ConfigError(f"cannot read config {args.config}: "
+                                  f"{exc.strerror}") from exc
         return run(args.command, cfg_raw, args.out, args.seed)
     except ValueError as exc:  # ConfigError, GeometryError, MeshError
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -150,8 +150,6 @@ class TractionEvaluator:
     """
 
     def __init__(self, vspace, pspace):
-        self.vspace = vspace
-        self.pspace = pspace
         self.iface = vspace.interface_dofs
         element, start, end, normal = asm.tagged_edge_elements(vspace, TAG_INTERFACE)
         # each edge element samples the edge's start, end and midpoint dofs

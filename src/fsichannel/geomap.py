@@ -128,8 +128,7 @@ def transform_derivatives(fields: TransformFields, dgrad) -> TransformDerivative
 
     Uses Jacobi's formula for the determinant and the exact linearity of the
     2D cofactor; the diffusion matrix derivative follows by the product rule,
-    dA = (dK K^T + K dK^T - dJ A) / J.  Leading axes broadcast, so one call
-    can take several directions.  The 2 x 2 products are written out
+    dA = (dK K^T + K dK^T - dJ A) / J.  The 2 x 2 products are written out
     elementwise, which is much faster than batched einsum or matmul here.
     """
     dDPhi = np.asarray(dgrad)

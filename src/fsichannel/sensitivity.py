@@ -148,10 +148,13 @@ class SensitivitySolver:
 
     def _lift(self, trace):
         """Lift of an interface trace, shape (n_interface, 2), and the
-        linearized right-hand side of its transform-coefficient derivatives."""
-        dext = self.solver.extender.extend(trace)
-        derivs = transform_derivatives(self.base.fields, dext.gradients_at())
+        linearized right-hand side of its transform-coefficient derivatives
+        (``None`` for the zero trace of the inflow part, which has no load)."""
         solver = self.solver
+        if not trace.any():
+            return FEFunction.zeros(solver.vspace), None
+        dext = solver.extender.extend(trace)
+        derivs = transform_derivatives(self.base.fields, dext.gradients_at())
         return dext, coefficient_rhs(solver.vspace, solver.pspace, derivs,
                                      self._x_hat, solver.nu)
 

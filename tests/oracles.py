@@ -266,13 +266,12 @@ def _cof(M):
     return np.array([[M[1, 1], -M[1, 0]], [-M[0, 1], M[0, 0]]])
 
 
-def traction_by_loop(tractor, extension, pressure, dext=None, dp=None):
+def traction_by_loop(tractor, V, Q, extension, pressure, dext=None, dp=None):
     """Nodal traction p cof(I + G) n per interface dof, averaged over the
     dof's interface-edge elements, by a loop over the evaluator's sample
-    points (interface position, element, reference point).  With coefficient
-    vectors ``dext`` and ``dp`` it returns the derivative
-    dp cof(I + G) n + p cof(dG) n instead."""
-    V, Q = tractor.vspace, tractor.pspace
+    points (interface position, element, reference point) on the fluid
+    spaces ``V`` and ``Q``.  With coefficient vectors ``dext`` and ``dp`` it
+    returns the derivative dp cof(I + G) n + p cof(dG) n instead."""
 
     def lift_grad(coefs, elem, ref):
         cm = np.reshape(coefs, (-1, 2))[V.elem_dofs[elem]]  # (6, 2)

@@ -55,7 +55,8 @@ def test_traction_per_node_oracle(default_mesh, fsi_base):
     solver = FSISolver(default_mesh, LAME, NU)
     state = fsi_base
     evaluated = solver.tractor.evaluate(state.extension, state.fluid.p)
-    looped = traction_by_loop(solver.tractor, state.extension.coefficients,
+    looped = traction_by_loop(solver.tractor, solver.vspace, solver.pspace,
+                              state.extension.coefficients,
                               state.fluid.p.coefficients)
     assert np.abs(evaluated - looped).max() <= 1e-14
 
@@ -77,7 +78,7 @@ def test_traction_derivative_matches_loop_oracle(fsi_solver, fsi_base,
     ext, p = fsi_base.extension.coefficients, fsi_base.fluid.p.coefficients
     sample = tractor.sample(fsi_base.extension, fsi_base.fluid.p)
     for k in range(2):
-        looped = traction_by_loop(tractor, ext, p, dext[:, k], dp[:, k])
+        looped = traction_by_loop(tractor, V, Q, ext, p, dext[:, k], dp[:, k])
         if projected:
             n = tractor.normals
             looped = np.sum(looped * n, axis=1, keepdims=True) * n

@@ -177,6 +177,14 @@ def test_cli_exit_codes(tmp_path):
                      "--out", str(tmp_path / "d")]) == EXIT_CONFIG, bad
     assert not (tmp_path / "d").exists()
     assert main([]) == EXIT_CONFIG
+    # paths the user gives: a missing config file, a missing compare
+    # directory, and compare directories that hold a subdirectory
+    assert main(["mesh", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "e")]) == EXIT_CONFIG
+    assert main(["compare", str(tmp_path / "missing"), str(tmp_path)]) == EXIT_CONFIG
+    for side in ("x", "y"):
+        (tmp_path / side / "p1").mkdir(parents=True)
+    assert main(["compare", str(tmp_path / "x"), str(tmp_path / "y")]) == EXIT_CONFIG
 
 
 def test_summary_hashes_only_the_scenarios_artifacts(tmp_path):
@@ -314,6 +322,44 @@ def test_compare_identical_and_differing(tmp_path):
     assert not csv_ok(base[:2], tol=float("inf"))
     assert not csv_ok(base[:2] + [(3, 5.191e-13, 0.03)], tol=float("inf"))
     assert not csv_ok(base[:2] + [(2, 5.191e-13, 0.5)])
+
+
+def test_compare_one_rule_for_nested_lists_fields_and_text(tmp_path):
+    # every artifact is read as JSON values: floats normwise, together per
+    # top-level key, and everything else exactly
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run("mesh", FAST, a) == 0
+    assert run("mesh", FAST, b) == 0
+    b_summary = os.path.join(b, "summary.json")
+    with open(b_summary) as fh:
+        summary = json.load(fh)
+    sweep = [[0.02, 0.089, 0.094, 0.016], [0.12, 0.527, 0.528, 0.104]]
+    summary["checks"]["sweep"] = sweep
+    write_json(os.path.join(a, "summary.json"), summary)
+
+    def moved(rel):
+        changed = json.loads(json.dumps(summary))
+        changed["checks"]["sweep"] = [[x * (1 + rel) for x in r] for r in sweep]
+        write_json(b_summary, changed)
+        return compare(a, b, tol=1e-12)[1]
+
+    assert moved(1e-14) and not moved(1e-6)
+    write_json(b_summary, summary)
+
+    # a renamed VTK field is a structure change, also at tol = inf
+    b_vtk = os.path.join(b, "mesh.vtk")
+    text = open(b_vtk).read()
+    open(b_vtk, "w").write(text.replace("SCALARS subdomain", "SCALARS label"))
+    rows, ok = compare(a, b, tol=float("inf"))
+    assert not ok and ("mesh.vtk", "structure", float("inf")) in rows
+    open(b_vtk, "w").write(text)
+
+    # so is a changed text cell in a CSV report
+    header = ("iter", "mode", "residual")
+    write_csv(os.path.join(a, "report.csv"), header, [(0, "krylov", 0.5)])
+    write_csv(os.path.join(b, "report.csv"), header, [(0, "picard", 0.5)])
+    rows, ok = compare(a, b, tol=float("inf"))
+    assert not ok and ("report.csv mode", "structure", float("inf")) in rows
 
 
 def test_compare_lists_one_sided_summary_keys(tmp_path):

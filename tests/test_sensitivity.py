@@ -22,11 +22,13 @@ from fsichannel.fsi import (
 from fsichannel.geomap import (
     EllipticityError,
     TangledMeshError,
+    transform_derivatives,
     transform_fields,
 )
 from fsichannel.linsolve import FrozenFactorization, SingularSystemError
 from fsichannel.sensitivity import (
     SensitivitySolver,
+    coefficient_rhs,
     solve_fsi_sensitivity,
     taylor_test,
 )
@@ -66,8 +68,23 @@ def coarse_base(coarse_mesh):
 
 
 def test_coefficient_rhs_zero_direction(fsi_solver, fsi_base, sens):
-    _, rhs = sens._lift(np.zeros((len(fsi_solver.solid.iface), 2)))
+    V, Q = fsi_solver.vspace, fsi_solver.pspace
+    derivs = transform_derivatives(fsi_base.fields,
+                                   FEFunction.zeros(V).gradients_at())
+    rhs = coefficient_rhs(V, Q, derivs, sens._x_hat, fsi_solver.nu)
     assert np.abs(rhs).max() == 0.0
+
+
+def test_inflow_part_lifts_nothing(fsi_solver, fsi_base, monkeypatch):
+    # the inflow part's trace is zero, so a solve lifts once per GMRES
+    # product and once for the check: report.iterations lifts in all
+    calls = []
+    extend = fsi_solver.extender.extend
+    monkeypatch.setattr(fsi_solver.extender, "extend",
+                        lambda trace: calls.append(1) or extend(trace))
+    H = fsi_solver.mesh.geometry.channel_height
+    state = solve_fsi_sensitivity(fsi_solver, fsi_base, InflowProfile(1.0, H))
+    assert len(calls) == state.report.iterations
 
 
 def test_linearized_wrt_g_zero(sens):
