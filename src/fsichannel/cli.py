@@ -141,8 +141,10 @@ def resolve_config(raw):
         raise ConfigError("mms_kind must be trig or polynomial")
     if cfg["mms_levels"] < 2:
         raise ConfigError("mms_levels must be at least 2 (a rate needs two)")
-    if len(cfg["h_list"]) < 3 or min(cfg["h_list"]) <= 0:
-        raise ConfigError("h_list needs at least 3 positive steps")
+    if len(set(cfg["h_list"])) < 3 or min(cfg["h_list"]) <= 0:
+        raise ConfigError("h_list needs at least 3 distinct positive steps")
+    if cfg["dg_magnitude"] == 0:
+        raise ConfigError("dg_magnitude must be nonzero")
     if not cfg["g_sweep"]:
         raise ConfigError("g_sweep must not be empty")
     return cfg
@@ -351,7 +353,7 @@ def run_mms(cfg, out, seed):
 
 @scenario(
     "probes",
-    _FSI_KEYS + ("g_sweep",),
+    tuple(k for k in _FSI_KEYS if k != "g_magnitude") + ("g_sweep",),
     "Contraction diagnostics along an inflow-magnitude sweep: outer "
     "ratios of the plain relaxed coupling iteration, the Arnoldi estimate "
     "of the interface coupling map's spectral radius, and the "

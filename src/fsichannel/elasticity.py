@@ -40,12 +40,12 @@ class ElasticitySolver:
             raise ValueError("elasticity needs a vector space on the solid")
         lam, mu = float(lame[0]), float(lame[1])
         self.space = space
-        self.matrix = assemble_elasticity(space, lam, mu).tocsc()
         self.clamped = space.boundary_dofs(TAG_CLAMPED)
         self.iface = space.interface_dofs
         # vector dofs of the interface, in trace order 2 m + c
         self.iface_vdofs = (2 * self.iface[:, None] + np.arange(2)).ravel()
-        self._lu = FrozenFactorization(self.matrix, self.clamped)
+        self.lu = FrozenFactorization(assemble_elasticity(space, lam, mu),
+                                       self.clamped)
 
     @cached_property
     def interface_load(self):
@@ -70,7 +70,7 @@ class ElasticitySolver:
                     f"traction shape {tr.shape} != ({len(self.iface)}, 2)"
                 )
             rhs += self.interface_load @ tr.ravel()
-        return FEFunction(self.space, self._lu.solve(rhs))
+        return FEFunction(self.space, self.lu.solve(rhs))
 
 
 def solid_space(mesh) -> Space:

@@ -1,17 +1,17 @@
 """Transformed Navier-Stokes solver and its linearization.
 
 The fluid problem lives on the reference channel and carries the geometry
-through the coefficient fields (A, K) of a flow map.  The nonlinear solve
-is a defect correction on a single factorized identity-coefficient Stokes
-operator: each step evaluates the transformed operator with its lagged
-convection matrix-free at the iterate and corrects by the Stokes solve of
-the defect, so the fixed point solves the fully transformed system and no
-matrix is assembled per solve.  The linearized solver supports a one-shot
-direct mode and the analogous constant-coefficient fixed-point mode for
-contraction probing.
+through the coefficient fields (A, K) of a flow map.  Both fluid fixed
+points are one defect correction x_new = x + P^-1 (F - N(x)) with a
+factorization P built once and an operator action N: the nonlinear solve
+corrects by the Stokes operator and evaluates the transformed one with its
+lagged convection matrix-free, so no matrix is assembled per solve; the
+T-iteration corrects by the identity-coefficient linearized operator.  Every
+fluid LU is a :class:`LinearizedSolver`'s.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -164,33 +164,43 @@ def _weak_residual(r, cdofs, F):
     return float(np.linalg.norm(r)) / max(float(np.linalg.norm(F)), 1.0)
 
 
+def defect_correction(lu, action, F, prescribed, x0, N0, norm, tol, max_iter,
+                      mode):
+    """:func:`fixed_point` of the defect correction x_new = x + P^-1 (F - N(x))
+    with P the :class:`FrozenFactorization` ``lu`` and N(x) = ``action(x)``;
+    each step sets the ``prescribed`` values at ``lu.cdofs`` bit-exactly and
+    evaluates N at its new iterate, which gives its weak residual and the
+    next step's defect.  ``N0`` is N(x0), ``None`` for N(x0) = 0.  A fixed
+    point solves N(x) = F on the free rows."""
+    N = np.zeros_like(x0) if N0 is None else N0
+
+    def step(x, _):
+        nonlocal N
+        x_new = x + lu.solve(F - N, prescribed - x)
+        x_new[lu.cdofs] = prescribed[lu.cdofs]
+        N = action(x_new)
+        return x_new, x_new - x, _weak_residual(N - F, lu.cdofs, F)
+
+    return fixed_point(step, x0, norm, tol, max_iter, mode)
+
+
 class PicardSolver:
     """Nonlinear transformed Navier-Stokes via a frozen Stokes operator.
 
-    The identity-coefficient Stokes matrix M_I (with the problem's
-    Dirichlet dof pattern) is factorized once; with the operator action
-    N(x) = M(A, K) x + C(x; K) x each Picard step is the defect correction
-
-        M_I x_new = F - N(x) + M_I x
-
-    so a fixed point satisfies the full transformed system including the
-    lagged convection.  N(x_new) gives the step's weak residual and the
-    next step's action, so an n-step solve makes n + 1 evaluations (n from
-    a cold start, where N(0) = 0) and assembles no matrix.  The
-    factorization is reusable across different coefficient fields (e.g.
-    along a coupled-iteration trajectory).
+    The preconditioner P, the identity-coefficient Stokes operator with the
+    problem's Dirichlet dofs (a :class:`LinearizedSolver` without base
+    state), is factorized once.  With N(x) = M(A, K) x + C(x; K) x each
+    Picard step is the :func:`defect_correction` x_new = x + P^-1 (F - N(x)),
+    so a fixed point solves the full transformed system including the lagged
+    convection.  An n-step solve evaluates N n + 1 times (n from a cold
+    start, where N(0) = 0) and assembles no matrix; P serves any coefficient
+    fields (e.g. along a coupled-iteration trajectory).
     """
 
     def __init__(self, vspace: Space, pspace: Space, nu=1.0):
-        self.vspace = vspace
-        self.pspace = pspace
-        self.nu = float(nu)
-        self.norms_v = asm.NormSet(vspace)
-        self.norms_p = asm.NormSet(pspace)
-        self._M_I = asm.transformed_oseen_system(
-            vspace, pspace, asm.action_coefficients(vspace, nu=nu))
-        self._lu = FrozenFactorization(self._M_I, dirichlet_dofs(vspace),
-                                       options=COLUMN_MIN_DEGREE)
+        self.vspace, self.pspace, self.nu = vspace, pspace, float(nu)
+        self.norms_v, self.norms_p = asm.NormSet(vspace), asm.NormSet(pspace)
+        self._lu = LinearizedSolver(vspace, pspace, None, None, nu)._lu
 
     def residual(self, x, fields):
         """Free-dof norm of the nonlinear weak-form residual at x without
@@ -206,19 +216,14 @@ class PicardSolver:
         :func:`assembly.assemble_rhs`), from ``initial`` or zero."""
         V, Q = self.vspace, self.pspace
         F = np.zeros(V.ndof + Q.ndof) if rhs is None else rhs
-        prescribed = dirichlet_vector(V, Q, g)
-        coefficients = fluid_coefficients(V, fields, self.nu)  # fixed for the solve
-        x0 = np.zeros(V.ndof + Q.ndof) if initial is None else initial
-        N = np.zeros_like(x0) if initial is None else asm.oseen_action(V, Q, x0, coefficients)
-
-        def step(x, _):
-            nonlocal N
-            x_new = self._lu.solve(F - N + self._M_I @ x, prescribed)
-            N = asm.oseen_action(V, Q, x_new, coefficients)
-            return x_new, x_new - x, _weak_residual(N - F, self._lu.cdofs, F)
-
-        norm = _product_norm(self.norms_v, self.norms_p, V.ndof)
-        x, report = fixed_point(step, x0, norm, tol, max_iter, "picard")
+        action = partial(asm.oseen_action, V, Q,  # coefficients fixed for the solve
+                         coefficients=fluid_coefficients(V, fields, self.nu))
+        x, report = defect_correction(
+            self._lu, action, F, dirichlet_vector(V, Q, g),
+            np.zeros_like(F) if initial is None else initial,
+            None if initial is None else action(initial),
+            _product_norm(self.norms_v, self.norms_p, V.ndof), tol, max_iter,
+            "picard")
         return FluidState(*_split(V, Q, x)), report
 
 
@@ -237,16 +242,14 @@ T_ITERATION_MAX_ITER = 200
 class LinearizedSolver:
     """Linearized transformed Navier-Stokes at the state ``base_w``.
 
-    The operator M_lin(A, K) (viscous, both convection linearizations and
-    pressure/divergence, all with the fields' coefficients) is assembled and
-    factorized once; :meth:`solve` is one direct solve on it and
-    :meth:`t_iteration` the constant-coefficient fixed point
-
-        M_lin(I) x_new = F - M_lin(A, K) x + M_lin(I) x
-
-    with M_lin(I) the linearized operator with identity coefficients,
-    which reports the observed contraction ratios.  Both read M_lin(A, K) x
-    only on the free rows, which the factorization's blocks give.
+    The operator M_lin(A, K) (viscous, both convection linearizations at
+    ``base_w`` unless it is ``None``, and pressure/divergence, all with the
+    fields' coefficients) is assembled and factorized once; every fluid LU
+    is built here.  :meth:`solve` is one direct solve on it and
+    :meth:`t_iteration` the constant-coefficient :func:`defect_correction`
+    x_new = x + M_lin(I)^-1 (F - M_lin(A, K) x), with M_lin(I) the
+    linearized operator with identity coefficients, which reports the
+    observed contraction ratios; M_lin(A, K) x is the LU's free-row product.
     """
 
     def __init__(self, vspace, pspace, fields, base_w, nu):
@@ -267,21 +270,10 @@ class LinearizedSolver:
     def t_iteration(self, dg):
         """(dw, dp, report) of the T-iteration for the inflow data ``dg``."""
         V, Q = self.vspace, self.pspace
-        M_I = asm.transformed_oseen_system(
-            V, Q, asm.action_coefficients(V, nu=self.nu),
-            advector=self.base_w, reaction_with=self.base_w)
-        lu = FrozenFactorization(M_I, self._lu.cdofs, options=COLUMN_MIN_DEGREE)
-        F = np.zeros(V.ndof + Q.ndof)
-        prescribed = dirichlet_vector(V, Q, dg)
-        Mx = np.zeros_like(F)  # M_lin(A, K) x at x = 0
-
-        def step(x, _):
-            nonlocal Mx
-            x_new = lu.solve(F - Mx + M_I @ x, prescribed)
-            Mx = self._lu.product(x_new)
-            return x_new, x_new - x, _weak_residual(Mx - F, lu.cdofs, F)
-
-        norm = _product_norm(asm.NormSet(V), asm.NormSet(Q), V.ndof)
-        x, report = fixed_point(step, np.zeros_like(F), norm, T_ITERATION_TOL,
-                                T_ITERATION_MAX_ITER, "T-iteration")
+        zero = np.zeros(V.ndof + Q.ndof)
+        x, report = defect_correction(
+            LinearizedSolver(V, Q, None, self.base_w, self.nu)._lu,
+            self._lu.product, zero, dirichlet_vector(V, Q, dg), zero, None,
+            _product_norm(asm.NormSet(V), asm.NormSet(Q), V.ndof),
+            T_ITERATION_TOL, T_ITERATION_MAX_ITER, "T-iteration")
         return (*_split(V, Q, x), report)

@@ -308,9 +308,9 @@ class FSISolver:
         t = self.tractor.evaluate(fsistate.extension, fsistate.fluid.p,
                                   fsistate.projected)
         u_next = self.solid.solve(traction=t)
-        rhs = self.solid.interface_load @ t.ravel()
-        r_solid = self.solid.matrix @ fsistate.u.coefficients - rhs
-        r_solid[self.solid.clamped] = 0.0
+        # the product and the interface load vanish on the clamped rows
+        r_solid = (self.solid.lu.product(fsistate.u.coefficients)
+                   - self.solid.interface_load @ t.ravel())
         r_fix = self.norms_u.h1_norm(u_next.coefficients - fsistate.u.coefficients)
         return r_fluid + float(np.linalg.norm(r_solid)) + r_fix
 

@@ -405,7 +405,9 @@ def test_lu_options_match_default_ordering(fsi_solver, fsi_base, kind):
     SuperLU's defaults, on the level-0 matrices of the coupled solver."""
     V, Q = fsi_solver.vspace, fsi_solver.pspace
     if kind == "stokes":
-        A, cdofs = fsi_solver.fluid._M_I, dirichlet_dofs(V)
+        A = asm.transformed_oseen_system(
+            V, Q, fluid_coefficients(V, None, fsi_solver.nu))
+        cdofs = dirichlet_dofs(V)
         options = COLUMN_MIN_DEGREE
     elif kind == "harmonic":
         A, cdofs = asm.assemble_scalar_stiffness(V), fsi_solver.extender._fact.cdofs

@@ -66,6 +66,17 @@ def test_poiseuille_exact(straight_mesh):
     norms = asm.NormSet(V)
     assert norms.h1_norm(state.w.coefficients - wex) <= 1e-9
     assert np.abs(state.p.coefficients - pex).max() <= 1e-9
+    # the Dirichlet values are the data bit for bit: from a cold start, from
+    # a warm start at another inflow, and after one step from any iterate
+    cdofs = dirichlet_dofs(V)
+    g2 = InflowProfile(0.7, geo.channel_height)
+    solver = PicardSolver(V, Q, nu)
+    warm, _ = solver.solve(g=g2, initial=state.stacked())
+    noise = np.random.default_rng(0).standard_normal(V.ndof + Q.ndof)
+    once, report = solver.solve(g=g2, initial=noise, tol=np.inf)
+    assert report.iterations == 1
+    for x, data in ((state, g), (warm, g2), (once, g2)):
+        assert np.array_equal(x.stacked()[cdofs], dirichlet_vector(V, Q, data)[cdofs])
 
 
 def test_do_nothing_residual_at_outflow(straight_mesh):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fsichannel import cli, fsi
 from fsichannel.elasticity import interface_trace
@@ -330,10 +331,22 @@ def test_fresh_solvers_are_deterministic():
                  (one.sspace, two.sspace)):
         assert np.array_equal(a.elem_dofs, b.elem_dofs)
     sa, sb = one.solve(g, opts), two.solve(g, opts)
-    factors = [(s.fluid._lu, s.extender._fact, s.solid._lu,
+    factors = [(s.fluid._lu, s.extender._fact, s.solid.lu,
                 SensitivitySolver(s, base).linearized._lu) for s, base in ((one, sa), (two, sb))]
     for lu_a, lu_b in zip(*factors):
         assert lu_a.lu.L.nnz + lu_a.lu.U.nnz == lu_b.lu.L.nnz + lu_b.lu.U.nnz
     assert sa.report.iterations == sb.report.iterations
     for x, y in ((sa.u, sb.u), (sa.fluid.w, sb.fluid.w), (sa.fluid.p, sb.fluid.p)):
         assert np.array_equal(x.coefficients, y.coefficients)
+
+
+def test_no_solver_keeps_an_operator_beside_its_lu(fsi_solver, fsi_base):
+    """A factorization holds its operator's free-row blocks, so no solver
+    keeps the assembled square matrix beside it."""
+    linearized = SensitivitySolver(fsi_solver, fsi_base).linearized
+    kept = [f"{type(owner).__name__}.{name}"
+            for owner in (fsi_solver.fluid, fsi_solver.solid,
+                          fsi_solver.extender, linearized)
+            for name, value in vars(owner).items()
+            if sp.issparse(value) and value.shape[0] == value.shape[1]]
+    assert not kept

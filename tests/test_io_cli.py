@@ -55,6 +55,36 @@ def test_describe_every_scenario():
         describe("nonexistent")
 
 
+class _Reads(dict):
+    """A resolved config that records the keys read from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_scenarios_read_their_declared_keys_and_pass(tmp_path):
+    """``describe`` lists exactly the keys each runner reads, and every
+    scenario, the polynomial manufactured solution included, passes its
+    own checks on a small problem."""
+    small = {"target_edge_length": 0.2, "mms_levels": 2, "g_sweep": [0.05],
+             "h_list": [1e-2, 3e-3, 1e-3]}
+    cases = [(name, {}) for name in SCENARIOS] + [("mms", {"mms_kind": "polynomial"})]
+    wrong = []
+    for name, extra in cases:
+        cfg = _Reads(resolve_config({**small, **extra}))
+        checks, ok = SCENARIOS[name]["runner"](cfg, str(tmp_path), 0)
+        if cfg.read != set(SCENARIOS[name]["keys"]):
+            wrong.append((name, "reads", cfg.read ^ set(SCENARIOS[name]["keys"])))
+        if not ok:
+            wrong.append((name, extra, checks))
+    assert not wrong
+
+
 def test_scenario_keys_are_known_config_keys():
     for info in SCENARIOS.values():
         for key in info["keys"]:
@@ -171,7 +201,11 @@ def test_cli_exit_codes(tmp_path):
                           ("solve-ns", {"nu": float("inf")}),
                           ("taylor-test", {"h_list": [1e-2, float("-inf"), 1e-3]}),
                           ("mesh", {"obstacle_inner": [1.1, 0.4, float("nan"), 0.6]}),
-                          ("solve-ns", {"max_iter": 0})):
+                          ("solve-ns", {"max_iter": 0}),
+                          # Taylor inputs that give no slope: zero remainders,
+                          # and remainders at a single step
+                          ("taylor-test", {"dg_magnitude": 0}),
+                          ("taylor-test", {"h_list": [1e-2, 1e-2, 1e-2]})):
         cfg.write_text(json.dumps(bad))
         assert main([scenario, "--config", str(cfg),
                      "--out", str(tmp_path / "d")]) == EXIT_CONFIG, bad
