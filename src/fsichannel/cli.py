@@ -5,8 +5,9 @@ Usage:
     fsichannel describe <scenario>
     fsichannel compare <dir_a> <dir_b> [--tol T]
 
-Exit codes: 0 success, 1 scenario checks failed, 2 invalid input (a
-``ValueError``), 3 solver failure (a ``linsolve.SolverError``), 4 internal error.
+Exit codes, mapped in ``main`` alone: 0 success, 1 scenario checks failed,
+2 invalid input (a ``ValueError``, or an ``OSError`` on a path given), 3 solver
+failure (a ``linsolve.SolverError``), 4 internal error.  A closed stdout is no failure.
 """
 
 import argparse
@@ -125,7 +126,7 @@ def resolve_config(raw):
     cfg.update((key, _convert(key, value)) for key, value in raw.items())
     if not 0.0 < cfg["relaxation"] <= 1.0:
         raise ConfigError("relaxation must lie in (0, 1]")
-    for key in ("tol", "nu", "mu", "target_edge_length"):
+    for key in ("tol", "nu", "mu", "target_edge_length", "mms_h0"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     if cfg["lam"] < 0:
@@ -510,31 +511,39 @@ def compare(dir_a, dir_b, tol=0.0):
     tolerance, and a key on one side only is listed and does not fail.
     Other files are compared by hash.  A file only in ``dir_a`` is a
     ``removed`` row and fails; one only in ``dir_b`` is an ``added`` row
-    and does not."""
-    try:
-        names_a, names_b = set(os.listdir(dir_a)), set(os.listdir(dir_b))
-        if not names_a & names_b:
-            raise ConfigError("no common artifacts to compare")
-        diffs = [(n, "removed", float("inf")) for n in sorted(names_a - names_b)]
-        diffs += [(n, "added", 0.0) for n in sorted(names_b - names_a)]
-        ok = names_a <= names_b
-        for name in sorted(names_a & names_b):
-            pa, pb = os.path.join(dir_a, name), os.path.join(dir_b, name)
-            ta, tb = _tree(pa), _tree(pb)
-            if ta is None:
-                same = _hash_file(pa) == _hash_file(pb)
-                diffs.append((name, "hash", 0.0 if same else float("inf")))
-                ok = ok and (same or tol == float("inf"))
-                continue
-            for key in sorted(ta.keys() & tb.keys()):
-                diff = _json_diff(ta[key], tb[key])
-                kind = "normwise" if diff < float("inf") else "structure"
-                diffs.append((f"{name} {key}".rstrip(), kind, diff))
-                ok = ok and kind != "structure" and diff <= tol
-            diffs += _one_sided(ta, tb, f"{name} ")
-    except OSError as exc:  # a missing directory, or a subdirectory in one
-        raise ConfigError(f"cannot compare {exc.filename}: {exc.strerror}") from exc
+    and does not.  ``tol`` is a nonnegative number, ``inf`` included."""
+    if not tol >= 0:
+        raise ConfigError(f"tol must be a nonnegative number, not {tol!r}")
+    names_a, names_b = set(os.listdir(dir_a)), set(os.listdir(dir_b))
+    if not names_a & names_b:
+        raise ConfigError("no common artifacts to compare")
+    diffs = [(n, "removed", float("inf")) for n in sorted(names_a - names_b)]
+    diffs += [(n, "added", 0.0) for n in sorted(names_b - names_a)]
+    ok = names_a <= names_b
+    for name in sorted(names_a & names_b):
+        pa, pb = os.path.join(dir_a, name), os.path.join(dir_b, name)
+        ta, tb = _tree(pa), _tree(pb)
+        if ta is None:
+            same = _hash_file(pa) == _hash_file(pb)
+            diffs.append((name, "hash", 0.0 if same else float("inf")))
+            ok = ok and (same or tol == float("inf"))
+            continue
+        for key in sorted(ta.keys() & tb.keys()):
+            diff = _json_diff(ta[key], tb[key])
+            kind = "normwise" if diff < float("inf") else "structure"
+            diffs.append((f"{name} {key}".rstrip(), kind, diff))
+            ok = ok and kind != "structure" and diff <= tol
+        diffs += _one_sided(ta, tb, f"{name} ")
     return diffs, ok
+
+
+def _emit(text):
+    """Print ``text``; a reader that closed stdout is no failure, and stdout
+    then points at ``os.devnull`` so that the final flush stays silent."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None):
@@ -557,25 +566,23 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         if args.command == "describe":
-            print(describe(args.scenario))
+            _emit(describe(args.scenario))
             return 0
         if args.command == "compare":
             diffs, ok = compare(args.dir_a, args.dir_b, args.tol)
-            for name, kind, value in diffs:
-                print(f"{name}: {kind} diff {value!r}")
-            print("PASS" if ok else "FAIL")
+            rows = [f"{name}: {kind} diff {value!r}" for name, kind, value in diffs]
+            _emit("\n".join(rows + ["PASS" if ok else "FAIL"]))
             return 0 if ok else EXIT_CHECKS_FAILED
         cfg_raw = {}
         if args.config:
-            try:
-                with open(args.config) as fh:
-                    cfg_raw = json.load(fh)
-            except OSError as exc:
-                raise ConfigError(f"cannot read config {args.config}: "
-                                  f"{exc.strerror}") from exc
+            with open(args.config) as fh:
+                cfg_raw = json.load(fh)
         return run(args.command, cfg_raw, args.out, args.seed)
     except ValueError as exc:  # ConfigError, GeometryError, MeshError
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # a path given to --config, --out or compare
+        print(f"path error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

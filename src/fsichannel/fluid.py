@@ -56,15 +56,16 @@ DIVERGENCE_STREAK = 5
 FORCING = 0.1
 
 
-def fixed_point(step, x0, norm, tol, max_iter, mode, error=ConvergenceError):
+def fixed_point(step, x0, norm, tol, max_iter, mode):
     """Iterate ``x, dx, residual = step(x, rel)`` until the relative
     increment rel = norm(dx) / norm(x) <= tol; the step gets the previous
     step's rel (``None`` at the first) and owns its arithmetic.  The driver
     records each increment, its ratio to the previous positive one, and
-    ``residual`` (rel if ``None``); it raises ``error(message, report)``
-    after DIVERGENCE_STREAK ratios >= 1 in a row, on a non-finite increment,
-    or after ``max_iter`` steps; a :class:`SolverError` of the step without a
-    report leaves with this one.  Returns ``(x, SolverReport)``.
+    ``residual`` (rel if ``None``); every loop, the FSI outer one included,
+    raises ``ConvergenceError(message, report)`` after DIVERGENCE_STREAK
+    ratios >= 1 in a row, on a non-finite increment, or after ``max_iter``
+    steps; a :class:`SolverError` of the step without a report leaves with
+    this one.  Returns ``(x, SolverReport)``.
     """
     report = SolverReport(mode=mode)
     x, prev_inc, bad_streak, rel = x0, None, 0, None
@@ -84,14 +85,15 @@ def fixed_point(step, x0, norm, tol, max_iter, mode, error=ConvergenceError):
         report.increments.append(inc)
         report.residual_history.append(rel if residual is None else residual)
         if not np.isfinite(inc):
-            raise error(f"{mode}: non-finite increment at iteration {it}", report)
+            raise ConvergenceError(f"{mode}: non-finite increment at iteration {it}", report)
         if rel <= tol:
             report.converged = True
             return x, report
         if bad_streak >= DIVERGENCE_STREAK:
-            raise error(f"{mode} is not contracting: last ratios "
-                        f"{report.increment_ratios[-DIVERGENCE_STREAK:]}", report)
-    raise error(f"{mode} did not converge in {max_iter} iterations", report)
+            raise ConvergenceError(f"{mode} is not contracting: last ratios "
+                                   f"{report.increment_ratios[-DIVERGENCE_STREAK:]}",
+                                   report)
+    raise ConvergenceError(f"{mode} did not converge in {max_iter} iterations", report)
 
 
 class InflowProfile:

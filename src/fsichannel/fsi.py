@@ -26,6 +26,7 @@ from . import assembly as asm
 from .elasticity import ElasticitySolver, interface_trace, solid_space
 from .fluid import (
     FORCING,
+    ConvergenceError,
     FluidState,
     PicardSolver,
     SolverReport,
@@ -38,14 +39,11 @@ from .geomap import (
     cof2,
     transform_fields,
 )
-from .linsolve import SolverError
 from .mesh import TAG_INTERFACE
 from .spaces import FEFunction, p1_basis, p2_grads
 
-
-class OuterDivergenceError(SolverError):
-    """The outer coupling iteration stopped without converging."""
-
+# old names, kept because bench/workloads.py imports them
+OuterDivergenceError, MeshTangledError = ConvergenceError, TangledMeshError
 
 # a secant difference whose part orthogonal to the newer kept ones is at
 # most this share of its own norm is dropped from the least-squares fit
@@ -78,10 +76,6 @@ def filter_secants(V):
             Q[len(kept)] = q / size
             kept.append(i)
     return sorted(kept)
-
-
-class MeshTangledError(SolverError):
-    """Outer iterate produced a non-invertible flow map."""
 
 
 @dataclass
@@ -241,10 +235,7 @@ class FSISolver:
         coefficients ``u``: lift, transform fields and the fluid solve to
         ``tol`` from ``initial`` (zero if ``None``)."""
         ext = self.extension_of(FEFunction(self.sspace, u))
-        try:
-            fields = transform_fields(self.vspace, ext)
-        except TangledMeshError as exc:
-            raise MeshTangledError(str(exc)) from exc
+        fields = transform_fields(self.vspace, ext)
         state, report = self.fluid.solve(fields, g, tol=tol,
                                          max_iter=FLUID_MAX_ITER, initial=initial)
         return ext, fields, state, report
@@ -291,7 +282,7 @@ class FSISolver:
 
         u, report = fixed_point(
             step, np.zeros(self.sspace.ndof), self.norms_u.h1_norm,
-            opts.tol, opts.max_outer_iter, "fsi-outer", OuterDivergenceError,
+            opts.tol, opts.max_outer_iter, "fsi-outer",
         )
         log_rows = [(k + 1, inc, ratio, *extra) for (k, _, ratio), inc, extra
                     in zip(report.rows(), report.increments, per_step)]

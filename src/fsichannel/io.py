@@ -62,7 +62,7 @@ def write_vtk(path, mesh: Mesh, point_data=None):
 
 
 def read_vtk(path):
-    """Parse a file written by :func:`write_vtk`.
+    """Parse a file written by :func:`write_vtk`; blank lines are skipped.
 
     Returns ``(structure, blocks)``: ``structure`` lists the header and
     every keyword line (counts and field names included), and ``blocks``
@@ -70,7 +70,7 @@ def read_vtk(path):
     to the block's values, integer for the two cell blocks, float otherwise.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines = [line for line in fh.read().splitlines() if line.strip()]
     structure, blocks = lines[:4], {}
     k, section, size = 4, None, 0
     while k < len(lines):

@@ -245,14 +245,9 @@ def test_fixed_point_contraction_ratios():
 
 
 def test_fixed_point_divergence_raises_given_error():
-    class Diverged(RuntimeError):
-        def __init__(self, message, report):
-            super().__init__(message)
-            self.report = report
-
-    with pytest.raises(Diverged) as err:
+    with pytest.raises(ConvergenceError) as err:
         fixed_point(_affine_step(2.0, np.ones(3)), np.zeros(3), np.linalg.norm,
-                    1e-12, 100, "affine", Diverged)
+                    1e-12, 100, "affine")
     ratios = err.value.report.increment_ratios
     assert len(ratios) == DIVERGENCE_STREAK == 5
     assert all(r >= 1.0 for r in ratios[-5:])

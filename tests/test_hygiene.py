@@ -1,5 +1,6 @@
 """Static checks on the package source: no blanket ``except Exception``
-outside the CLI's top-level handler, no unused module-level imports, no
+outside the CLI's top-level handler, no exception converted into another
+outside ``linsolve``, no unused module-level imports, no
 function, class or method that the CLI's scenarios cannot reach, one
 fixed-point loop, LU factorizations only in the solver modules,
 two-operand assembly kernels that read the fluid geometry only through
@@ -44,6 +45,22 @@ def test_no_blanket_except_outside_cli_main():
                     and (path.name, node.lineno) not in allowed):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"blanket except outside cli.main: {found}"
+
+
+def test_no_handler_raises_a_new_exception_outside_linsolve():
+    """A failure is raised once, as the class that detects it: a handler
+    may re-raise (a bare ``raise``) but not convert.  ``linsolve`` is the
+    exception, because it wraps SuperLU's ``RuntimeError``."""
+    found = []
+    for path in MODULES:
+        if path.name == "linsolve.py":
+            continue
+        for handler in ast.walk(_parse(path)):
+            if isinstance(handler, ast.ExceptHandler):
+                found += [f"{path.name}:{node.lineno}"
+                          for stmt in handler.body for node in ast.walk(stmt)
+                          if isinstance(node, ast.Raise) and node.exc is not None]
+    assert not found, f"exceptions converted in a handler: {found}"
 
 
 def test_no_unused_module_level_imports():

@@ -31,7 +31,6 @@ from fsichannel.io import (
     write_vtk,
 )
 from fsichannel.fluid import ConvergenceError, fluid_spaces
-from fsichannel.fsi import MeshTangledError, OuterDivergenceError
 from fsichannel.geomap import EllipticityError, TangledMeshError
 from fsichannel.linsolve import SingularSystemError, SolverError
 from fsichannel.mesh import GeometryError, MeshError
@@ -101,6 +100,8 @@ def test_resolve_config_rejects_unknown_and_invalid():
         resolve_config({"relaxation": 1.5})
     with pytest.raises(ConfigError):
         resolve_config({"nu": -1.0})
+    with pytest.raises(ConfigError, match="mms_h0 must be positive"):
+        resolve_config({"mms_h0": -0.2})
     # study and sweep settings no run can use
     for bad in ({"mms_levels": 0}, {"mms_levels": 1}, {"h_list": [1e-2, 1e-3]},
                 {"h_list": [1e-2, 0.0, 1e-3]}, {"h_list": [1e-2, -3e-3, 1e-3]},
@@ -219,6 +220,32 @@ def test_cli_exit_codes(tmp_path):
     for side in ("x", "y"):
         (tmp_path / side / "p1").mkdir(parents=True)
     assert main(["compare", str(tmp_path / "x"), str(tmp_path / "y")]) == EXIT_CONFIG
+    # an --out that names a file, and a compare tolerance that is not a
+    # nonnegative number (inf is one: it passes any difference)
+    assert main(["mesh", "--out", str(cfg)]) == EXIT_CONFIG
+    same = str(tmp_path / "same")
+    assert run("mesh", FAST, same) == 0
+    for tol in ("-1", "nan"):
+        assert main(["compare", same, same, "--tol", tol]) == EXIT_CONFIG, tol
+    assert main(["compare", same, same, "--tol", "inf"]) == 0
+
+
+def test_closed_stdout_is_no_failure(tmp_path):
+    # the reader closes stdout before the child writes: describe still
+    # succeeds and a failing compare still reports its verdict
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run("mesh", FAST, a) == 0
+    assert run("solve-ns", FAST, b) == 0
+    for args, code in ((["describe", "probes"], 0),
+                       (["compare", a, b], EXIT_CHECKS_FAILED)):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "fsichannel.cli", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env({}), cwd=str(tmp_path))
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(), err) == (code, b""), args
 
 
 def test_summary_hashes_only_the_scenarios_artifacts(tmp_path):
@@ -239,19 +266,18 @@ def test_summary_hashes_only_the_scenarios_artifacts(tmp_path):
     (SolverError("stub"), EXIT_DIVERGED),
     (SingularSystemError("stub"), EXIT_DIVERGED),
     (ConvergenceError("stub"), EXIT_DIVERGED),
-    (OuterDivergenceError("stub"), EXIT_DIVERGED),
-    (MeshTangledError("stub"), EXIT_DIVERGED),
     (TangledMeshError(0, -1.0), EXIT_DIVERGED),
     (EllipticityError("stub"), EXIT_DIVERGED),
     (ConfigError("stub"), EXIT_CONFIG),
     (GeometryError("stub"), EXIT_CONFIG),
     (MeshError("stub"), EXIT_CONFIG),
     (ValueError("stub"), EXIT_CONFIG),
+    (OSError("stub"), EXIT_CONFIG),
     (RuntimeError("stub"), EXIT_INTERNAL),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
 def test_cli_exit_code_per_failure_type(tmp_path, monkeypatch, failure, code):
-    """Every solver failure exits 3 and every bad input 2, whatever the
-    scenario raising it."""
+    """Every solver failure exits 3 and every bad input or unusable path 2,
+    whatever the scenario raising it."""
     def runner(cfg, out, seed):
         raise failure
 
@@ -316,6 +342,8 @@ def test_compare_identical_and_differing(tmp_path):
     rows, ok, ok_inf = vtk_diff(move_cell)
     assert not ok and not ok_inf
     assert any(kind == "structure" for _, kind, _ in rows)
+    open(b_vtk, "w").write(text + "\n")  # a blank line is no difference
+    assert compare(a, b)[1]
     open(b_vtk, "w").write(text)
 
     # summary.json: numbers normwise, the artifact hashes skipped

@@ -12,20 +12,15 @@ from oracles import (
 
 from fsichannel import assembly as asm
 from fsichannel import cli
-from fsichannel.fluid import ConvergenceError, InflowProfile
-from fsichannel.fsi import (
-    CouplingOptions,
-    FSISolver,
-    MeshTangledError,
-    OuterDivergenceError,
-)
+from fsichannel.fluid import ConvergenceError, InflowProfile, SolverReport
+from fsichannel.fsi import CouplingOptions, FSISolver
 from fsichannel.geomap import (
     EllipticityError,
     TangledMeshError,
     transform_derivatives,
     transform_fields,
 )
-from fsichannel.linsolve import FrozenFactorization, SingularSystemError
+from fsichannel.linsolve import FrozenFactorization, SingularSystemError, SolverError
 from fsichannel.sensitivity import (
     SensitivitySolver,
     coefficient_rhs,
@@ -267,8 +262,8 @@ def test_taylor_drops_only_typed_solver_errors(fsi_solver, fsi_base, monkeypatch
     H = fsi_solver.mesh.geometry.channel_height
     typed = {
         2e-3: ConvergenceError("stub", None),
-        3e-3: OuterDivergenceError("stub", None),
-        4e-3: MeshTangledError("stub", None),
+        3e-3: ConvergenceError("stub", SolverReport(mode="fsi-outer")),
+        4e-3: SolverError("stub"),
         5e-3: TangledMeshError(0, -1.0),
         6e-3: SingularSystemError("stub"),
         7e-3: EllipticityError("stub"),
