@@ -7,7 +7,8 @@ factorization P built once and an operator action N: the nonlinear solve
 corrects by the Stokes operator and evaluates the transformed one with its
 lagged convection matrix-free, so no matrix is assembled per solve; the
 T-iteration corrects by the identity-coefficient linearized operator.  Every
-fluid LU is a :class:`LinearizedSolver`'s.
+fluid LU is a :class:`LinearizedSolver`'s, factorized in the node order of
+:func:`elimination_order`.
 """
 
 from dataclasses import dataclass, field
@@ -16,9 +17,10 @@ from functools import partial
 import numpy as np
 
 from . import assembly as asm
-from .linsolve import COLUMN_MIN_DEGREE, FrozenFactorization, SolverError
+from .geomap import interior_laplacian
+from .linsolve import NODE_ORDER, FrozenFactorization, SolverError
 from .mesh import FLUID, TAG_INFLOW, TAG_INTERFACE, TAG_WALL
-from .spaces import FEFunction, Space, make_space
+from .spaces import FEFunction, Space, make_space, read_only
 
 
 class ConvergenceError(SolverError):
@@ -125,12 +127,38 @@ def dirichlet_dofs(vspace):
     """Sorted velocity dofs constrained on the inflow, walls and interface.
 
     Each tag keeps only its exclusive dofs, so the three groups are
-    disjoint; the sorted order fixes the column order of the LU."""
+    disjoint; the sorted order fixes the column order of the LU's
+    constrained block."""
     groups = [vspace.boundary_dofs(TAG_INFLOW, exclusive=True)]
     groups += [vspace.boundary_dofs(tag, exclusive=True)
                for tag in (TAG_WALL, TAG_INTERFACE)
                if len(vspace.mesh.edges_with_tag(tag))]
     return np.unique(np.concatenate(groups))
+
+
+def elimination_order(vspace, pspace, cdofs):
+    """The stacked [v; p] dofs outside ``cdofs`` in the order the fluid LUs
+    eliminate them: node by node, each node's v_x, v_y and (at a vertex) p
+    in a row.  Pressure dof j is vertex node j, as both spaces number the
+    vertices in node order.  An interior node ranks as its column of the
+    :func:`geomap.interior_laplacian` LU, a boundary node just after its
+    highest-ranked interior neighbour in the scalar stiffness, or last
+    without one; equal ranks go by node.  The order of all dofs is built
+    once per space pair."""
+    if pspace not in vspace.orderings:
+        lap, n = interior_laplacian(vspace), vspace.n_scalar
+        rank = np.full(n, -1)
+        rank[lap.free] = 2 * lap.lu.perm_c  # even ranks for interior nodes
+        S = asm.assemble_scalar_stiffness(vspace)
+        top = np.maximum.reduceat(rank[S.indices], S.indptr[:-1])
+        rank = np.where(rank >= 0, rank, np.where(top >= 0, top + 1, 2 * n))
+        node = np.concatenate([np.repeat(np.arange(n), 2), np.arange(pspace.ndof)])
+        kind = np.concatenate([np.tile([0, 1], n), np.full(pspace.ndof, 2)])
+        vspace.orderings[pspace] = read_only(np.lexsort((kind, node, rank[node])))
+    order = vspace.orderings[pspace]
+    free = np.ones(len(order), dtype=bool)
+    free[cdofs] = False
+    return order[free[order]]
 
 
 def dirichlet_vector(vspace, pspace, g):
@@ -259,8 +287,9 @@ class LinearizedSolver:
         M = asm.transformed_oseen_system(
             vspace, pspace, fluid_coefficients(vspace, fields, nu),
             advector=base_w, reaction_with=base_w)
-        self._lu = FrozenFactorization(M, dirichlet_dofs(vspace),
-                                       options=COLUMN_MIN_DEGREE)
+        cdofs = dirichlet_dofs(vspace)
+        self._lu = FrozenFactorization(M, cdofs, options=NODE_ORDER,
+                                       free=elimination_order(vspace, pspace, cdofs))
 
     def solve(self, dg=None, rhs=None):
         """(dw, dp) for the inflow Dirichlet data ``dg`` and the load

@@ -76,8 +76,27 @@ class TransformDerivatives:
     dA: np.ndarray
 
 
+def interior_laplacian(vspace: Space):
+    """LU of the scalar stiffness of ``vspace`` with every node on a tagged
+    edge constrained, factorized once per space: the harmonic extension
+    solves with it, and its ``lu.perm_c`` ranks the interior nodes for
+    :func:`fluid.elimination_order`."""
+    if "laplacian" not in vspace.orderings:
+        bdofs = []
+        for tag in ALL_TAGS:
+            try:
+                bdofs.append(vspace.boundary_scalar_dofs(tag))
+            except MeshError:  # the tag does not touch this subdomain
+                continue
+        vspace.orderings["laplacian"] = FrozenFactorization(
+            assemble_scalar_stiffness(vspace), np.unique(np.concatenate(bdofs)),
+            options=SYMMETRIC_MIN_DEGREE)
+    return vspace.orderings["laplacian"]
+
+
 class HarmonicExtender:
-    """Factorized componentwise Laplace solver for interface lifts.
+    """Componentwise Laplace solver for interface lifts on the
+    :func:`interior_laplacian` of the space.
 
     Dirichlet data: the trace on the interface, zero on the remaining
     boundary of the fluid subdomain.
@@ -85,16 +104,8 @@ class HarmonicExtender:
 
     def __init__(self, vspace: Space):
         self.vspace = vspace
-        S = assemble_scalar_stiffness(vspace)
         self.iface = vspace.interface_dofs
-        bdofs = []
-        for tag in ALL_TAGS:
-            try:
-                bdofs.append(vspace.boundary_scalar_dofs(tag))
-            except MeshError:  # the tag does not touch this subdomain
-                continue
-        cdofs = np.union1d(self.iface, np.concatenate(bdofs))
-        self._fact = FrozenFactorization(S, cdofs, options=SYMMETRIC_MIN_DEGREE)
+        self._fact = interior_laplacian(vspace)
         self._zero_rhs = np.zeros((vspace.n_scalar, 2))
 
     def extend(self, trace_values):

@@ -9,20 +9,27 @@ import scipy.sparse.linalg as spla
 # bound on the free-row relative residual of every direct solve
 RESIDUAL_RTOL = 1e-10
 
-# SuperLU options per matrix kind (Li 2005).  Both orderings reduce fill
-# and pivot on the diagonal unless it is below 1 % of its column's largest
-# entry; the residual check guards the weaker pivoting.  Without options
-# SuperLU orders by COLAMD and pivots on the largest entry.
+# SuperLU options per matrix kind (Li 2005).  Without options SuperLU
+# orders by COLAMD and pivots on the largest entry.
 #
 # The Laplacian of the harmonic extension (symmetric positive definite):
 # minimum degree on the pattern of A^T + A (Amestoy, Davis & Duff 1996),
-# without relaxed supernodes, which slow this ordering down 6x on 24k dofs.
+# pivoting on the diagonal unless it is below 1 % of its column's largest
+# entry, without relaxed supernodes, which slow this ordering down 6x on 24k
+# dofs.
 SYMMETRIC_MIN_DEGREE = MappingProxyType(
     {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01, "relax": 0})
-# The Stokes and the linearized Navier-Stokes operators: COLAMD.  Their zero
-# pressure block needs off-diagonal pivots, which ruin a symmetric ordering
-# from 50k dofs on (37 M instead of 18 M fill at mesh level 2).
-COLUMN_MIN_DEGREE = MappingProxyType({"permc_spec": "COLAMD", "diag_pivot_thresh": 0.01})
+# The Stokes and the linearized Navier-Stokes operators, whose free dofs the
+# caller passes in a node-blocked symmetric order (fluid.elimination_order):
+# SuperLU keeps it (NATURAL) and pivots on the diagonal unless it is below
+# 0.1 % of its column's largest entry.  That takes only diagonal pivots at
+# mesh levels 0-2 and halves COLAMD's fill at level 2 (9.7 M against 18.5 M
+# nnz).  A 1 % threshold takes 22 off-diagonal pivots at level 1 already,
+# and their fill cascades at level 2; the 0.1 % one still refuses a tiny
+# diagonal pivot.  Relaxed supernodes slow the level-2 factorization down
+# 12x (6.4 s against 0.52 s).
+NODE_ORDER = MappingProxyType(
+    {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.001, "relax": 0})
 
 
 class SolverError(RuntimeError):
@@ -43,19 +50,26 @@ class FrozenFactorization:
 
     The rows and columns of the constrained dofs ``cdofs`` are removed and
     the free block is factorized once with the SuperLU ``options``
-    (SuperLU's defaults if ``None``).  Every solve returns the full vector
-    with the prescribed values set bit-exactly.  A solve of finite data raises
-    :class:`SingularSystemError` if the free-row result is non-finite or its
-    relative residual exceeds ``RESIDUAL_RTOL``.
+    (SuperLU's defaults if ``None``), its rows and columns alike in the
+    order of ``free``: the other dofs, ascending if ``None`` (``ValueError``
+    if they are not exactly the other dofs).  Every solve returns the full
+    vector with the prescribed values set bit-exactly.  A solve of finite
+    data raises :class:`SingularSystemError` if the free-row result is
+    non-finite or its relative residual exceeds ``RESIDUAL_RTOL``.
     """
 
-    def __init__(self, A, cdofs, options=None):
+    def __init__(self, A, cdofs, options=None, free=None):
         A = A.tocsc()
         self.n = A.shape[0]
         self.cdofs = np.asarray(cdofs, dtype=np.int64)
         mask = np.ones(self.n, dtype=bool)
         mask[self.cdofs] = False
         self.free = np.flatnonzero(mask)
+        if free is not None:
+            free = np.asarray(free, dtype=np.int64)
+            if not np.array_equal(np.sort(free), self.free):
+                raise ValueError("free dofs are not the complement of the constrained dofs")
+            self.free = free
         rows = A[self.free]
         self.A_fc = rows[:, self.cdofs]
         self.A_ff = rows[:, self.free]

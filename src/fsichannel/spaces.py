@@ -149,6 +149,9 @@ class Space:
         self.patterns = {}
         # "mass", "stiffness" or "h1" -> the scalar Gram matrix, see assembly._gram
         self.grams = {}
+        # "laplacian" -> geomap.interior_laplacian, a pressure Space -> the
+        # dof order of fluid.elimination_order
+        self.orderings = {}
 
     # ---- dof layout ----------------------------------------------------
     @property
@@ -237,10 +240,12 @@ class Space:
     def gather(self):
         """The dofs arity s + i of each element's scalar dofs s, (nloc,
         arity, T), read-only: gathers coefficient vectors for GEMMs with
-        :attr:`table` and scatters element vectors back.  A view of the
-        element-major (T, nloc, arity) array, which the loads scatter."""
+        :attr:`table` and scatters element vectors back.  C-contiguous, so
+        neither the gathered block nor the action's scatter index is a
+        copy."""
         n = self.desc.arity
-        return read_only(n * self.elem_dofs[:, :, None] + np.arange(n)).transpose(1, 2, 0)
+        g = (n * self.elem_dofs[:, :, None] + np.arange(n)).transpose(1, 2, 0)
+        return read_only(np.ascontiguousarray(g))
 
     @cached_property
     def quad_points(self):

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from conftest import child_env
@@ -24,14 +25,20 @@ from fsichannel.geomap import (
     transform_derivatives,
     transform_fields,
 )
-from fsichannel.fluid import dirichlet_dofs, fluid_coefficients, fluid_spaces
+from fsichannel.fluid import (
+    LinearizedSolver,
+    dirichlet_dofs,
+    elimination_order,
+    fluid_coefficients,
+    fluid_spaces,
+)
 from fsichannel.linsolve import (
-    COLUMN_MIN_DEGREE,
+    NODE_ORDER,
     SYMMETRIC_MIN_DEGREE,
     FrozenFactorization,
     SingularSystemError,
 )
-from fsichannel.mesh import FLUID, SOLID
+from fsichannel.mesh import FLUID, SOLID, refine_uniform
 from fsichannel.quadrature import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS, TRI_WEIGHTS
 from fsichannel.spaces import FEFunction, make_space, p1_basis, p2_basis
 
@@ -390,8 +397,21 @@ def test_frozen_factorization_rejects_non_finite_result():
         lu.solve(np.array([1e10, 1.0]))
 
 
-@pytest.mark.parametrize("options", [SYMMETRIC_MIN_DEGREE, COLUMN_MIN_DEGREE],
-                         ids=["symmetric", "column"])
+def test_frozen_factorization_takes_the_free_dofs_in_any_order():
+    A = sp.csc_matrix(np.array([[4.0, 1.0, 0.0, 1.0], [1.0, 5.0, 2.0, 0.0],
+                                [0.0, 2.0, 6.0, 1.0], [1.0, 0.0, 1.0, 7.0]]))
+    rhs, prescribed = np.arange(1.0, 5.0), np.full(4, 0.5)
+    ascending = FrozenFactorization(A, [1]).solve(rhs, prescribed)
+    permuted = FrozenFactorization(A, [1], free=[3, 0, 2])
+    assert np.array_equal(permuted.free, [3, 0, 2])
+    assert np.abs(permuted.solve(rhs, prescribed) - ascending).max() <= 1e-15
+    for free in ([0, 2, 2], [0, 1, 2, 3]):  # a duplicate, a constrained dof
+        with pytest.raises(ValueError, match="complement"):
+            FrozenFactorization(A, [1], free=free)
+
+
+@pytest.mark.parametrize("options", [SYMMETRIC_MIN_DEGREE, NODE_ORDER],
+                         ids=["symmetric", "node"])
 def test_lu_options_keep_the_non_finite_check(options):
     lu = FrozenFactorization(sp.diags([1e-300, 1.0], format="csc"), [],
                              options=options)
@@ -401,28 +421,65 @@ def test_lu_options_keep_the_non_finite_check(options):
 
 @pytest.mark.parametrize("kind", ["stokes", "harmonic", "linearized"])
 def test_lu_options_match_default_ordering(fsi_solver, fsi_base, kind):
-    """Each matrix kind solves with its fill-reducing options as with
-    SuperLU's defaults, on the level-0 matrices of the coupled solver."""
+    """Each matrix kind solves with its fill-reducing options (and, for the
+    fluid, its elimination order) as with SuperLU's defaults, on the
+    level-0 matrices of the coupled solver."""
     V, Q = fsi_solver.vspace, fsi_solver.pspace
-    if kind == "stokes":
-        A = asm.transformed_oseen_system(
-            V, Q, fluid_coefficients(V, None, fsi_solver.nu))
-        cdofs = dirichlet_dofs(V)
-        options = COLUMN_MIN_DEGREE
-    elif kind == "harmonic":
+    if kind == "harmonic":
         A, cdofs = asm.assemble_scalar_stiffness(V), fsi_solver.extender._fact.cdofs
-        options = SYMMETRIC_MIN_DEGREE
+        options = {"options": SYMMETRIC_MIN_DEGREE}
     else:
-        w = fsi_base.fluid.w
+        fields, w = (None, None) if kind == "stokes" else (fsi_base.fields, fsi_base.fluid.w)
         A = asm.transformed_oseen_system(
-            V, Q, fluid_coefficients(V, fsi_base.fields, fsi_solver.nu),
+            V, Q, fluid_coefficients(V, fields, fsi_solver.nu),
             advector=w, reaction_with=w)
-        cdofs, options = dirichlet_dofs(V), COLUMN_MIN_DEGREE
+        cdofs = dirichlet_dofs(V)
+        options = {"options": NODE_ORDER, "free": elimination_order(V, Q, cdofs)}
     rng = np.random.default_rng(0)
     rhs, prescribed = rng.standard_normal((2, A.shape[0]))
-    x = FrozenFactorization(A, cdofs, options=options).solve(rhs, prescribed)
+    x = FrozenFactorization(A, cdofs, **options).solve(rhs, prescribed)
     y = FrozenFactorization(A, cdofs).solve(rhs, prescribed)
     assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("kind", ["stokes-l0", "stokes-l1", "linearized-l0"])
+def test_node_order_pivots_on_the_diagonal_with_less_fill(fsi_solver, fsi_base, kind):
+    """Every fluid LU keeps the node order: SuperLU takes no off-diagonal
+    pivot, and L + U fill at most 3/4 of COLAMD's on the same free block.
+    At level 1 a 1 % pivot threshold already takes off-diagonal pivots,
+    whose fill cascades at level 2."""
+    V, Q = fsi_solver.vspace, fsi_solver.pspace
+    fields, w = (fsi_base.fields, fsi_base.fluid.w) if kind == "linearized-l0" else (None, None)
+    if kind == "stokes-l1":
+        V, Q = fluid_spaces(refine_uniform(fsi_solver.mesh))
+    lu = LinearizedSolver(V, Q, fields, w, fsi_solver.nu)._lu
+    assert np.array_equal(lu.lu.perm_r, np.arange(len(lu.free)))
+    ascending = np.argsort(lu.free)
+    colamd = spla.splu(lu.A_ff[ascending][:, ascending].tocsc(),
+                       permc_spec="COLAMD", diag_pivot_thresh=0.01)
+    assert lu.lu.L.nnz + lu.lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_elimination_order_blocks_each_node(fsi_solver):
+    """The fluid free dofs, each node's (v_x, v_y, p) in a row."""
+    V, Q = fsi_solver.vspace, fsi_solver.pspace
+    cdofs = dirichlet_dofs(V)
+    order = elimination_order(V, Q, cdofs)
+    assert np.array_equal(np.sort(order),
+                          np.setdiff1d(np.arange(V.ndof + Q.ndof), cdofs))
+    node = np.where(order < V.ndof, order // 2, order - V.ndof)
+    kind = np.where(order < V.ndof, order % 2, 2)
+    same = np.diff(node) == 0
+    assert len(np.unique(node)) == np.count_nonzero(~same) + 1
+    assert np.all(np.diff(kind)[same] > 0)
+
+
+def test_pressure_dofs_are_the_leading_velocity_nodes(default_mesh, coarse_mesh):
+    """Pressure dof j sits at velocity node j, which the fluid elimination
+    order relies on."""
+    for mesh in (default_mesh, coarse_mesh, refine_uniform(coarse_mesh)):
+        V, Q = fluid_spaces(mesh)
+        assert np.array_equal(Q.dof_coords, V.dof_coords[:Q.ndof])
 
 
 def test_boundary_load_partition_of_unity(default_mesh):
