@@ -14,9 +14,11 @@ products on (q, T) planes, a GEMM back and a ``bincount`` over its gather.
 The assembled fluid blocks contract products of the same table with a or k
 in one GEMM each, and the loads scatter with one ``bincount``.
 
-Every kernel sums its element entries with one ``bincount`` into a CSR
-pattern fixed per space and block kind.  The scalar Gram matrices and
-linear elasticity contract the physical gradients their ``Space`` caches.
+The fluid kernels return element blocks; every assembled matrix (the
+fluid [v; p] operator from all its blocks at once, the Gram matrices,
+elasticity and the boundary mass) is one COO -> CSR conversion of its
+element entries in ``_matrix``.  The scalar Gram matrices and linear
+elasticity contract the physical gradients their ``Space`` caches.
 """
 
 from __future__ import annotations
@@ -29,58 +31,28 @@ from .quadrature import EDGE_POINTS, EDGE_WEIGHTS
 from .spaces import FEFunction, Space, read_only
 
 
-class Pattern:
-    """Fixed CSR sparsity of one block kind, built once per space.
-
-    ``index`` holds each element entry's slot in the CSR ``data``; the
-    read-only ``indptr``/``indices`` are shared by every matrix assembled
-    on the pattern.
-    """
-
-    def __init__(self, rows, cols, shape):
-        n_cols = shape[1]
-        keys, index = np.unique((rows * n_cols + cols).ravel(), return_inverse=True)
-        self.shape = shape
-        self.index = index
-        self.indices = read_only((keys % n_cols).astype(np.int32))
-        counts = np.bincount(keys // n_cols, minlength=shape[0])
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        self.indptr = read_only(indptr.astype(np.int32))
-
-    def matrix(self, elem):
-        """CSR matrix of the summed element entries (C order of ``index``)."""
-        data = np.bincount(self.index, elem.ravel(), minlength=len(self.indices))
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+def _matrix(blocks, shape):
+    """CSR matrix of ``shape`` summing the entries of the (rows, cols,
+    values) triples in ``blocks``, each triple broadcast to one shape: the
+    index arrays are built once, as int32, and converted from COO once,
+    which sums the duplicates into canonical CSR."""
+    flat = [np.broadcast_arrays(*block) for block in blocks]
+    rows, cols, data = (np.concatenate([f[k] for f in flat], axis=None, dtype=t)
+                        for k, t in enumerate((np.int32, np.int32, float)))
+    return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
 
-def _pattern(space: Space, kind, pspace: Space | None = None):
-    """The cached pattern of ``kind`` on ``space``: "scalar" (a, b) entries
-    of the scalar layout; "diag" (a, b, i) and "vector" (a, i, b, j) entries
-    of the vector layout; "mixed" (a, i, c) entries of the velocity-pressure
-    block, keyed by the pressure space."""
-    key = kind if pspace is None else pspace
-    if key not in space.patterns:
-        d, c = 2 * space.elem_dofs, np.arange(2)
-        shape = (space.ndof, space.ndof)
-        if kind == "scalar":
-            ed = space.elem_dofs
-            rows, cols, shape = ed[:, :, None], ed[:, None, :], (space.n_scalar,) * 2
-        elif kind == "diag":  # component-diagonal entries only
-            rows, cols = d[:, :, None, None] + c, d[:, None, :, None] + c
-        elif kind == "vector":
-            rows = d[:, :, None, None, None] + c[:, None, None]
-            cols = d[:, None, None, :, None] + c
-        else:
-            rows = d[:, :, None, None] + c[:, None]
-            cols = pspace.elem_dofs[:, None, None, :]
-            shape = (space.ndof, pspace.ndof)
-        space.patterns[key] = Pattern(rows, cols, shape)
-    return space.patterns[key]
+def _scalar_matrix(space: Space, elem):
+    """Matrix of the scalar layout from the (T, a, b) element entries, or
+    their (T, a b) rows."""
+    ed = space.elem_dofs
+    elem = elem.reshape(ed.shape + ed.shape[1:])
+    return _matrix([(ed[:, :, None], ed[:, None, :], elem)], (space.n_scalar,) * 2)
 
 
-def _diag(space, elem_scalar):
-    """Block-diagonal vector matrix: the (T, a, b) block on both components."""
-    return _pattern(space, "diag").matrix(np.repeat(elem_scalar, 2))
+def _dofs(space: Space):
+    """(T, a, i) vector dof of component i of each element's scalar dof a."""
+    return space.gather.transpose(2, 0, 1)
 
 
 def _contract(X, Y):
@@ -117,41 +89,39 @@ def action_coefficients(vspace: Space, A=None, K=None, nu=1.0):
 
 
 def assemble_viscous(vspace: Space, a):
-    """nu * integral of (grad psi)^T A (grad w), componentwise:
-    d_m psi_a a_mn d_n psi_b summed over the points."""
+    """nu * integral of (grad psi)^T A (grad w), componentwise: the (T, a,
+    b) entries d_m psi_a a_mn d_n psi_b summed over the points."""
     G = vspace.table[:2]
     GG = (G[:, None, :, :, None] * G[None, :, :, None, :]).reshape(-1, 36)
-    return _diag(vspace, (GG.T @ a.reshape(len(GG), -1)).T)
+    return (GG.T @ a.reshape(len(GG), -1)).reshape(6, 6, -1).transpose(2, 0, 1)
 
 
 def assemble_convection(vspace: Space, advector: FEFunction, k):
-    """integral of psi . (w_adv^T K grad) w, block-diagonal per component:
-    psi_a (k^T w_adv)_m d_m psi_b summed over the points."""
+    """integral of psi . (w_adv^T K grad) w, componentwise: the (T, a, b)
+    entries psi_a (k^T w_adv)_m d_m psi_b summed over the points."""
     w = advector.values_at().transpose(1, 2, 0)  # [point, i, T]
     kw = np.einsum("mqie,qie->mqe", k, w)
     t = vspace.table
     PG = (t[2][:, :, None] * t[:2, :, None, :]).reshape(-1, 36)
-    return _diag(vspace, (PG.T @ kw.reshape(len(PG), -1)).T)
+    return (PG.T @ kw.reshape(len(PG), -1)).reshape(6, 6, -1).transpose(2, 0, 1)
 
 
 def assemble_reaction(vspace: Space, base: FEFunction, k):
-    """integral of psi_i w_j (K grad base_i)_j  (component coupling block)."""
+    """integral of psi_i w_j (K grad base_i)_j, the component coupling: the
+    (T, a, i, b, j) entries."""
     H = vspace.reference_fields(base.coefficients)[:2]
     R = np.einsum("mqie,mqje->qije", H, k)  # wdet (K grad base_i)_j
     elem = _outer(vspace.table[2]).T @ R.reshape(len(R), -1)  # (a b, i j T)
-    return _pattern(vspace, "vector").matrix(
-        elem.reshape(6, 6, 2, 2, -1).transpose(4, 0, 2, 1, 3))
+    return elem.reshape(6, 6, 2, 2, -1).transpose(4, 0, 2, 1, 3)
 
 
 def assemble_pressure_blocks(vspace: Space, pspace: Space, k):
-    """Velocity-pressure block -int p (K grad).psi and its negative transpose."""
+    """Velocity-pressure block -int p (K grad).psi: the (T, a, i, c)
+    entries of velocity dof (a, i) and pressure dof c."""
     q = pspace.table[2]
     GQ = (vspace.table[:2, :, :, None] * q[:, None, :]).reshape(-1, 6 * q.shape[1])
     elem = -(GQ.T @ k.reshape(len(GQ), -1))  # (a c, i T)
-    A_vp = _pattern(vspace, "mixed", pspace).matrix(
-        elem.reshape(6, q.shape[1], 2, -1).transpose(3, 0, 2, 1))
-    A_pv = (-A_vp).T.tocsr()
-    return A_vp, A_pv
+    return elem.reshape(6, q.shape[1], 2, -1).transpose(3, 0, 2, 1)
 
 
 def _gram(space: Space, kind, build):
@@ -165,16 +135,15 @@ def _gram(space: Space, kind, build):
 
 def assemble_mass(space: Space):
     """Scalar mass matrix, assembled once per space."""
-    return _gram(space, "mass", lambda: _pattern(space, "scalar").matrix(
-        space.wdet @ _outer(space.table[2])))
+    return _gram(space, "mass", lambda: _scalar_matrix(
+        space, space.wdet @ _outer(space.table[2])))
 
 
 def assemble_scalar_stiffness(space: Space):
     """Scalar stiffness matrix, assembled once per space."""
     def build():
         g = space.grads_at()
-        elem = _contract(space.wdet[..., None, None] * g, g)
-        return _pattern(space, "scalar").matrix(elem)
+        return _scalar_matrix(space, _contract(space.wdet[..., None, None] * g, g))
     return _gram(space, "stiffness", build)
 
 
@@ -192,7 +161,9 @@ def assemble_elasticity(space: Space, lam, mu):
     elem = mu * dot[:, :, None, :, None] * np.eye(2)[:, None, :]
     elem += mu * GG.transpose(0, 1, 4, 3, 2)
     elem += lam * GG
-    return _pattern(space, "vector").matrix(elem)
+    d = _dofs(space)
+    return _matrix([(d[:, :, :, None, None], d[:, None, None], elem)],
+                   (space.ndof, space.ndof))
 
 
 def transformed_oseen_system(
@@ -201,25 +172,31 @@ def transformed_oseen_system(
     coefficients,
     advector: FEFunction | None = None,
     reaction_with: FEFunction | None = None,
-) -> sp.csr_matrix:
+):
     """Assemble the transformed (Navier-)Stokes operator for the
     ``coefficients`` (a, k) of :func:`action_coefficients` as one CSR matrix
-    [[A_vv, A_vp], [A_pv, 0]] on the stacked [v; p] dofs.
+    [[A_vv, A_vp], [-A_vp^T, 0]] on the stacked [v; p] dofs, converted once
+    from all its element blocks; (p, p) stores no entry.
 
-    ``A_vv`` is the viscous block plus the convection by ``advector`` and
-    the reaction with ``reaction_with`` when given.  The do-nothing outflow
-    condition is natural for this weak form: no surface term is assembled
-    on the outflow boundary.
+    ``A_vv`` is the viscous block plus the convection by ``advector`` on
+    both components, and the reaction with ``reaction_with`` when given.
+    The do-nothing outflow condition is natural for this weak form: no
+    surface term is assembled on the outflow boundary.
     """
     a, k = coefficients
-    A_vv = assemble_viscous(vspace, a)
+    d = _dofs(vspace)
+    vv = assemble_viscous(vspace, a)
     if advector is not None:
-        A_vv = A_vv + assemble_convection(vspace, advector, k)
+        vv = vv + assemble_convection(vspace, advector, k)
+    blocks = [(d[:, :, None, :], d[:, None, :, :], vv[..., None])]
     if reaction_with is not None:
-        A_vv = A_vv + assemble_reaction(vspace, reaction_with, k)
-    A_vp, A_pv = assemble_pressure_blocks(vspace, pspace, k)
-    A_pp = sp.csr_matrix((pspace.ndof, pspace.ndof))
-    return sp.bmat([[A_vv, A_vp], [A_pv, A_pp]], format="csr")
+        blocks.append((d[:, :, :, None, None], d[:, None, None],
+                       assemble_reaction(vspace, reaction_with, k)))
+    p = vspace.ndof + pspace.elem_dofs[:, None, None, :]
+    vp = assemble_pressure_blocks(vspace, pspace, k)
+    blocks += [(d[..., None], p, vp), (p, d[..., None], -vp)]
+    n = vspace.ndof + pspace.ndof
+    return _matrix(blocks, (n, n))
 
 
 def oseen_action(vspace: Space, pspace: Space, x, coefficients):
@@ -317,8 +294,7 @@ def assemble_boundary_mass(space: Space, tag):
     c = np.arange(space.desc.arity)
     rows = space.desc.arity * dofs[:, :, None, None] + c
     cols = space.desc.arity * dofs[:, None, :, None] + c
-    elem = np.broadcast_to(elem[..., None], elem.shape + (len(c),))
-    return Pattern(rows, cols, (space.ndof, space.ndof)).matrix(elem)
+    return _matrix([(rows, cols, elem[..., None])], (space.ndof, space.ndof))
 
 
 def assemble_boundary_load(space: Space, tag, f):

@@ -129,10 +129,8 @@ def dirichlet_dofs(vspace):
     Each tag keeps only its exclusive dofs, so the three groups are
     disjoint; the sorted order fixes the column order of the LU's
     constrained block."""
-    groups = [vspace.boundary_dofs(TAG_INFLOW, exclusive=True)]
-    groups += [vspace.boundary_dofs(tag, exclusive=True)
-               for tag in (TAG_WALL, TAG_INTERFACE)
-               if len(vspace.mesh.edges_with_tag(tag))]
+    groups = [vspace.boundary_dofs(tag, exclusive=True)
+              for tag in (TAG_INFLOW, TAG_WALL, TAG_INTERFACE)]
     return np.unique(np.concatenate(groups))
 
 

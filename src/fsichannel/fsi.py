@@ -154,7 +154,7 @@ class TractionEvaluator:
         first = np.searchsorted(rec[by_rec], np.arange(len(self.iface)))
         mean = (np.add.reduceat(np.repeat(normal, 3, axis=0)[by_rec], first)
                 / np.bincount(rec)[:, None])
-        self.normals = np.array([n / np.linalg.norm(n) for n in mean])
+        self.normals = mean / np.linalg.norm(mean, axis=1, keepdims=True)
         # one sample point per (dof, element) pair, by dof, then element
         pairs = np.unique(rec * len(vspace.tri_ids) + np.repeat(element, 3))
         rec, elem = np.divmod(pairs, len(vspace.tri_ids))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .assembly import assemble_scalar_stiffness
 from .linsolve import SYMMETRIC_MIN_DEGREE, FrozenFactorization, SolverError
-from .mesh import ALL_TAGS, MeshError
+from .mesh import ALL_TAGS
 from .spaces import FEFunction, Space
 
 
@@ -57,10 +57,9 @@ def sym_eig_min(A):
 class TransformFields:
     """Per-quadrature-point flow map data on the fluid elements."""
 
-    DPhi: np.ndarray  # (T, q, 2, 2), entry [i, l] = d_l Phi_i
-    J: np.ndarray     # (T, q)
-    K: np.ndarray     # (T, q, 2, 2), cofactor of DPhi
-    A: np.ndarray     # (T, q, 2, 2), J^-1 K K^T
+    J: np.ndarray  # (T, q), det DPhi with DPhi[i, l] = d_l Phi_i
+    K: np.ndarray  # (T, q, 2, 2), cofactor of DPhi
+    A: np.ndarray  # (T, q, 2, 2), J^-1 K K^T
 
     def min_eig_A(self):
         return sym_eig_min(self.A)
@@ -70,7 +69,6 @@ class TransformFields:
 class TransformDerivatives:
     """Directional derivatives of the transform fields (same layout)."""
 
-    dDPhi: np.ndarray
     dJ: np.ndarray
     dK: np.ndarray
     dA: np.ndarray
@@ -82,12 +80,7 @@ def interior_laplacian(vspace: Space):
     solves with it, and its ``lu.perm_c`` ranks the interior nodes for
     :func:`fluid.elimination_order`."""
     if "laplacian" not in vspace.orderings:
-        bdofs = []
-        for tag in ALL_TAGS:
-            try:
-                bdofs.append(vspace.boundary_scalar_dofs(tag))
-            except MeshError:  # the tag does not touch this subdomain
-                continue
+        bdofs = [vspace.boundary_scalar_dofs(tag) for tag in ALL_TAGS]
         vspace.orderings["laplacian"] = FrozenFactorization(
             assemble_scalar_stiffness(vspace), np.unique(np.concatenate(bdofs)),
             options=SYMMETRIC_MIN_DEGREE)
@@ -118,7 +111,7 @@ class HarmonicExtender:
 
 
 def transform_fields(vspace: Space, extension: FEFunction) -> TransformFields:
-    """Evaluate (DPhi, J, K, A) at all quadrature points of the fluid mesh.
+    """Evaluate (J, K, A) at all quadrature points of the fluid mesh.
 
     Raises :class:`TangledMeshError` if the map is not orientation
     preserving anywhere.
@@ -131,7 +124,7 @@ def transform_fields(vspace: Space, extension: FEFunction) -> TransformFields:
         raise TangledMeshError(vspace.tri_ids[e], J[e, q])
     K = cof2(DPhi)
     A = np.einsum("eqij,eqkj->eqik", K, K) / J[..., None, None]
-    return TransformFields(DPhi, J, K, A)
+    return TransformFields(J, K, A)
 
 
 def transform_derivatives(fields: TransformFields, dgrad) -> TransformDerivatives:
@@ -149,4 +142,4 @@ def transform_derivatives(fields: TransformFields, dgrad) -> TransformDerivative
     dKKt = np.sum(dK[..., :, None, :] * K[..., None, :, :], axis=-1)
     dA = (dKKt + dKKt.swapaxes(-1, -2) - dJ[..., None, None] * fields.A) \
         / fields.J[..., None, None]
-    return TransformDerivatives(dDPhi, dJ, dK, dA)
+    return TransformDerivatives(dJ, dK, dA)

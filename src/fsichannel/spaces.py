@@ -145,8 +145,6 @@ class Space:
         self.origin = p[:, 0]
 
         self._grads = None  # physical basis gradients, see grads_at
-        # block kind, or the pressure Space of a mixed block -> assembly.Pattern
-        self.patterns = {}
         # "mass", "stiffness" or "h1" -> the scalar Gram matrix, see assembly._gram
         self.grams = {}
         # "laplacian" -> geomap.interior_laplacian, a pressure Space -> the
@@ -205,12 +203,11 @@ class Space:
 
         Corner dofs belong to every adjacent tag's set; with
         ``exclusive=True`` each dof is assigned only to its highest-priority
-        tag (wall > inflow > outflow > interface > clamped).
+        tag (wall > inflow > outflow > interface > clamped).  A tag that does
+        not touch the subdomain has none.
         """
         if tag not in ALL_TAGS:
             raise MeshError(f"unknown boundary tag {tag!r}")
-        if not len(self._boundary_scalar[tag, False]):
-            raise MeshError(f"tag {tag!r} is not adjacent to subdomain {self.desc.subdomain}")
         return np.array(self._boundary_scalar[tag, bool(exclusive)])
 
     @cached_property

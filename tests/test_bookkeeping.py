@@ -17,7 +17,6 @@ from fsichannel.mesh import (
     ALL_TAGS,
     FLUID,
     SOLID,
-    MeshError,
     build_channel_mesh,
     refine_uniform,
     straight_channel,
@@ -71,10 +70,6 @@ def test_space_bookkeeping_matches_loop_oracle(mesh, order, subdomain):
     for tag in ALL_TAGS:
         for exclusive in (False, True):
             want = loop.boundary_scalar_dofs(tag, exclusive)
-            if not len(loop.boundary_scalar_dofs(tag)):
-                with pytest.raises(MeshError):
-                    space.boundary_scalar_dofs(tag, exclusive)
-                continue
             assert _equal(space.boundary_scalar_dofs(tag, exclusive), want)
         if len(loop._tagged(tag)):
             looped = loop.tagged_edge_elements(tag)

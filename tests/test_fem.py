@@ -172,14 +172,16 @@ AFFINE_LIFT = np.array([[0.05, 0.2], [-0.03, 0.1]])
 
 
 @pytest.mark.parametrize("block", [
-    pytest.param("viscous", marks=pytest.mark.xfail(strict=True, reason=(
-        "geomap.transform_fields builds A = J^-1 K K^T; with DPhi[i, l] = "
-        "d_l Phi_i and K = J DPhi^-T the pull-back of grad v : grad psi "
-        "needs A = J^-1 K^T K"))),
+    pytest.param("viscous", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=(
+            "geomap.transform_fields builds A = J^-1 K K^T; with DPhi[i, l] = "
+            "d_l Phi_i and K = J DPhi^-T the pull-back of grad v : grad psi "
+            "needs A = J^-1 K^T K"))),
     "convection", "reaction", "pressure"])
 def test_affine_pull_back_matches_moved_mesh(coarse_mesh, block):
     """Each fluid block under the transform fields of an affine lift equals
-    the untransformed block on the mesh moved by that lift (same dofs)."""
+    the untransformed block on the mesh moved by that lift: the same
+    elements, so the same element entries."""
     V, Q = fluid_spaces(coarse_mesh)
     fields = transform_fields(V, FEFunction(V, (V.dof_coords @ AFFINE_LIFT.T).ravel()))
     nodes = coarse_mesh.nodes
@@ -194,10 +196,10 @@ def test_affine_pull_back_matches_moved_mesh(coarse_mesh, block):
             return asm.assemble_convection(V, FEFunction(V, w), k)
         if block == "reaction":
             return asm.assemble_reaction(V, FEFunction(V, w), k)
-        return asm.assemble_pressure_blocks(V, Q, k)[0]
+        return asm.assemble_pressure_blocks(V, Q, k)
 
-    got = assemble(V, Q, fluid_coefficients(V, fields, 0.7)).toarray()
-    ref = assemble(Vm, Qm, asm.action_coefficients(Vm, nu=0.7)).toarray()
+    got = assemble(V, Q, fluid_coefficients(V, fields, 0.7))
+    ref = assemble(Vm, Qm, asm.action_coefficients(Vm, nu=0.7))
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -218,13 +220,13 @@ def _action_case(case, V):
     if case == "non-symmetric":
         A = np.eye(2) + 0.3 * rng.standard_normal(shape)
         assert np.abs(A - A.swapaxes(2, 3)).max() > 0.1
-        return TransformFields(fields.DPhi, fields.J, fields.K, A)
+        return TransformFields(fields.J, fields.K, A)
     # a derivative pair (dA, dK) in a smooth lift direction; the operator
     # is linear in the coefficients, and J only enters the positivity check
     x, y = V.dof_coords[:, 0], V.dof_coords[:, 1]
     v = FEFunction(V, np.column_stack([np.sin(2 * x) * y, np.cos(x + y)]).ravel())
     d = transform_derivatives(fields, v.gradients_at())
-    return TransformFields(d.dDPhi, fields.J, d.dK, d.dA)
+    return TransformFields(fields.J, d.dK, d.dA)
 
 
 def test_evaluation_at_the_rule_reproduces_interpolated_fields(default_mesh):
@@ -297,12 +299,33 @@ def test_oseen_action_bit_identical_across_blas_threads():
     assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
 
 
-def test_pressure_blocks_exact_negative_transpose(default_mesh):
-    V = make_space(default_mesh, order=2, arity=2, subdomain=FLUID)
-    Q = make_space(default_mesh, order=1, arity=1, subdomain=FLUID)
-    A_vp, A_pv = asm.assemble_pressure_blocks(V, Q, asm.action_coefficients(V)[1])
-    d = (A_pv + A_vp.T).tocoo()
-    assert d.nnz == 0 or np.abs(d.data).max() == 0.0
+def test_oseen_system_pressure_rows_negative_transpose(default_mesh):
+    """In the assembled [v; p] matrix the (p, v) block stores exactly the
+    entries of the negative transpose of the (v, p) block, with the same
+    values up to the order in which the conversion sums each entry's element
+    contributions, and the (p, p) block stores nothing."""
+    V, Q = fluid_spaces(default_mesh)
+    fields = transform_fields(V, HarmonicExtender(V).extend(
+        0.01 * np.sin(np.pi * V.dof_coords[V.interface_dofs])))
+    w = FEFunction(V, np.random.default_rng(8).standard_normal(V.ndof))
+    M = asm.transformed_oseen_system(V, Q, fluid_coefficients(V, fields, 0.7),
+                                     advector=w, reaction_with=w)
+    n = V.ndof
+    A_pv, ref = M[n:, :n], (-M[:n, n:].T).tocsr()
+    assert ref.nnz > 0 and M[n:, n:].nnz == 0
+    assert np.array_equal(A_pv.indptr, ref.indptr)
+    assert np.array_equal(A_pv.indices, ref.indices)
+    assert np.abs(A_pv.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+def test_stokes_system_stores_no_cross_component_entry(default_mesh):
+    """The Stokes matrix couples the velocity components only through the
+    pressure: its velocity block stores no (v_x, v_y) entry, not even an
+    explicit zero, which would only add fill to its LU."""
+    V, Q = fluid_spaces(default_mesh)
+    M = asm.transformed_oseen_system(V, Q, asm.action_coefficients(V))
+    A_vv = M[:V.ndof, :V.ndof].tocoo()  # every stored entry, zeros included
+    assert A_vv.nnz > 0 and np.all(A_vv.row % 2 == A_vv.col % 2)
 
 
 def test_elasticity_positive_definite_after_clamping(default_mesh):

@@ -202,7 +202,9 @@ def test_exceptions_are_bad_input_or_solver_failures():
 def test_assembly_kernel_shape():
     """Every einsum contracts at most two operands without ``optimize=``
     (threaded BLAS dispatch would break bit-identity across thread counts),
-    and assembly scatters through its fixed CSR patterns, not COO."""
+    and every matrix of assembly is one COO -> CSR conversion of its element
+    entries: only ``_matrix`` names ``csr_matrix``, and no block is stacked
+    with ``bmat``."""
     found = []
     for path in MODULES:
         for node in ast.walk(_parse(path)):
@@ -213,10 +215,12 @@ def test_assembly_kernel_shape():
                          or any(k.arg == "optimize" for k in node.keywords))):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"einsum with more than two operands or optimize=: {found}"
-    names = {n.id if isinstance(n, ast.Name) else n.attr
-             for n in ast.walk(_parse(SRC / "assembly.py"))
-             if isinstance(n, (ast.Name, ast.Attribute))}
-    assert "coo_matrix" not in names
+    tree = _parse(SRC / "assembly.py")
+    matrix = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_matrix")
+    names = _referenced_names(tree)
+    assert "bmat" not in names
+    assert names.count("csr_matrix") == _referenced_names(matrix).count("csr_matrix") == 1
 
 
 def test_fluid_weak_form_has_one_geometry_path():
