@@ -17,8 +17,10 @@ in one GEMM each, and the loads scatter with one ``bincount``.
 The fluid kernels return element blocks; every assembled matrix (the
 fluid [v; p] operator from all its blocks at once, the Gram matrices,
 elasticity and the boundary mass) is one COO -> CSR conversion of its
-element entries in ``_matrix``.  The scalar Gram matrices and linear
-elasticity contract the physical gradients their ``Space`` caches.
+element entries in ``_matrix``, save that the velocity-pressure block is
+summed first so that its transpose enters the operator negated exactly.
+The scalar Gram matrices and linear elasticity contract the physical
+gradients their ``Space`` caches.
 """
 
 from __future__ import annotations
@@ -176,7 +178,8 @@ def transformed_oseen_system(
     """Assemble the transformed (Navier-)Stokes operator for the
     ``coefficients`` (a, k) of :func:`action_coefficients` as one CSR matrix
     [[A_vv, A_vp], [-A_vp^T, 0]] on the stacked [v; p] dofs, converted once
-    from all its element blocks; (p, p) stores no entry.
+    from its velocity element blocks and the summed entries of A_vp, so that
+    (p, v) is exactly -A_vp^T; (p, p) stores no entry.
 
     ``A_vv`` is the viscous block plus the convection by ``advector`` on
     both components, and the reaction with ``reaction_with`` when given.
@@ -192,9 +195,13 @@ def transformed_oseen_system(
     if reaction_with is not None:
         blocks.append((d[:, :, :, None, None], d[:, None, None],
                        assemble_reaction(vspace, reaction_with, k)))
-    p = vspace.ndof + pspace.elem_dofs[:, None, None, :]
-    vp = assemble_pressure_blocks(vspace, pspace, k)
-    blocks += [(d[..., None], p, vp), (p, d[..., None], -vp)]
+    # (v, p) is summed on its own first, so each (p, v) entry enters the
+    # conversion once and is exactly the negative of its (v, p) entry
+    vp = _matrix([(d[..., None], pspace.elem_dofs[:, None, None, :],
+                   assemble_pressure_blocks(vspace, pspace, k))],
+                 (vspace.ndof, pspace.ndof)).tocoo()
+    p = vspace.ndof + vp.col
+    blocks += [(vp.row, p, vp.data), (p, vp.row, -vp.data)]
     n = vspace.ndof + pspace.ndof
     return _matrix(blocks, (n, n))
 

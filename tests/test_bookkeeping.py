@@ -17,6 +17,7 @@ from fsichannel.mesh import (
     ALL_TAGS,
     FLUID,
     SOLID,
+    MeshError,
     build_channel_mesh,
     refine_uniform,
     straight_channel,
@@ -71,6 +72,8 @@ def test_space_bookkeeping_matches_loop_oracle(mesh, order, subdomain):
         for exclusive in (False, True):
             want = loop.boundary_scalar_dofs(tag, exclusive)
             assert _equal(space.boundary_scalar_dofs(tag, exclusive), want)
+    with pytest.raises(MeshError):
+        space.boundary_scalar_dofs("no-such-tag")
         if len(loop._tagged(tag)):
             looped = loop.tagged_edge_elements(tag)
             got = asm.tagged_edge_elements(space, tag)
